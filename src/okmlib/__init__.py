@@ -11,7 +11,7 @@ an experiment harness.
 """
 
 from .dataio import DataMatrix, SyntheticSpec, generate_synthetic, load_csv, save_covering_csv, save_csv
-from .divergences import Dissimilarity, DissimilarityKind, dissim
+from .divergences import Dissimilarity, DissimilarityKind, dissim, dissim_rows
 from .errors import (
     DimensionMismatch,
     DomainError,
@@ -25,7 +25,7 @@ from .errors import (
     RaggedRows,
 )
 from .evaluation import LabeledCovering, PairMetrics, linked_pairs, pair_metrics
-from .kernels import GramMatrix, KernelKind, KernelSpec, gram, kernel_distance_sq, kernel_eval
+from .kernels import GramMatrix, KernelKind, KernelSpec, gram, kernel_distance_sq, kernel_eval, kernel_rows
 from .linalg import EigenDecomposition, SymMatrix, jacobi_eigen, sorted_eigenvalues
 from .model_selection import (
     PolicyKind,

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import load_csv, save_covering_csv
-from .divergences import Dissimilarity, DissimilarityKind
+from .divergences import Dissimilarity, DissimilarityKind, dissim_rows
 from .errors import (
     DomainError,
     EmptyFile,
@@ -39,6 +39,7 @@ from .errors import (
 )
 from .evaluation import pair_metrics
 from .kernels import KernelKind, KernelSpec, gram
+from .linalg import row_blocks
 from .model_selection import PolicyKind, SignificancePolicy, estimate_k
 from .okm import OkmConfig, run_okm
 
@@ -49,6 +50,7 @@ _MEASURES = {
     "idiv": DissimilarityKind.I_DIVERGENCE,
     "kernel": DissimilarityKind.KERNEL_INDUCED,
 }
+_SQUARED_EUCLIDEAN = Dissimilarity(DissimilarityKind.SQUARED_EUCLIDEAN)
 _KERNELS = {"rbf": KernelKind.RBF, "poly": KernelKind.POLYNOMIAL, "linear": KernelKind.LINEAR}
 _POLICIES = {"eigengap": PolicyKind.LARGEST_EIGENGAP, "ratio": PolicyKind.RATIO_THRESHOLD}
 
@@ -65,13 +67,15 @@ class ExperimentConfig:
     max_iter: int
     rel_tol: float
     policy: SignificancePolicy
-    estimation_kernel: KernelSpec
+    estimation_kernel: KernelSpec | None  # read only when k is None
     output_format: str
     jobs: int
 
     def __post_init__(self):
         if self.restarts < 1:
             raise InvalidSpec(f"restarts must be >= 1, got {self.restarts}")
+        if self.jobs < 1:
+            raise InvalidSpec(f"jobs must be >= 1, got {self.jobs}")
 
 
 @dataclass(frozen=True)
@@ -110,11 +114,17 @@ class ExperimentReport:
 
 def _median_heuristic_sigma(values):
     # Median of the nonzero pairwise distances; a serviceable default bandwidth.
-    n = len(values)
+    # Row blocks bound the (rows, n, p) difference temporary; the n(n-1)/2
+    # distances themselves are kept.
+    n, p = values.shape
     if n < 2:
         return 1.0
-    d2 = ((values[:, None, :] - values[None, :, :]) ** 2).sum(-1)
-    dist = np.sqrt(d2[np.triu_indices(n, 1)])
+    parts = []
+    for start, stop in row_blocks(n - 1, n * p):
+        d2 = dissim_rows(_SQUARED_EUCLIDEAN, values[start:stop, None, :], values[None, start:, :])
+        upper = np.arange(start, n)[None, :] > np.arange(start, stop)[:, None]
+        parts.append(np.sqrt(d2[upper]))
+    dist = np.concatenate(parts)
     dist = dist[dist > 0]
     return float(np.median(dist)) if dist.size else 1.0
 
@@ -196,12 +206,12 @@ def cmd_estimate_k(args):
         print("error: need at least 2 points to estimate k", file=sys.stderr)
         return 2
     try:
+        policy = SignificancePolicy(kind=_POLICIES[args.policy], tau=args.tau)
         spec = _kernel_spec(args, data.values)
         g = gram(spec, data)
     except (InvalidSpec, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    policy = SignificancePolicy(kind=_POLICIES[args.policy], tau=args.tau)
     try:
         report = estimate_k(g, policy)
     except NoConvergence as exc:
@@ -260,12 +270,10 @@ def cmd_cluster(args):
 
 
 def _experiment_worker(payload):
-    values, labels, measure, k, seed, max_iter, rel_tol = payload
-    config = OkmConfig(k=k, dissimilarity=measure, max_iter=max_iter,
-                       rel_tol=rel_tol, seed=seed)
+    values, labels, config = payload
     covering = run_okm(values, config)
     metrics = pair_metrics(covering.assignments, labels)
-    return RunRow(seed=seed, objective=covering.objective,
+    return RunRow(seed=config.seed, objective=covering.objective,
                   precision=metrics.precision, recall=metrics.recall,
                   f_measure=metrics.f_measure)
 
@@ -284,9 +292,11 @@ def run_experiment(data, config: ExperimentConfig) -> ExperimentReport:
         spectrum = tuple(float(v) for v in report.eigenvalues)
         k = estimated_k
 
-    seeds = [config.base_seed + i for i in range(config.restarts)]
-    payloads = [(data.values, data.labels.label_sets, config.measure, k, seed,
-                 config.max_iter, config.rel_tol) for seed in seeds]
+    # Every restart's OkmConfig is built (and validated) before any run starts.
+    payloads = [(data.values, data.labels.label_sets,
+                 OkmConfig(k=k, dissimilarity=config.measure, max_iter=config.max_iter,
+                           rel_tol=config.rel_tol, seed=config.base_seed + i))
+                for i in range(config.restarts)]
     if config.jobs > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             rows = list(pool.map(_experiment_worker, payloads))
@@ -364,11 +374,13 @@ def cmd_experiment(args):
         return 5
     try:
         measure = _dissimilarity(args, data.values)
-        if measure.kind == DissimilarityKind.KERNEL_INDUCED:
-            estimation_kernel = measure.kernel
-        else:
-            sigma = args.sigma if args.sigma is not None else _median_heuristic_sigma(data.values)
-            estimation_kernel = KernelSpec(kind=KernelKind.RBF, sigma=sigma)
+        estimation_kernel = None
+        if args.k is None:
+            if measure.kind == DissimilarityKind.KERNEL_INDUCED:
+                estimation_kernel = measure.kernel
+            else:
+                sigma = args.sigma if args.sigma is not None else _median_heuristic_sigma(data.values)
+                estimation_kernel = KernelSpec(kind=KernelKind.RBF, sigma=sigma)
         config = ExperimentConfig(
             data_path=args.data,
             label_column=_parse_label_col(args.label_col),
@@ -395,7 +407,7 @@ def cmd_experiment(args):
     except InsufficientData as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (DomainError, NegativeInput) as exc:
+    except (InvalidSpec, DomainError, NegativeInput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

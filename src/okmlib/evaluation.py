@@ -11,11 +11,20 @@ true linked pairs:
 Degenerate denominators: an empty predicted pair set scores precision 1
 against an empty true pair set (perfect agreement) and 0 otherwise, and
 symmetrically for recall, so the metrics are total.
+
+`pair_metrics` counts linked pairs from 0/1 membership matrices: the
+pairs of a covering are the strict upper triangle of (M M^T) > 0.  It
+works in row blocks, so memory stays O(block * n) rather than n^2, and
+the counts are exact integers.  `linked_pairs` enumerates the pairs
+themselves and is the reference for those counts.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
+
+from .linalg import row_blocks
 
 
 @dataclass(frozen=True)
@@ -69,6 +78,36 @@ def linked_pairs(c) -> set:
     return pairs
 
 
+def _membership_matrix(sets) -> np.ndarray:
+    """(n, m) 0/1 matrix of n sets over their m distinct members.
+
+    Members may be any hashable (cluster ids, label strings); columns are
+    numbered by first appearance, so no ordering between them is needed.
+    """
+    column = {member: j for j, member in enumerate(dict.fromkeys(chain.from_iterable(sets)))}
+    sizes = np.fromiter(map(len, sets), dtype=np.intp, count=len(sets))
+    ids = np.fromiter(map(column.__getitem__, chain.from_iterable(sets)), dtype=np.intp,
+                      count=int(sizes.sum()))
+    matrix = np.zeros((len(sets), len(column)))
+    matrix[np.repeat(np.arange(len(sets)), sizes), ids] = 1.0
+    return matrix
+
+
+def _linked_pair_counts(pred, true):
+    """(NCILP, NILP, NTLP) for two membership matrices over the same n points."""
+    n = len(pred)
+    ncilp = nilp = ntlp = 0
+    for start, stop in row_blocks(n, n):
+        # Rows start..stop against columns start..n; keep column > row.
+        upper = np.arange(start, n)[None, :] > np.arange(start, stop)[:, None]
+        linked_pred = (pred[start:stop] @ pred[start:].T > 0.0) & upper
+        linked_true = (true[start:stop] @ true[start:].T > 0.0) & upper
+        nilp += int(np.count_nonzero(linked_pred))
+        ntlp += int(np.count_nonzero(linked_true))
+        ncilp += int(np.count_nonzero(linked_pred & linked_true))
+    return ncilp, nilp, ntlp
+
+
 def pair_metrics(predicted, truth) -> PairMetrics:
     """Precision / recall / F over linked pairs of `predicted` vs `truth`."""
     pred_sets = _membership_sets(predicted)
@@ -78,11 +117,8 @@ def pair_metrics(predicted, truth) -> PairMetrics:
             f"point counts differ: predicted {len(pred_sets)}, truth {len(true_sets)}"
         )
 
-    identified = linked_pairs(pred_sets)
-    true_pairs = linked_pairs(true_sets)
-    ncilp = len(identified & true_pairs)
-    nilp = len(identified)
-    ntlp = len(true_pairs)
+    ncilp, nilp, ntlp = _linked_pair_counts(_membership_matrix(pred_sets),
+                                            _membership_matrix(true_sets))
 
     if nilp > 0:
         precision = ncilp / nilp

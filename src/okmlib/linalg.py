@@ -18,6 +18,20 @@ import numpy as np
 from .errors import NoConvergence
 
 SYMMETRY_TOL = 1e-12
+# Elements in one row block's temporary when an n x n quantity is
+# built or reduced block by block (`row_blocks`).
+BLOCK_ELEMENTS = 1 << 20
+
+
+def row_blocks(n, row_elements):
+    """(start, stop) ranges over rows 0..n, each about BLOCK_ELEMENTS big.
+
+    `row_elements` is the size of one row's temporary, so a block's
+    temporaries stay near BLOCK_ELEMENTS elements however large n is.
+    """
+    block = max(1, BLOCK_ELEMENTS // max(row_elements, 1))
+    for start in range(0, n, block):
+        yield start, min(start + block, n)
 
 
 @dataclass(frozen=True)

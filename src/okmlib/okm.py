@@ -23,15 +23,26 @@ is minimized by alternating two steps:
 Empty clusters keep their previous prototype.  Runs are deterministic
 in the seed: initial prototypes are k distinct data rows sampled
 uniformly without replacement.
+
+Batched design: memberships are an (n, k) bool matrix and every phase
+works on all points at once through `dissim_rows`.  Assignment grows
+every point's set together in at most k masked steps, the update does
+one vectorized step per cluster, and the objective is one call.  Python
+loops run only over clusters, and memory is O(n * k * p) per iteration.
+Sums keep the per-point reference order (images add prototypes in
+cluster-id order, the update adds members in index order), so coverings
+are the same as a point-by-point evaluation gives.  `assign_point`,
+`image`, `update_prototypes` and `objective` are one-point or
+`Covering` wrappers over the same functions.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import DataMatrix
-from .divergences import Dissimilarity, DissimilarityKind, dissim
-from .errors import EmptyAssignment, InsufficientData, InvalidSpec
+from .divergences import Dissimilarity, DissimilarityKind, dissim_rows
+from .errors import DimensionMismatch, EmptyAssignment, InsufficientData, InvalidSpec
 
 _REL_TOL_GUARD = 1e-12
 
@@ -75,12 +86,69 @@ class Covering:
         object.__setattr__(self, "assignments", sets)
 
 
+def _memberships(assignments, k) -> np.ndarray:
+    """(n, k) bool matrix of a sequence of cluster-id sets."""
+    n = len(assignments)
+    sizes = np.fromiter(map(len, assignments), dtype=np.intp, count=n)
+    ids = np.fromiter(itertools.chain.from_iterable(assignments), dtype=np.intp,
+                      count=int(sizes.sum()))
+    memberships = np.zeros((n, k), dtype=bool)
+    memberships[np.repeat(np.arange(n), sizes), ids] = True
+    return memberships
+
+
+def _assignment_sets(memberships) -> tuple:
+    """One frozenset of cluster ids per row of a membership matrix."""
+    unique, inverse = np.unique(memberships, axis=0, return_inverse=True)
+    sets = [frozenset(np.flatnonzero(row).tolist()) for row in unique]
+    return tuple(map(sets.__getitem__, inverse.reshape(-1).tolist()))
+
+
+def _images(memberships, prototypes) -> np.ndarray:
+    """Each row's image: its prototypes added in cluster-id order, over |A|."""
+    total = np.zeros((len(memberships), prototypes.shape[1]))
+    for c, prototype in enumerate(prototypes):
+        np.add(total, prototype, out=total, where=memberships[:, c, None])
+    return total / memberships.sum(axis=1)[:, None]
+
+
 def image(assigned, prototypes) -> np.ndarray:
     """Mean of the prototypes of the clusters in `assigned`."""
-    ids = sorted(assigned)
-    if not ids:
+    if not assigned:
         raise EmptyAssignment("image of an empty cluster set is undefined")
-    return prototypes[ids].mean(axis=0)
+    prototypes = np.asarray(prototypes, dtype=float)
+    return _images(_memberships([assigned], len(prototypes)), prototypes)[0]
+
+
+def _assign(values, prototypes, d: Dissimilarity, previous=None) -> np.ndarray:
+    """Greedy cluster sets of all points at once, as an (n, k) bool matrix.
+
+    Step t offers every still-growing point its (t+1)-th nearest cluster
+    (ties by id); a point keeps growing while the image dissimilarity
+    strictly improves.  Rows of `previous` that strictly beat the greedy
+    result are kept instead.
+    """
+    n = len(values)
+    dists = dissim_rows(d, values[:, None, :], prototypes[None, :, :])
+    order = np.argsort(dists, axis=1, kind="stable")
+    chosen = np.zeros(dists.shape, dtype=bool)
+    chosen[np.arange(n), order[:, 0]] = True
+    best = np.take_along_axis(dists, order[:, :1], axis=1)[:, 0]  # a 1-set's image is its prototype
+    growing = np.arange(n)
+    for step in range(1, len(prototypes)):
+        if not growing.size:
+            break
+        candidate = chosen[growing]
+        candidate[np.arange(growing.size), order[growing, step]] = True
+        dist = dissim_rows(d, values[growing], _images(candidate, prototypes))
+        improved = dist < best[growing]
+        growing = growing[improved]
+        chosen[growing] = candidate[improved]
+        best[growing] = dist[improved]
+    if previous is not None:
+        kept = dissim_rows(d, values, _images(previous, prototypes)) < best
+        chosen[kept] = previous[kept]
+    return chosen
 
 
 def assign_point(x, prototypes, d: Dissimilarity, previous=None) -> frozenset:
@@ -91,39 +159,33 @@ def assign_point(x, prototypes, d: Dissimilarity, previous=None) -> frozenset:
     stopping at the first candidate that does not.  If `previous` beats
     the greedy result it is returned unchanged.
     """
-    k = len(prototypes)
-    order = sorted(range(k), key=lambda c: (dissim(d, x, prototypes[c]), c))
-    chosen = [order[0]]
-    best = dissim(d, x, image(chosen, prototypes))
-    for c in order[1:]:
-        candidate = chosen + [c]
-        dist = dissim(d, x, image(candidate, prototypes))
-        if dist < best:
-            chosen = candidate
-            best = dist
-        else:
-            break
+    x = np.asarray(x, dtype=float)
+    prototypes = np.asarray(prototypes, dtype=float)
+    if x.ndim != 1 or prototypes.ndim != 2 or x.shape[0] != prototypes.shape[1]:
+        raise DimensionMismatch(f"incompatible shapes: point {x.shape}, prototypes {prototypes.shape}")
     if previous is not None:
-        if dissim(d, x, image(previous, prototypes)) < best:
-            return frozenset(previous)
-    return frozenset(chosen)
+        previous = _memberships([previous], len(prototypes))
+    chosen = _assign(x[None, :], prototypes, d, previous)[0]
+    return frozenset(np.flatnonzero(chosen).tolist())
 
 
-def _update_prototypes(assignments, prototypes, values, nonneg=False):
-    k = len(prototypes)
+def _update_prototypes(memberships, prototypes, values, nonneg=False):
     new = prototypes.copy()
-    for c in range(k):
-        members = [i for i, assigned in enumerate(assignments) if c in assigned]
-        if not members:
+    sizes = memberships.sum(axis=1)
+    for c in range(len(new)):
+        members = memberships[:, c]
+        if not members.any():
             continue
-        num = np.zeros(values.shape[1])
-        den = 0.0
-        for i in members:
-            ids = sorted(assignments[i])
-            a = len(ids)
-            residual = a * values[i] - sum(new[other] for other in ids if other != c)
-            num += residual / (a * a)
-            den += 1.0 / (a * a)
+        a = sizes[members][:, None]
+        in_cluster = memberships[members]
+        # Each member's other prototypes, freshest values, in cluster-id order.
+        others = np.zeros((len(a), new.shape[1]))
+        for other in range(len(new)):
+            if other != c:
+                np.add(others, new[other], out=others, where=in_cluster[:, other, None])
+        # cumsum adds the members one after another, as the reference does.
+        num = np.cumsum((a * values[members] - others) / (a * a), axis=0)[-1]
+        den = np.cumsum(1.0 / (a * a))[-1]
         moved = num / den
         if nonneg:
             moved = np.maximum(moved, 0.0)
@@ -134,18 +196,20 @@ def _update_prototypes(assignments, prototypes, values, nonneg=False):
 def update_prototypes(cov: Covering, data) -> np.ndarray:
     """Recompute all k prototypes for fixed assignments."""
     values = np.asarray(getattr(data, "values", data), dtype=float)
-    return _update_prototypes(cov.assignments, cov.prototypes, values)
+    return _update_prototypes(_memberships(cov.assignments, len(cov.prototypes)),
+                              cov.prototypes, values)
 
 
-def _objective(assignments, prototypes, values, d):
-    return sum(dissim(d, values[i], image(assignments[i], prototypes))
-               for i in range(len(values)))
+def _objective(memberships, prototypes, values, d):
+    # A sequential sum of the per-point values, as the reference adds them.
+    return sum(dissim_rows(d, values, _images(memberships, prototypes)).tolist())
 
 
 def objective(cov: Covering, d: Dissimilarity, data) -> float:
     """Recompute J for a covering from scratch."""
     values = np.asarray(getattr(data, "values", data), dtype=float)
-    return _objective(cov.assignments, cov.prototypes, values, d)
+    return _objective(_memberships(cov.assignments, len(cov.prototypes)),
+                      cov.prototypes, values, d)
 
 
 def run_okm(data, config: OkmConfig, on_iteration=None) -> Covering:
@@ -156,7 +220,7 @@ def run_okm(data, config: OkmConfig, on_iteration=None) -> Covering:
     then reverts to the previous iteration).  `on_iteration(i, J)`, if
     given, is called after each completed iteration.
     """
-    values = np.asarray(getattr(data, "values", data), dtype=float)
+    values = np.ascontiguousarray(getattr(data, "values", data), dtype=float)
     n = len(values)
     if n < config.k:
         raise InsufficientData(f"{n} points cannot seed {config.k} clusters")
@@ -167,27 +231,23 @@ def run_okm(data, config: OkmConfig, on_iteration=None) -> Covering:
     idx = rng.choice(n, size=config.k, replace=False)
     prototypes = values[idx].copy()
 
-    assignments = None
+    memberships = None
     current_j = None
     iterations = 0
     for _ in range(config.max_iter):
-        new_assignments = [
-            assign_point(values[i], prototypes, d,
-                         None if assignments is None else assignments[i])
-            for i in range(n)
-        ]
-        new_prototypes = _update_prototypes(new_assignments, prototypes, values, nonneg)
-        new_j = _objective(new_assignments, new_prototypes, values, d)
+        new_memberships = _assign(values, prototypes, d, memberships)
+        new_prototypes = _update_prototypes(new_memberships, prototypes, values, nonneg)
+        new_j = _objective(new_memberships, new_prototypes, values, d)
         if current_j is not None and new_j > current_j:
             break  # safeguard: keep the previous (better) state
-        unchanged = assignments is not None and new_assignments == assignments
+        unchanged = memberships is not None and np.array_equal(new_memberships, memberships)
         improvement = None if current_j is None else (current_j - new_j) / max(current_j, _REL_TOL_GUARD)
-        assignments, prototypes, current_j = new_assignments, new_prototypes, new_j
+        memberships, prototypes, current_j = new_memberships, new_prototypes, new_j
         iterations += 1
         if on_iteration is not None:
             on_iteration(iterations, current_j)
         if unchanged or (improvement is not None and improvement < config.rel_tol):
             break
 
-    return Covering(k=config.k, assignments=tuple(assignments), prototypes=prototypes,
+    return Covering(k=config.k, assignments=_assignment_sets(memberships), prototypes=prototypes,
                     objective=current_j, n_iter=iterations)

@@ -187,3 +187,50 @@ def test_repeated_invocations_identical(pairs_csv, capsys):
     assert main(args) == 0
     second = capsys.readouterr().out
     assert first == second
+
+
+def _one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+def test_estimate_k_tau_out_of_range_exits_2(blobs_csv, capsys):
+    assert main(["estimate-k", "--data", str(blobs_csv), "--policy", "ratio", "--tau", "2"]) == 2
+    assert "tau" in _one_line_error(capsys)
+
+
+def test_experiment_k_zero_exits_2(pairs_csv, capsys):
+    assert main(["experiment", "--data", str(pairs_csv), "--k", "0"]) == 2
+    assert "k must be >= 1" in _one_line_error(capsys)
+
+
+def test_experiment_max_iter_zero_exits_2(pairs_csv, capsys):
+    assert main(["experiment", "--data", str(pairs_csv), "--k", "2", "--max-iter", "0"]) == 2
+    assert "max_iter" in _one_line_error(capsys)
+
+
+def test_experiment_jobs_below_one_exits_2(pairs_csv, capsys):
+    for jobs in ("0", "-3"):
+        assert main(["experiment", "--data", str(pairs_csv), "--k", "2", "--jobs", jobs]) == 2
+        assert "jobs" in _one_line_error(capsys)
+
+
+def test_median_sigma_row_blocks_match_dense_formula(monkeypatch):
+    import okmlib.cli as cli
+
+    def dense(values):
+        n = len(values)
+        d2 = ((values[:, None, :] - values[None, :, :]) ** 2).sum(-1)
+        dist = np.sqrt(d2[np.triu_indices(n, 1)])
+        dist = dist[dist > 0]
+        return float(np.median(dist)) if dist.size else 1.0
+
+    import okmlib.linalg as linalg
+
+    monkeypatch.setattr(linalg, "BLOCK_ELEMENTS", 64)
+    rng = np.random.default_rng(8)
+    for n, p in ((2, 1), (7, 3), (40, 2), (41, 9)):
+        values = rng.standard_normal((n, p))
+        assert cli._median_heuristic_sigma(values) == dense(values)
+    assert cli._median_heuristic_sigma(np.zeros((5, 2))) == 1.0

@@ -12,6 +12,7 @@ from okmlib import (
     KernelSpec,
     NegativeInput,
     dissim,
+    dissim_rows,
 )
 
 SQ = Dissimilarity(DissimilarityKind.SQUARED_EUCLIDEAN)
@@ -88,3 +89,24 @@ def test_config_validation():
         Dissimilarity(DissimilarityKind.KERNEL_INDUCED)  # kernel missing
     with pytest.raises(InvalidSpec):
         Dissimilarity(DissimilarityKind.I_DIVERGENCE, epsilon=0.0)
+
+
+def test_rows_are_the_scalar_form_row_by_row():
+    rng = np.random.default_rng(30)
+    poly = Dissimilarity(DissimilarityKind.KERNEL_INDUCED,
+                         kernel=KernelSpec(KernelKind.POLYNOMIAL, degree=0.25))
+    rbf = Dissimilarity(DissimilarityKind.KERNEL_INDUCED, kernel=KernelSpec(KernelKind.RBF, sigma=1.5))
+    for p in (1, 4, 8, 11):
+        x = rng.uniform(0.0, 3.0, (9, 1, p))
+        y = rng.uniform(0.0, 3.0, (1, 5, p))
+        y[0, 0, 0] = 0.0  # a clamped i-divergence component
+        for d in (SQ, IDIV, KLIN, rbf, poly):
+            rows = dissim_rows(d, x, y)
+            assert rows.shape == (9, 5)
+            expected = [[dissim(d, x[i, 0], y[0, j]) for j in range(5)] for i in range(9)]
+            assert np.array_equal(rows, expected)
+
+
+def test_rows_reject_negative_i_divergence_input():
+    with pytest.raises(NegativeInput):
+        dissim_rows(IDIV, np.array([[1.0], [-0.5]]), np.array([[1.0]]))

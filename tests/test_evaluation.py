@@ -111,3 +111,26 @@ def test_size_mismatch_rejected():
 def test_labeled_covering_rejects_empty_sets():
     with pytest.raises(ValueError):
         LabeledCovering((frozenset(), {"a"}))
+
+
+def test_block_counts_match_linked_pairs_at_n300(monkeypatch):
+    # Small row blocks so the count crosses block boundaries; string labels
+    # exercise the first-appearance mapping of arbitrary hashables.
+    import okmlib.linalg as linalg
+
+    monkeypatch.setattr(linalg, "BLOCK_ELEMENTS", 300 * 37)
+    rng = np.random.default_rng(300)
+    names = ["setosa", "versicolor", "virginica", "other"]
+    for _ in range(3):
+        n = int(rng.integers(280, 320))
+        pred = [frozenset(rng.choice(5, size=int(rng.integers(1, 3)), replace=False).tolist())
+                for _ in range(n)]
+        true = [frozenset(names[j] for j in rng.choice(4, size=int(rng.integers(1, 3)), replace=False))
+                for _ in range(n)]
+        identified = linked_pairs(pred)
+        true_pairs = linked_pairs(true)
+        m = pair_metrics(pred, LabeledCovering(tuple(true)))
+        assert (m.ncilp, m.nilp, m.ntlp) == (len(identified & true_pairs), len(identified),
+                                             len(true_pairs))
+        assert m.precision == m.ncilp / m.nilp
+        assert m.recall == m.ncilp / m.ntlp

@@ -15,6 +15,7 @@ from okmlib import (
     gram,
     kernel_distance_sq,
     kernel_eval,
+    kernel_rows,
     sorted_eigenvalues,
 )
 
@@ -143,3 +144,33 @@ def test_gram_positive_semidefinite_for_mercer_kernels():
                  LIN):
         lam = sorted_eigenvalues(gram(spec, data).matrix)
         assert lam[-1] >= -1e-8 * max(lam[0], 1.0)
+
+
+def test_gram_row_blocks_match_pairwise_kernel_eval(monkeypatch):
+    # The upper triangle pair by pair, mirrored: the reference construction.
+    import okmlib.linalg as linalg
+
+    monkeypatch.setattr(linalg, "BLOCK_ELEMENTS", 50)
+    rng = np.random.default_rng(19)
+    data = rng.uniform(0.0, 3.0, (23, 3))
+    for spec in (RBF2, POLY2, LIN, KernelSpec(KernelKind.POLYNOMIAL, degree=0.25)):
+        expected = np.empty((23, 23))
+        for i in range(23):
+            for j in range(i, 23):
+                expected[i, j] = expected[j, i] = kernel_eval(spec, data[i], data[j])
+        assert np.array_equal(gram(spec, data).matrix.values, expected)
+
+
+def test_kernel_rows_broadcast_and_domain_check():
+    rng = np.random.default_rng(20)
+    x = rng.uniform(0.0, 2.0, (6, 1, 3))
+    y = rng.uniform(0.0, 2.0, (1, 4, 3))
+    for spec in (RBF2, POLY2, LIN):
+        rows = kernel_rows(spec, x, y)
+        assert rows.shape == (6, 4)
+        for i in range(6):
+            for j in range(4):
+                assert rows[i, j] == kernel_eval(spec, x[i, 0], y[0, j])
+    with pytest.raises(DomainError):
+        kernel_rows(KernelSpec(KernelKind.POLYNOMIAL, degree=0.5),
+                    np.array([[1.0], [-2.0]]), np.array([[1.0], [1.0]]))

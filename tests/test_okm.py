@@ -20,10 +20,13 @@ from okmlib import (
     run_okm,
     update_prototypes,
 )
+from okmlib.okm import _assign, _memberships, _update_prototypes
 
 SQ = Dissimilarity(DissimilarityKind.SQUARED_EUCLIDEAN)
 IDIV = Dissimilarity(DissimilarityKind.I_DIVERGENCE)
 RBF1 = Dissimilarity(DissimilarityKind.KERNEL_INDUCED, kernel=KernelSpec(KernelKind.RBF, sigma=1.0))
+POLY025 = Dissimilarity(DissimilarityKind.KERNEL_INDUCED,
+                        kernel=KernelSpec(KernelKind.POLYNOMIAL, degree=0.25))
 
 
 def make_covering(assignments, prototypes, k=None):
@@ -121,6 +124,64 @@ def test_assign_matches_exhaustive_search_for_middle_point():
     assert assign_point(x, protos, SQ) == best == frozenset({0, 1})
 
 
+def reference_assign_point(x, prototypes, d, previous=None):
+    """The per-point greedy assignment, one scalar dissim call at a time."""
+    def img(ids):
+        return prototypes[sorted(ids)].mean(axis=0)
+
+    k = len(prototypes)
+    order = sorted(range(k), key=lambda c: (dissim(d, x, prototypes[c]), c))
+    chosen = [order[0]]
+    best = dissim(d, x, img(chosen))
+    for c in order[1:]:
+        candidate = chosen + [c]
+        dist = dissim(d, x, img(candidate))
+        if dist < best:
+            chosen = candidate
+            best = dist
+        else:
+            break
+    if previous is not None:
+        if dissim(d, x, img(previous)) < best:
+            return frozenset(previous)
+    return frozenset(chosen)
+
+
+def test_batched_assignment_matches_per_point_reference():
+    # Small integer grids make exact ties common: equal prototype
+    # distances (ordered by id) and candidates that tie the best image.
+    rng = np.random.default_rng(61)
+    for d in (SQ, IDIV, RBF1, POLY025):
+        for trial in range(40):
+            n = int(rng.integers(1, 40))
+            p = int(rng.integers(1, 5))
+            k = int(rng.integers(1, 7))
+            if trial % 2:
+                data = rng.integers(0, 4, (n, p)).astype(float)
+                protos = rng.integers(0, 4, (k, p)).astype(float)
+            else:
+                data = rng.uniform(0.0, 3.0, (n, p))
+                protos = rng.uniform(0.0, 3.0, (k, p))
+            previous = [frozenset(rng.choice(k, size=int(rng.integers(1, k + 1)),
+                                             replace=False).tolist()) for _ in range(n)]
+            for prev in (None, previous):
+                prev_matrix = None if prev is None else _memberships(prev, k)
+                batched = _assign(data, protos, d, prev_matrix)
+                expected = [reference_assign_point(data[i], protos, d,
+                                                   None if prev is None else prev[i])
+                            for i in range(n)]
+                assert np.array_equal(batched, _memberships(expected, k)), (d, trial, prev is None)
+
+
+def test_assign_point_is_one_row_of_the_batched_assignment():
+    rng = np.random.default_rng(62)
+    data = rng.uniform(0.0, 3.0, (20, 3))
+    protos = rng.uniform(0.0, 3.0, (4, 3))
+    batched = _assign(data, protos, RBF1)
+    for i in range(20):
+        assert assign_point(data[i], protos, RBF1) == frozenset(np.flatnonzero(batched[i]).tolist())
+
+
 # ----------------------------------------------------------- update_prototypes
 
 
@@ -163,6 +224,47 @@ def test_update_never_increases_objective_with_overlap():
         after_protos = update_prototypes(cov, data)
         after = objective(make_covering(assignments, after_protos), SQ, data)
         assert after <= before + 1e-12
+
+
+def reference_update_prototypes(assignments, prototypes, values, nonneg=False):
+    """The per-member Gauss-Seidel update, one point at a time."""
+    new = prototypes.copy()
+    for c in range(len(prototypes)):
+        members = [i for i, assigned in enumerate(assignments) if c in assigned]
+        if not members:
+            continue
+        num = np.zeros(values.shape[1])
+        den = 0.0
+        for i in members:
+            ids = sorted(assignments[i])
+            a = len(ids)
+            residual = a * values[i] - sum(new[other] for other in ids if other != c)
+            num += residual / (a * a)
+            den += 1.0 / (a * a)
+        moved = num / den
+        new[c] = np.maximum(moved, 0.0) if nonneg else moved
+    return new
+
+
+def test_batched_update_and_objective_match_per_point_reference():
+    rng = np.random.default_rng(63)
+    for d in (SQ, IDIV, RBF1, POLY025):
+        for _ in range(30):
+            n = int(rng.integers(1, 30))
+            p = int(rng.integers(1, 5))
+            k = int(rng.integers(1, 6))
+            data = rng.uniform(0.0, 3.0, (n, p))
+            protos = rng.uniform(0.0, 3.0, (k, p))
+            assignments = [frozenset(rng.choice(k, size=int(rng.integers(1, k + 1)),
+                                                replace=False).tolist()) for _ in range(n)]
+            cov = make_covering(assignments, protos)
+            nonneg = d is IDIV
+            expected = reference_update_prototypes(assignments, protos, data, nonneg)
+            assert np.array_equal(_update_prototypes(_memberships(assignments, k), protos, data,
+                                                     nonneg), expected)
+            expected_j = sum(dissim(d, data[i], protos[sorted(assignments[i])].mean(axis=0))
+                             for i in range(n))
+            assert objective(cov, d, data) == expected_j
 
 
 # --------------------------------------------------------------------- run_okm
