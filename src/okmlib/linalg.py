@@ -9,6 +9,10 @@ tolerance, and also returns the eigenvectors.  It is pure Python per
 pivot, so it takes 0.4-1.8 s on a 150-row Iris Gram matrix where LAPACK
 takes under a millisecond; there the two spectra agree to within 1.5e-11
 of the largest eigenvalue.
+
+`row_blocks` splits the rows of an n x n quantity (a Gram matrix, the
+linked-pair counts, pairwise distances) into blocks whose temporaries
+stay near `BLOCK_ELEMENTS` elements.
 """
 
 from dataclasses import dataclass

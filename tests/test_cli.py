@@ -234,3 +234,15 @@ def test_median_sigma_row_blocks_match_dense_formula(monkeypatch):
         values = rng.standard_normal((n, p))
         assert cli._median_heuristic_sigma(values) == dense(values)
     assert cli._median_heuristic_sigma(np.zeros((5, 2))) == 1.0
+
+
+def test_experiment_with_k_skips_the_median_sigma(pairs_csv, monkeypatch, capsys):
+    import okmlib.cli as cli
+
+    def unused(values):
+        raise AssertionError("median sigma computed although --k was given")
+
+    monkeypatch.setattr(cli, "_median_heuristic_sigma", unused)
+    assert main(["experiment", "--data", str(pairs_csv), "--k", "2", "--restarts", "1"]) == 0
+    with pytest.raises(AssertionError):
+        main(["experiment", "--data", str(pairs_csv), "--restarts", "1"])
