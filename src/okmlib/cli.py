@@ -7,8 +7,9 @@ Subcommands:
     experiment   restarts from consecutive seeds with pair metrics
                  against ground truth, reported as table / csv / json
 
-Exit codes: 0 ok, 2 load/parse/usage trouble, 3 eigensolver failure,
-4 fewer points than clusters, 5 ground truth missing.  All output is
+Exit codes, all mapped in main(): 0 ok, 2 usage trouble, an invalid
+flag or input, or a failed load or write, 3 eigensolver failure, 4 fewer
+points than clusters, 5 ground truth missing.  All output is
 deterministic given identical flags: seeds are explicit, formats are
 fixed, and files are written atomically (temp + rename).
 """
@@ -19,24 +20,15 @@ import io
 import json
 import os
 import sys
-import tempfile
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import load_csv, save_covering_csv
+from .dataio import _atomic_write, load_csv, save_covering_csv
 from .divergences import Dissimilarity, DissimilarityKind, dissim_rows
-from .errors import (
-    DomainError,
-    EmptyFile,
-    InsufficientData,
-    InvalidSpec,
-    NegativeInput,
-    NoConvergence,
-    ParseError,
-    RaggedRows,
-)
+from .errors import DomainError, InsufficientData, InvalidSpec, NegativeInput, NoConvergence
 from .evaluation import pair_metrics
 from .kernels import KernelKind, KernelSpec, gram
 from .linalg import row_blocks
@@ -52,14 +44,20 @@ _MEASURES = {
 }
 _SQUARED_EUCLIDEAN = Dissimilarity(DissimilarityKind.SQUARED_EUCLIDEAN)
 _KERNELS = {"rbf": KernelKind.RBF, "poly": KernelKind.POLYNOMIAL, "linear": KernelKind.LINEAR}
+_KERNEL_NAMES = {kind: name for name, kind in _KERNELS.items()}
 _POLICIES = {"eigengap": PolicyKind.LARGEST_EIGENGAP, "ratio": PolicyKind.RATIO_THRESHOLD}
+
+
+class PathError(Exception):
+    """Loading the input or writing the output failed; the message names the path."""
+
+
+class MissingLabels(Exception):
+    """The dataset of an experiment has no ground-truth label column."""
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    data_path: str
-    label_column: object
-    label_separator: str
     measure: Dissimilarity
     k: int | None
     restarts: int
@@ -68,7 +66,6 @@ class ExperimentConfig:
     rel_tol: float
     policy: SignificancePolicy
     estimation_kernel: KernelSpec | None  # read only when k is None
-    output_format: str
     jobs: int
 
     def __post_init__(self):
@@ -152,83 +149,64 @@ def _dissimilarity(args, values):
     return Dissimilarity(kind=kind)
 
 
+def _kernel_param(spec: KernelSpec):
+    """The kernel's one parameter as (name, `%g` text), or None for the linear kernel."""
+    if spec.kind == KernelKind.RBF:
+        return "sigma", f"{spec.sigma:g}"
+    if spec.kind == KernelKind.POLYNOMIAL:
+        return "degree", f"{spec.degree:g}"
+    return None
+
+
 def _measure_label(d: Dissimilarity):
     if d.kind == DissimilarityKind.SQUARED_EUCLIDEAN:
         return "euclidean"
     if d.kind == DissimilarityKind.I_DIVERGENCE:
         return "idiv"
-    spec = d.kernel
-    if spec.kind == KernelKind.RBF:
-        return f"kernel:rbf(sigma={spec.sigma:g})"
-    if spec.kind == KernelKind.POLYNOMIAL:
-        return f"kernel:poly(degree={spec.degree:g})"
-    return "kernel:linear"
+    param = _kernel_param(d.kernel)
+    suffix = f"({param[0]}={param[1]})" if param else ""
+    return f"kernel:{_KERNEL_NAMES[d.kernel.kind]}{suffix}"
 
 
 def _load(args):
+    # ParseError, RaggedRows and EmptyFile are ValueErrors, as is a bad --label-col.
     try:
         return load_csv(args.data, label_column=_parse_label_col(args.label_col),
-                        label_separator=args.label_sep), 0
-    except (OSError, ParseError, RaggedRows, EmptyFile, ValueError) as exc:
-        print(f"error: cannot load {args.data}: {exc}", file=sys.stderr)
-        return None, 2
+                        label_separator=args.label_sep)
+    except (OSError, ValueError) as exc:
+        raise PathError(f"cannot load {args.data}: {exc}") from exc
 
 
-def _write_text(path, text):
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+@contextmanager
+def _writing(path):
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        yield
+    except OSError as exc:
+        raise PathError(f"cannot write {path}: {exc}") from exc
 
 
 # ----------------------------------------------------------------- estimate-k
 
 
-def _spectrum_lines(title, values):
+def _print_spectrum(title, values):
     shown = min(SPECTRUM_PRINT_LIMIT, len(values))
-    lines = [f"{title} (top {shown} of {len(values)}):"]
+    print(f"{title} (top {shown} of {len(values)}):")
     for i in range(shown):
-        lines.append(f"  {i + 1:3d}  {values[i]: .9e}")
-    return lines
+        print(f"  {i + 1:3d}  {values[i]: .9e}")
 
 
 def cmd_estimate_k(args):
-    data, code = _load(args)
-    if data is None:
-        return code
-    if data.n < 2:
-        print("error: need at least 2 points to estimate k", file=sys.stderr)
-        return 2
-    try:
-        policy = SignificancePolicy(kind=_POLICIES[args.policy], tau=args.tau)
-        spec = _kernel_spec(args, data.values)
-        g = gram(spec, data)
-    except (InvalidSpec, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        report = estimate_k(g, policy)
-    except NoConvergence as exc:
-        print(f"error: eigensolver failed: {exc}", file=sys.stderr)
-        return 3
+    data = _load(args)
+    policy = SignificancePolicy(kind=_POLICIES[args.policy], tau=args.tau)
+    spec = _kernel_spec(args, data.values)
+    report = estimate_k(gram(spec, data), policy)
 
-    kernel_desc = f"kernel = {args.kernel}"
-    if spec.kind == KernelKind.RBF:
-        kernel_desc += f"  sigma = {spec.sigma:g}"
-    elif spec.kind == KernelKind.POLYNOMIAL:
-        kernel_desc += f"  degree = {spec.degree:g}"
-    print(f"n = {data.n}  {kernel_desc}  policy = {args.policy}")
+    param = _kernel_param(spec)
+    suffix = f"  {param[0]} = {param[1]}" if param else ""
+    print(f"n = {data.n}  kernel = {args.kernel}{suffix}  policy = {args.policy}")
     print(f"estimated_k = {report.estimated_k}")
-    for line in _spectrum_lines("eigenvalues", report.eigenvalues):
-        print(line)
-    for line in _spectrum_lines("centered eigenvalues", report.centered_eigenvalues):
-        print(line)
+    _print_spectrum("eigenvalues", report.eigenvalues)
+    _print_spectrum("centered eigenvalues", report.centered_eigenvalues)
     return 0
 
 
@@ -236,29 +214,13 @@ def cmd_estimate_k(args):
 
 
 def cmd_cluster(args):
-    data, code = _load(args)
-    if data is None:
-        return code
-    try:
-        measure = _dissimilarity(args, data.values)
-        config = OkmConfig(k=args.k, dissimilarity=measure, max_iter=args.max_iter,
-                           rel_tol=args.rel_tol, seed=args.seed)
-    except InvalidSpec as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        covering = run_okm(data, config)
-    except InsufficientData as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (DomainError, NegativeInput) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
+    data = _load(args)
+    measure = _dissimilarity(args, data.values)
+    config = OkmConfig(k=args.k, dissimilarity=measure, max_iter=args.max_iter,
+                       rel_tol=args.rel_tol, seed=args.seed)
+    covering = run_okm(data, config)
+    with _writing(args.out):
         save_covering_csv(covering, args.out)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return 2
     print(f"k = {covering.k}  measure = {_measure_label(measure)}  seed = {args.seed}")
     print(f"J = {covering.objective:.9g}")
     print(f"iterations = {covering.n_iter}")
@@ -276,6 +238,11 @@ def _experiment_worker(payload):
     return RunRow(seed=config.seed, objective=covering.objective,
                   precision=metrics.precision, recall=metrics.recall,
                   f_measure=metrics.f_measure)
+
+
+def _worker_count(jobs, restarts):
+    """Processes worth starting: never more than the restarts or the CPUs."""
+    return min(jobs, restarts, os.cpu_count() or 1)
 
 
 def run_experiment(data, config: ExperimentConfig) -> ExperimentReport:
@@ -297,8 +264,9 @@ def run_experiment(data, config: ExperimentConfig) -> ExperimentReport:
                  OkmConfig(k=k, dissimilarity=config.measure, max_iter=config.max_iter,
                            rel_tol=config.rel_tol, seed=config.base_seed + i))
                 for i in range(config.restarts)]
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+    workers = _worker_count(config.jobs, config.restarts)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_experiment_worker, payloads))
     else:
         rows = [_experiment_worker(p) for p in payloads]
@@ -365,67 +333,38 @@ def _render_json(report: ExperimentReport):
     return json.dumps(doc, indent=2) + "\n"
 
 
-def cmd_experiment(args):
-    data, code = _load(args)
-    if data is None:
-        return code
-    if data.labels is None:
-        print("error: experiment needs ground-truth labels (see --label-col)", file=sys.stderr)
-        return 5
-    try:
-        measure = _dissimilarity(args, data.values)
-        estimation_kernel = None
-        if args.k is None:
-            if measure.kind == DissimilarityKind.KERNEL_INDUCED:
-                estimation_kernel = measure.kernel
-            else:
-                sigma = args.sigma if args.sigma is not None else _median_heuristic_sigma(data.values)
-                estimation_kernel = KernelSpec(kind=KernelKind.RBF, sigma=sigma)
-        config = ExperimentConfig(
-            data_path=args.data,
-            label_column=_parse_label_col(args.label_col),
-            label_separator=args.label_sep,
-            measure=measure,
-            k=args.k,
-            restarts=args.restarts,
-            base_seed=args.seed,
-            max_iter=args.max_iter,
-            rel_tol=args.rel_tol,
-            policy=SignificancePolicy(kind=_POLICIES[args.policy], tau=args.tau),
-            estimation_kernel=estimation_kernel,
-            output_format=args.format,
-            jobs=args.jobs,
-        )
-    except InvalidSpec as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        report = run_experiment(data, config)
-    except NoConvergence as exc:
-        print(f"error: eigensolver failed: {exc}", file=sys.stderr)
-        return 3
-    except InsufficientData as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (InvalidSpec, DomainError, NegativeInput) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+_RENDERERS = {"csv": _render_csv, "json": _render_json, "table": _render_table}
 
-    if args.format == "table":
-        text = _render_table(report)
-    elif args.format == "csv":
-        text = _render_csv(report)
-        if report.estimated_k is not None:
-            print(f"estimated_k = {report.estimated_k}", file=sys.stderr)
-    else:
-        text = _render_json(report)
+
+def cmd_experiment(args):
+    data = _load(args)
+    if data.labels is None:
+        raise MissingLabels("experiment needs ground-truth labels (see --label-col)")
+    measure = _dissimilarity(args, data.values)
+    estimation_kernel = measure.kernel  # None unless the measure is kernel-induced
+    if args.k is None and estimation_kernel is None:
+        sigma = args.sigma if args.sigma is not None else _median_heuristic_sigma(data.values)
+        estimation_kernel = KernelSpec(kind=KernelKind.RBF, sigma=sigma)
+    config = ExperimentConfig(
+        measure=measure,
+        k=args.k,
+        restarts=args.restarts,
+        base_seed=args.seed,
+        max_iter=args.max_iter,
+        rel_tol=args.rel_tol,
+        policy=SignificancePolicy(kind=_POLICIES[args.policy], tau=args.tau),
+        estimation_kernel=estimation_kernel,
+        jobs=args.jobs,
+    )
+    report = run_experiment(data, config)
+
+    text = _RENDERERS[args.format](report)
+    if args.format == "csv" and report.estimated_k is not None:
+        print(f"estimated_k = {report.estimated_k}", file=sys.stderr)
 
     if args.out:
-        try:
-            _write_text(args.out, text)
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return 2
+        with _writing(args.out):
+            _atomic_write(args.out, lambda handle: handle.write(text))
         print(f"report written to {args.out}")
     else:
         sys.stdout.write(text)
@@ -490,7 +429,7 @@ def build_parser():
     p_exp.add_argument("--seed", type=int, default=650, help="base seed; run i uses seed+i")
     add_okm_args(p_exp)
     add_policy_args(p_exp)
-    p_exp.add_argument("--format", choices=["csv", "json", "table"], default="table")
+    p_exp.add_argument("--format", choices=sorted(_RENDERERS), default="table")
     p_exp.add_argument("--jobs", type=int, default=1, help="parallel restarts")
     p_exp.add_argument("--out", default=None, help="write the report here instead of stdout")
     p_exp.set_defaults(func=cmd_experiment)
@@ -498,8 +437,20 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one subcommand; the only place where an error becomes an exit code."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except NoConvergence as exc:
+        code, message = 3, f"eigensolver failed: {exc}"
+    except InsufficientData as exc:
+        code, message = 4, exc
+    except MissingLabels as exc:
+        code, message = 5, exc
+    except (InvalidSpec, DomainError, NegativeInput, PathError) as exc:
+        code, message = 2, exc
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpec
+from .errors import DomainError, InvalidSpec
 from .kernels import GramMatrix
 from .linalg import SymMatrix, sorted_eigenvalues
 
@@ -83,11 +83,12 @@ def estimate_k(g: GramMatrix, policy: SignificancePolicy) -> SpectrumReport:
     """Estimate the cluster count for the dataset behind a Gram matrix.
 
     Returns the full descending spectrum (raw and centered) so a human
-    can second-guess the mechanical estimate.
+    can second-guess the mechanical estimate.  Raises DomainError for
+    fewer than two points.
     """
     n = g.n
     if n < 2:
-        raise ValueError(f"need at least 2 points to estimate k, got {n}")
+        raise DomainError("need at least 2 points to estimate k")
 
     raw = sorted_eigenvalues(g.matrix)
     centered = sorted_eigenvalues(_centered(g.matrix))

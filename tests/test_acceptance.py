@@ -119,12 +119,11 @@ def test_criterion_3_iris_restart_protocol(iris):
     means = {}
     for name, measure in iris_measures().items():
         config = ExperimentConfig(
-            data_path="iris", label_column="last", label_separator="|",
             measure=measure, k=3, restarts=RESTARTS, base_seed=BASE_SEED,
             max_iter=100, rel_tol=1e-6,
             policy=SignificancePolicy(kind=PolicyKind.LARGEST_EIGENGAP),
             estimation_kernel=KernelSpec(KernelKind.RBF, sigma=150.0),
-            output_format="table", jobs=1,
+            jobs=1,
         )
         rep = run_experiment(iris, config)
         means[name] = rep.aggregates()["mean"]["f_measure"]

@@ -246,3 +246,176 @@ def test_experiment_with_k_skips_the_median_sigma(pairs_csv, monkeypatch, capsys
     assert main(["experiment", "--data", str(pairs_csv), "--k", "2", "--restarts", "1"]) == 0
     with pytest.raises(AssertionError):
         main(["experiment", "--data", str(pairs_csv), "--restarts", "1"])
+
+
+def _no_convergence(monkeypatch):
+    import okmlib.model_selection as model_selection
+    from okmlib.errors import NoConvergence
+
+    def fail(matrix):
+        raise NoConvergence("no convergence after 7 sweeps")
+
+    monkeypatch.setattr(model_selection, "sorted_eigenvalues", fail)
+
+
+def _disk_full(monkeypatch):
+    import errno
+    import os
+
+    def fail(src, dst):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", fail)
+
+
+@pytest.fixture()
+def bad_inputs(tmp_path):
+    files = {
+        "ragged.csv": "1.0,2.0\n3.0\n",
+        "text.csv": "1.0,2.0\n3.0,x\n",
+        "pairs.csv": "0.0,a\n1.0,a\n10.0,b\n11.0,b\n",
+        "negative.csv": "-2.0,a\n-1.0,a\n2.0,b\n3.0,b\n",
+        "unlabeled.csv": "0.0,5.0\n1.0,5.0\n10.0,5.0\n11.0,5.0\n",
+        "one.csv": "1.0,2.0,a\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    return tmp_path
+
+
+POLY_HALF = ["--measure", "kernel", "--kernel", "poly", "--degree", "0.5"]
+
+# (argv, setup, exit code, the one stderr line); "{dir}" is the inputs' directory.
+EXIT_PATHS = [
+    pytest.param(["estimate-k", "--data", "{dir}/missing.csv"], None, 2,
+                 "error: cannot load {dir}/missing.csv: [Errno 2] No such file or directory: "
+                 "'{dir}/missing.csv'", id="load-missing-file"),
+    pytest.param(["estimate-k", "--data", "{dir}/ragged.csv"], None, 2,
+                 "error: cannot load {dir}/ragged.csv: row 1 has 1 cells, expected 2",
+                 id="load-ragged-rows"),
+    pytest.param(["cluster", "--data", "{dir}/text.csv", "--k", "1", "--out", "{dir}/c.csv"],
+                 None, 2,
+                 "error: cannot load {dir}/text.csv: cell 'x' is not numeric (row 1, column 1)",
+                 id="load-non-numeric-cell"),
+    pytest.param(["cluster", "--data", "{dir}/pairs.csv", "--label-col", "5", "--k", "2",
+                  "--out", "{dir}/c.csv"], None, 2,
+                 "error: cannot load {dir}/pairs.csv: label column 5 out of range for width 2",
+                 id="load-label-column-out-of-range"),
+    pytest.param(["experiment", "--data", "{dir}/pairs.csv", "--label-col", "foo", "--k", "2"],
+                 None, 2,
+                 "error: cannot load {dir}/pairs.csv: invalid literal for int() with base 10: "
+                 "'foo'", id="load-label-column-not-integer"),
+    pytest.param(["cluster", "--data", "{dir}/pairs.csv", "--label-col", "last", "--k", "2",
+                  "--out", "{dir}/c.csv"], _disk_full, 2,
+                 "error: cannot write {dir}/c.csv: [Errno 28] No space left on device",
+                 id="write-cluster-out"),
+    pytest.param(["experiment", "--data", "{dir}/pairs.csv", "--k", "2", "--restarts", "1",
+                  "--out", "{dir}/report.txt"], _disk_full, 2,
+                 "error: cannot write {dir}/report.txt: [Errno 28] No space left on device",
+                 id="write-experiment-out"),
+    pytest.param(["estimate-k", "--data", "{dir}/negative.csv", "--label-col", "last",
+                  "--kernel", "poly", "--degree", "0.5"], None, 2,
+                 "error: polynomial base -3 < 0 with non-integer degree 0.5",
+                 id="domain-error-estimate-k"),
+    pytest.param(["cluster", "--data", "{dir}/negative.csv", "--label-col", "last", *POLY_HALF,
+                  "--k", "2", "--out", "{dir}/c.csv"], None, 2,
+                 "error: polynomial base -3 < 0 with non-integer degree 0.5",
+                 id="domain-error-cluster"),
+    pytest.param(["experiment", "--data", "{dir}/negative.csv", *POLY_HALF, "--k", "2"], None, 2,
+                 "error: polynomial base -3 < 0 with non-integer degree 0.5",
+                 id="domain-error-experiment"),
+    pytest.param(["cluster", "--data", "{dir}/negative.csv", "--label-col", "last",
+                  "--measure", "idiv", "--k", "2", "--out", "{dir}/c.csv"], None, 2,
+                 "error: i-divergence requires nonnegative components",
+                 id="negative-input-cluster"),
+    pytest.param(["experiment", "--data", "{dir}/negative.csv", "--measure", "idiv", "--k", "2"],
+                 None, 2, "error: i-divergence requires nonnegative components",
+                 id="negative-input-experiment"),
+    pytest.param(["experiment", "--data", "{dir}/pairs.csv", "--k", "2", "--restarts", "0"],
+                 None, 2, "error: restarts must be >= 1, got 0", id="restarts-zero"),
+    pytest.param(["experiment", "--data", "{dir}/pairs.csv", "--k", "2", "--rel-tol", "nan"],
+                 None, 2, "error: rel_tol must be positive, got nan", id="rel-tol-nan-experiment"),
+    pytest.param(["cluster", "--data", "{dir}/pairs.csv", "--label-col", "last", "--k", "2",
+                  "--rel-tol", "nan", "--out", "{dir}/c.csv"], None, 2,
+                 "error: rel_tol must be positive, got nan", id="rel-tol-nan-cluster"),
+    pytest.param(["estimate-k", "--data", "{dir}/one.csv", "--label-col", "last"], None, 2,
+                 "error: need at least 2 points to estimate k", id="estimate-k-one-point"),
+    pytest.param(["estimate-k", "--data", "{dir}/pairs.csv", "--label-col", "last"],
+                 _no_convergence, 3, "error: eigensolver failed: no convergence after 7 sweeps",
+                 id="no-convergence-estimate-k"),
+    pytest.param(["experiment", "--data", "{dir}/pairs.csv", "--restarts", "1"],
+                 _no_convergence, 3, "error: eigensolver failed: no convergence after 7 sweeps",
+                 id="no-convergence-experiment"),
+    pytest.param(["cluster", "--data", "{dir}/pairs.csv", "--label-col", "last", "--k", "9",
+                  "--out", "{dir}/c.csv"], None, 4, "error: 4 points cannot seed 9 clusters",
+                 id="insufficient-data-cluster"),
+    pytest.param(["experiment", "--data", "{dir}/pairs.csv", "--k", "9"], None, 4,
+                 "error: 4 points cannot seed 9 clusters", id="insufficient-data-experiment"),
+    pytest.param(["experiment", "--data", "{dir}/unlabeled.csv", "--label-col", "NONE",
+                  "--k", "2"], None, 5,
+                 "error: experiment needs ground-truth labels (see --label-col)",
+                 id="missing-labels"),
+]
+
+
+@pytest.mark.parametrize("argv, setup, code, line", EXIT_PATHS)
+def test_exit_code_and_one_line_message(bad_inputs, monkeypatch, capsys, argv, setup, code, line):
+    if setup is not None:
+        setup(monkeypatch)
+    directory = str(bad_inputs)
+    assert main([arg.format(dir=directory) for arg in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.err == line.format(dir=directory) + "\n"
+    assert captured.out == ""
+    assert not list(bad_inputs.glob("*.tmp"))
+
+
+def test_experiment_estimating_k_from_one_row_exits_2(bad_inputs, capsys):
+    assert main(["experiment", "--data", str(bad_inputs / "one.csv")]) == 2
+    assert _one_line_error(capsys) == "error: need at least 2 points to estimate k\n"
+
+
+def test_worker_count_is_clamped_to_restarts_and_cpus(monkeypatch):
+    import os
+
+    import okmlib.cli as cli
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert cli._worker_count(100000, 2) == 2
+    assert cli._worker_count(100000, 50) == 4
+    assert cli._worker_count(3, 50) == 3
+    assert cli._worker_count(1, 50) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._worker_count(8, 8) == 1
+
+
+def test_experiment_runs_serially_when_one_worker_is_enough(pairs_csv, monkeypatch, capsys):
+    import okmlib.cli as cli
+
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a process pool was started for a single restart")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", NoPool)
+    assert main(["experiment", "--data", str(pairs_csv), "--k", "2", "--restarts", "1",
+                 "--jobs", "100000"]) == 0
+
+
+def test_commands_call_layers_through_module_globals(labeled_blobs_csv, monkeypatch, capsys):
+    # The benchmark times each layer by replacing exactly these okmlib.cli names.
+    import okmlib.cli as cli
+
+    names = ("load_csv", "gram", "estimate_k", "run_okm", "pair_metrics")
+    called = set()
+    for name in names:
+        def spy(*args, _name=name, _original=getattr(cli, name), **kwargs):
+            called.add(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, spy)
+    data = ["--data", str(labeled_blobs_csv), "--label-col", "last"]
+    assert main(["estimate-k", *data]) == 0
+    assert called == {"load_csv", "gram", "estimate_k"}
+    called.clear()
+    assert main(["experiment", *data, "--restarts", "1"]) == 0
+    assert called == set(names)
