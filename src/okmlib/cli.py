@@ -234,7 +234,7 @@ def cmd_cluster(args):
 def _experiment_worker(payload):
     values, labels, config = payload
     covering = run_okm(values, config)
-    metrics = pair_metrics(covering.assignments, labels)
+    metrics = pair_metrics(covering, labels)
     return RunRow(seed=config.seed, objective=covering.objective,
                   precision=metrics.precision, recall=metrics.recall,
                   f_measure=metrics.f_measure)
@@ -260,7 +260,7 @@ def run_experiment(data, config: ExperimentConfig) -> ExperimentReport:
         k = estimated_k
 
     # Every restart's OkmConfig is built (and validated) before any run starts.
-    payloads = [(data.values, data.labels.label_sets,
+    payloads = [(data.values, data.labels,
                  OkmConfig(k=k, dissimilarity=config.measure, max_iter=config.max_iter,
                            rel_tol=config.rel_tol, seed=config.base_seed + i))
                 for i in range(config.restarts)]

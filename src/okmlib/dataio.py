@@ -139,10 +139,32 @@ def load_csv(path, label_column=None, label_separator="|") -> DataMatrix:
         if len(rows) == 1:
             raise EmptyFile(f"only a header row in {path}")
 
+    # One pass parses every feature cell; if one is not a finite number, the
+    # per-cell parse runs instead and names the first bad cell.
+    body = rows[start:]
+    try:
+        values = np.fromiter(map(float, [row[c] for row in body for c in feature_idx]),
+                             dtype=float, count=len(body) * len(feature_idx))
+    except ValueError:
+        values = None
+    if values is not None and np.isfinite(values).all():
+        values = values.reshape(len(body), len(feature_idx))
+        _, label_sets = _parse_rows(body, start, [], label_idx, label_separator)
+    else:
+        values, label_sets = _parse_rows(body, start, feature_idx, label_idx, label_separator)
+
+    labels = LabeledCovering(tuple(label_sets)) if label_idx is not None else None
+    return DataMatrix(values=values, labels=labels)
+
+
+def _parse_rows(rows, first_row, feature_idx, label_idx, label_separator):
+    """Feature values and label sets, cell by cell; ParseError at the first bad cell.
+
+    `first_row` is the file row number of `rows[0]`, for the error.
+    """
     values = []
     label_sets = []
-    for r in range(start, len(rows)):
-        row = rows[r]
+    for r, row in enumerate(rows, first_row):
         parsed = []
         for c in feature_idx:
             try:
@@ -158,9 +180,7 @@ def load_csv(path, label_column=None, label_separator="|") -> DataMatrix:
             if not tokens:
                 raise ParseError("empty label cell", row=r, column=label_idx)
             label_sets.append(frozenset(tokens))
-
-    labels = LabeledCovering(tuple(label_sets)) if label_idx is not None else None
-    return DataMatrix(values=np.array(values, dtype=float), labels=labels)
+    return values, label_sets
 
 
 def save_csv(data: DataMatrix, path, label_separator="|"):

@@ -12,19 +12,24 @@ Degenerate denominators: an empty predicted pair set scores precision 1
 against an empty true pair set (perfect agreement) and 0 otherwise, and
 symmetrically for recall, so the metrics are total.
 
-`pair_metrics` counts linked pairs from 0/1 membership matrices: the
-pairs of a covering are the strict upper triangle of (M M^T) > 0.  It
-works in row blocks, so memory stays O(block * n) rather than n^2, and
-the counts are exact integers.  `linked_pairs` enumerates the pairs
-themselves and is the reference for those counts.
+`pair_metrics` counts linked pairs from bool membership matrices (a
+`Covering` and a `LabeledCovering` carry theirs).  Points with the same
+(predicted, true) membership pattern link alike, so it counts between
+the G distinct patterns, each weighted by its number of points: pattern
+a and b link when (P P^T)_ab > 0, for w_a * w_b pairs across two
+patterns and w_a (w_a - 1) / 2 within one.  That takes O(n + G^2) time
+and, in row blocks over the patterns, O(n + block * G) memory, with
+exact int64 counts; G is at most n and usually tiny.  `linked_pairs`
+enumerates the pairs themselves and is the reference for those counts.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
 
-from .linalg import row_blocks
+from .linalg import distinct_rows, row_blocks
 
 
 @dataclass(frozen=True)
@@ -42,6 +47,13 @@ class LabeledCovering:
     @property
     def n(self):
         return len(self.label_sets)
+
+    @cached_property
+    def memberships(self) -> np.ndarray:
+        """Read-only (n, m) bool matrix over the m distinct labels, built on first use."""
+        matrix = _membership_matrix(self.label_sets)
+        matrix.flags.writeable = False
+        return matrix
 
 
 @dataclass(frozen=True)
@@ -79,7 +91,7 @@ def linked_pairs(c) -> set:
 
 
 def _membership_matrix(sets) -> np.ndarray:
-    """(n, m) 0/1 matrix of n sets over their m distinct members.
+    """(n, m) bool matrix of n sets over their m distinct members.
 
     Members may be any hashable (cluster ids, label strings); columns are
     numbered by first appearance, so no ordering between them is needed.
@@ -88,37 +100,54 @@ def _membership_matrix(sets) -> np.ndarray:
     sizes = np.fromiter(map(len, sets), dtype=np.intp, count=len(sets))
     ids = np.fromiter(map(column.__getitem__, chain.from_iterable(sets)), dtype=np.intp,
                       count=int(sizes.sum()))
-    matrix = np.zeros((len(sets), len(column)))
-    matrix[np.repeat(np.arange(len(sets)), sizes), ids] = 1.0
+    matrix = np.zeros((len(sets), len(column)), dtype=bool)
+    matrix[np.repeat(np.arange(len(sets)), sizes), ids] = True
     return matrix
 
 
+def _memberships(c) -> np.ndarray:
+    """The bool membership matrix of a Covering, a LabeledCovering or a sequence of sets."""
+    if hasattr(c, "memberships"):
+        return c.memberships
+    return _membership_matrix(_membership_sets(c))
+
+
 def _linked_pair_counts(pred, true):
-    """(NCILP, NILP, NTLP) for two membership matrices over the same n points."""
-    n = len(pred)
+    """(NCILP, NILP, NTLP) for two bool membership matrices over the same n points."""
+    first, _, weights = distinct_rows(np.concatenate([pred, true], axis=1))
+    pred = pred[first].astype(float)
+    true = true[first].astype(float)
+    weights = weights.astype(np.int64)
+    g = len(first)
     ncilp = nilp = ntlp = 0
-    for start, stop in row_blocks(n, n):
-        # Rows start..stop against columns start..n; keep column > row.
-        upper = np.arange(start, n)[None, :] > np.arange(start, stop)[:, None]
-        linked_pred = (pred[start:stop] @ pred[start:].T > 0.0) & upper
-        linked_true = (true[start:stop] @ true[start:].T > 0.0) & upper
-        nilp += int(np.count_nonzero(linked_pred))
-        ntlp += int(np.count_nonzero(linked_true))
-        ncilp += int(np.count_nonzero(linked_pred & linked_true))
+    for start, stop in row_blocks(g, g):
+        # Point pairs between pattern rows start..stop and columns start..g:
+        # w_a * w_b above the diagonal, w_a (w_a - 1) / 2 on it, none below.
+        pairs = np.triu(np.multiply.outer(weights[start:stop], weights[start:]), 1)
+        diagonal = np.arange(stop - start)
+        pairs[diagonal, diagonal] = weights[start:stop] * (weights[start:stop] - 1) // 2
+        linked_pred = pred[start:stop] @ pred[start:].T > 0.0
+        linked_true = true[start:stop] @ true[start:].T > 0.0
+        nilp += int(pairs.sum(where=linked_pred))
+        ntlp += int(pairs.sum(where=linked_true))
+        ncilp += int(pairs.sum(where=linked_pred & linked_true))
     return ncilp, nilp, ntlp
 
 
 def pair_metrics(predicted, truth) -> PairMetrics:
-    """Precision / recall / F over linked pairs of `predicted` vs `truth`."""
-    pred_sets = _membership_sets(predicted)
-    true_sets = _membership_sets(truth)
-    if len(pred_sets) != len(true_sets):
+    """Precision / recall / F over linked pairs of `predicted` vs `truth`.
+
+    Each side is a Covering, a LabeledCovering or a sequence of sets;
+    the first two bring their membership matrices.
+    """
+    pred = _memberships(predicted)
+    true = _memberships(truth)
+    if len(pred) != len(true):
         raise ValueError(
-            f"point counts differ: predicted {len(pred_sets)}, truth {len(true_sets)}"
+            f"point counts differ: predicted {len(pred)}, truth {len(true)}"
         )
 
-    ncilp, nilp, ntlp = _linked_pair_counts(_membership_matrix(pred_sets),
-                                            _membership_matrix(true_sets))
+    ncilp, nilp, ntlp = _linked_pair_counts(pred, true)
 
     if nilp > 0:
         precision = ncilp / nilp

@@ -12,7 +12,8 @@ of the largest eigenvalue.
 
 `row_blocks` splits the rows of an n x n quantity (a Gram matrix, the
 linked-pair counts, pairwise distances) into blocks whose temporaries
-stay near `BLOCK_ELEMENTS` elements.
+stay near `BLOCK_ELEMENTS` elements.  `distinct_rows` groups the equal
+rows of a 0/1 matrix (membership patterns) by their packed bits.
 """
 
 from dataclasses import dataclass
@@ -36,6 +37,20 @@ def row_blocks(n, row_elements):
     block = max(1, BLOCK_ELEMENTS // max(row_elements, 1))
     for start in range(0, n, block):
         yield start, min(start + block, n)
+
+
+def distinct_rows(matrix):
+    """Group the equal rows of an (n, m) bool matrix, m >= 1.
+
+    Returns the index of the first row of each of the G groups, the group
+    of every row, and the group sizes.  Rows are keyed by their packed
+    bits (ceil(m / 8) bytes), so any number of columns works.
+    """
+    keys = np.ascontiguousarray(np.packbits(matrix, axis=1))
+    keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
+    _, first, inverse, counts = np.unique(keys, return_index=True, return_inverse=True,
+                                          return_counts=True)
+    return first, inverse.reshape(-1), counts
 
 
 @dataclass(frozen=True)

@@ -34,15 +34,22 @@ cluster-id order, the update adds members in index order), so coverings
 are the same as a point-by-point evaluation gives.  `assign_point`,
 `image`, `update_prototypes` and `objective` are one-point or
 `Covering` wrappers over the same functions.
+
+The per-point values of an iteration's objective serve the next
+assignment as the previous sets' dissimilarities, so they are not
+computed twice.  A `Covering` keeps its membership matrix
+(`Covering.memberships`, built and validated once, with vectorized
+checks), which `evaluation.pair_metrics` reads instead of rebuilding it.
 """
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .divergences import Dissimilarity, DissimilarityKind, dissim_rows
 from .errors import DimensionMismatch, EmptyAssignment, InsufficientData, InvalidSpec
+from .linalg import distinct_rows
 
 _REL_TOL_GUARD = 1e-12
 
@@ -66,42 +73,58 @@ class OkmConfig:
 
 @dataclass(frozen=True)
 class Covering:
-    """k possibly-overlapping clusters over n points, plus the final J."""
+    """k possibly-overlapping clusters over n points, plus the final J.
+
+    `memberships` is the read-only (n, k) bool matrix of `assignments`.
+    """
 
     k: int
     assignments: tuple
     prototypes: np.ndarray
     objective: float
     n_iter: int
+    memberships: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.objective < 0:
             raise ValueError(f"objective must be nonnegative, got {self.objective}")
-        sets = tuple(frozenset(a) for a in self.assignments)
-        for i, assigned in enumerate(sets):
-            if not assigned:
+        sets = tuple(map(frozenset, self.assignments))
+        sizes, points, ids = _membership_entries(sets)
+        # The first point that is empty or names an unknown cluster is reported.
+        bad = np.concatenate([np.flatnonzero(sizes == 0), points[(ids < 0) | (ids >= self.k)]])
+        if bad.size:
+            i = int(bad.min())
+            if sizes[i] == 0:
                 raise EmptyAssignment(f"point {i} has no cluster")
-            if any(not (0 <= c < self.k) for c in assigned):
-                raise ValueError(f"point {i} references a cluster outside 0..{self.k - 1}")
+            raise ValueError(f"point {i} references a cluster outside 0..{self.k - 1}")
+        memberships = np.zeros((len(sets), self.k), dtype=bool)
+        memberships[points, ids] = True
+        memberships.flags.writeable = False
         object.__setattr__(self, "assignments", sets)
+        object.__setattr__(self, "memberships", memberships)
+
+
+def _membership_entries(assignments):
+    """Set sizes, and the point and cluster id of every membership, in order."""
+    sizes = np.fromiter(map(len, assignments), dtype=np.intp, count=len(assignments))
+    ids = np.fromiter(itertools.chain.from_iterable(assignments), dtype=np.intp,
+                      count=int(sizes.sum()))
+    return sizes, np.repeat(np.arange(len(assignments)), sizes), ids
 
 
 def _memberships(assignments, k) -> np.ndarray:
     """(n, k) bool matrix of a sequence of cluster-id sets."""
-    n = len(assignments)
-    sizes = np.fromiter(map(len, assignments), dtype=np.intp, count=n)
-    ids = np.fromiter(itertools.chain.from_iterable(assignments), dtype=np.intp,
-                      count=int(sizes.sum()))
-    memberships = np.zeros((n, k), dtype=bool)
-    memberships[np.repeat(np.arange(n), sizes), ids] = True
+    _, points, ids = _membership_entries(assignments)
+    memberships = np.zeros((len(assignments), k), dtype=bool)
+    memberships[points, ids] = True
     return memberships
 
 
 def _assignment_sets(memberships) -> tuple:
     """One frozenset of cluster ids per row of a membership matrix."""
-    unique, inverse = np.unique(memberships, axis=0, return_inverse=True)
-    sets = [frozenset(np.flatnonzero(row).tolist()) for row in unique]
-    return tuple(map(sets.__getitem__, inverse.reshape(-1).tolist()))
+    first, group, _ = distinct_rows(memberships)
+    sets = [frozenset(np.flatnonzero(memberships[i]).tolist()) for i in first.tolist()]
+    return tuple(map(sets.__getitem__, group.tolist()))
 
 
 def _images(memberships, prototypes) -> np.ndarray:
@@ -120,13 +143,14 @@ def image(assigned, prototypes) -> np.ndarray:
     return _images(_memberships([assigned], len(prototypes)), prototypes)[0]
 
 
-def _assign(values, prototypes, d: Dissimilarity, previous=None) -> np.ndarray:
+def _assign(values, prototypes, d: Dissimilarity, previous=None, previous_dists=None) -> np.ndarray:
     """Greedy cluster sets of all points at once, as an (n, k) bool matrix.
 
     Step t offers every still-growing point its (t+1)-th nearest cluster
     (ties by id); a point keeps growing while the image dissimilarity
     strictly improves.  Rows of `previous` that strictly beat the greedy
-    result are kept instead.
+    result are kept instead.  `previous_dists`, if given, are the points'
+    dissimilarities to the images of `previous` at these prototypes.
     """
     n = len(values)
     dists = dissim_rows(d, values[:, None, :], prototypes[None, :, :])
@@ -146,7 +170,9 @@ def _assign(values, prototypes, d: Dissimilarity, previous=None) -> np.ndarray:
         chosen[growing] = candidate[improved]
         best[growing] = dist[improved]
     if previous is not None:
-        kept = dissim_rows(d, values, _images(previous, prototypes)) < best
+        if previous_dists is None:
+            previous_dists = dissim_rows(d, values, _images(previous, prototypes))
+        kept = previous_dists < best
         chosen[kept] = previous[kept]
     return chosen
 
@@ -201,15 +227,17 @@ def update_prototypes(cov: Covering, data) -> np.ndarray:
 
 
 def _objective(memberships, prototypes, values, d):
+    """J and the per-point values it adds up."""
+    point_values = dissim_rows(d, values, _images(memberships, prototypes))
     # A sequential sum of the per-point values, as the reference adds them.
-    return sum(dissim_rows(d, values, _images(memberships, prototypes)).tolist())
+    return sum(point_values.tolist()), point_values
 
 
 def objective(cov: Covering, d: Dissimilarity, data) -> float:
     """Recompute J for a covering from scratch."""
     values = np.asarray(getattr(data, "values", data), dtype=float)
     return _objective(_memberships(cov.assignments, len(cov.prototypes)),
-                      cov.prototypes, values, d)
+                      cov.prototypes, values, d)[0]
 
 
 def run_okm(data, config: OkmConfig, on_iteration=None) -> Covering:
@@ -231,18 +259,20 @@ def run_okm(data, config: OkmConfig, on_iteration=None) -> Covering:
     idx = rng.choice(n, size=config.k, replace=False)
     prototypes = values[idx].copy()
 
-    memberships = None
+    memberships = point_values = None
     current_j = None
     iterations = 0
     for _ in range(config.max_iter):
-        new_memberships = _assign(values, prototypes, d, memberships)
+        # The last objective's per-point values are the previous sets' dissimilarities.
+        new_memberships = _assign(values, prototypes, d, memberships, point_values)
         new_prototypes = _update_prototypes(new_memberships, prototypes, values, nonneg)
-        new_j = _objective(new_memberships, new_prototypes, values, d)
+        new_j, new_point_values = _objective(new_memberships, new_prototypes, values, d)
         if current_j is not None and new_j > current_j:
             break  # safeguard: keep the previous (better) state
         unchanged = memberships is not None and np.array_equal(new_memberships, memberships)
         improvement = None if current_j is None else (current_j - new_j) / max(current_j, _REL_TOL_GUARD)
         memberships, prototypes, current_j = new_memberships, new_prototypes, new_j
+        point_values = new_point_values
         iterations += 1
         if on_iteration is not None:
             on_iteration(iterations, current_j)

@@ -158,3 +158,55 @@ def test_synthetic_validation():
         SyntheticSpec(k=2, points_per_cluster=5, noise_scale=0.0)
     with pytest.raises(InvalidSpec):
         SyntheticSpec(k=0, points_per_cluster=5)
+
+
+def _grid(rows):
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+def test_one_pass_parse_keeps_per_cell_float_values(tmp_path):
+    cells = [[" 1.5", "-0.0"], ["1e-320", "1_000"], ["7", " -2.5e3 "]]
+    data = load_csv(write(tmp_path, _grid(cells)))
+    expected = np.array([[float(c) for c in row] for row in cells])
+    assert data.values.tobytes() == expected.tobytes()  # bit for bit, the sign of -0.0 too
+    assert np.signbit(data.values[0, 1])
+
+
+@pytest.mark.parametrize("cell, reason", [("oops", "not numeric"), ("nan", "not finite"),
+                                          ("inf", "not finite"), ("-inf", "not finite")])
+def test_bad_cell_in_a_late_row_is_located(tmp_path, cell, reason):
+    rows = [["f0", "f1", "f2", "label"]]
+    rows += [[str(r), str(r + 0.5), str(-r), "a|b"] for r in range(40)]
+    rows[37][2] = cell
+    rows[39][0] = "also bad"  # a later bad cell is not the one reported
+    with pytest.raises(ParseError) as exc:
+        load_csv(write(tmp_path, _grid(rows)), label_column="last")
+    assert (exc.value.row, exc.value.column) == (37, 2)
+    assert reason in str(exc.value)
+
+
+def test_first_bad_cell_is_reported_across_labels_and_features(tmp_path):
+    rows = [[str(r), str(r * 2), "x"] for r in range(30)]
+    rows[12][2] = ""    # an empty label cell first ...
+    rows[20][1] = "nan"  # ... then a non-finite feature
+    with pytest.raises(ParseError) as exc:
+        load_csv(write(tmp_path, _grid(rows)), label_column="last")
+    assert (exc.value.row, exc.value.column) == (12, 2)
+    assert "empty label cell" in str(exc.value)
+    rows[12][2] = "x"
+    with pytest.raises(ParseError) as exc:
+        load_csv(write(tmp_path, _grid(rows), name="second.csv"), label_column="last")
+    assert (exc.value.row, exc.value.column) == (20, 1)
+
+
+def test_labels_in_the_last_column_load_unchanged(tmp_path):
+    rows = [["a", "b", "group"]] + [[repr(0.1 * r), repr(-3.0 * r), ["x", "x|y", "y||z"][r % 3]]
+                                      for r in range(25)]
+    data = load_csv(write(tmp_path, _grid(rows)), label_column="last")
+    assert data.values.tolist() == [[float(a), float(b)] for a, b, _ in rows[1:]]
+    assert data.labels.label_sets == tuple(frozenset(t for t in g.split("|") if t)
+                                           for _, _, g in rows[1:])
+    # Without a label column the last column is a feature and its text makes a header.
+    with pytest.raises(ParseError) as exc:
+        load_csv(write(tmp_path, _grid(rows), name="nolabel.csv"))
+    assert (exc.value.row, exc.value.column) == (1, 2)

@@ -1,7 +1,10 @@
+import tracemalloc
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from okmlib import LabeledCovering, linked_pairs, pair_metrics
+from okmlib import Covering, LabeledCovering, linked_pairs, pair_metrics
 
 
 def naive_metrics(pred_sets, true_sets):
@@ -134,3 +137,90 @@ def test_block_counts_match_linked_pairs_at_n300(monkeypatch):
                                              len(true_pairs))
         assert m.precision == m.ncilp / m.nilp
         assert m.recall == m.ncilp / m.ntlp
+
+
+def linked_pair_counts(pred, true):
+    identified = linked_pairs(pred)
+    true_pairs = linked_pairs(true)
+    return len(identified & true_pairs), len(identified), len(true_pairs)
+
+
+def covering(sets, k):
+    return Covering(k=k, assignments=tuple(sets), prototypes=np.zeros((k, 1)),
+                    objective=0.0, n_iter=0)
+
+
+def random_sets(rng, n, members, most):
+    return [frozenset(rng.choice(members, size=int(rng.integers(1, most + 1)), replace=False).tolist())
+            for _ in range(n)]
+
+
+def test_pattern_counts_match_linked_pairs():
+    rng = np.random.default_rng(500)
+    names = np.array(["setosa", "versicolor", "virginica", "other", "x|y"])
+    cases = []
+    for k in (1, 2, 8, 9, 17, 63, 64, 80):  # packed keys of 1 to 10 bytes
+        n = int(rng.integers(2, 90))
+        cases.append((k, random_sets(rng, n, k, min(k, 4)), random_sets(rng, n, names, 2)))
+    cases.append((3, [frozenset({2})], [frozenset({"a"})]))  # n = 1
+    singletons = [frozenset({i}) for i in range(12)]
+    cases.append((12, singletons, [frozenset({f"t{i}"}) for i in range(12)]))  # no pairs at all
+    cases.append((12, singletons, [frozenset({"same"})] * 12))  # no predicted pairs
+    cases.append((1, [frozenset({0})] * 12, [frozenset({f"t{i}"}) for i in range(12)]))
+    for k, pred, true in cases:
+        expected = linked_pair_counts(pred, true)
+        for predicted, truth in ((covering(pred, k), LabeledCovering(tuple(true))), (pred, true)):
+            m = pair_metrics(predicted, truth)
+            assert (m.ncilp, m.nilp, m.ntlp) == expected, (k, len(pred))
+
+
+def test_pattern_counts_when_every_point_has_its_own_pattern(monkeypatch):
+    # G = n: no two points share a (predicted, true) pattern, and small
+    # blocks make the count run over many pattern blocks.
+    import okmlib.linalg as linalg
+
+    monkeypatch.setattr(linalg, "BLOCK_ELEMENTS", 200 * 7)
+    rng = np.random.default_rng(501)
+    pred = [frozenset({i % 20, 20 + i // 20} | set(rng.choice(80, size=2).tolist()))
+            for i in range(200)]
+    true = random_sets(rng, 200, 6, 3)
+    assert len(set(zip(pred, true))) == len(pred)
+    m = pair_metrics(covering(pred, 80), LabeledCovering(tuple(true)))
+    assert (m.ncilp, m.nilp, m.ntlp) == linked_pair_counts(pred, true)
+
+
+def test_pair_metrics_of_empty_inputs_match_the_oracle():
+    for sets in ([], [set()], [set(), set(), {0}]):
+        m = pair_metrics(sets, sets)
+        assert (m.ncilp, m.nilp, m.ntlp, m.precision, m.recall, m.f_measure) == naive_metrics(sets, sets)
+
+
+def test_pair_metrics_memory_is_not_n_by_block_at_n20800():
+    # A deterministic guard, no wall clock: the count must not build an
+    # n x block temporary (8 MB of float64 at n = 20 800).
+    rng = np.random.default_rng(208)
+    names = [f"c{c + 1}" for c in range(5)]
+    true = [frozenset({names[c]}) for c in range(5) for _ in range(4000)]
+    true += [frozenset({names[c], names[(c + 1) % 5]}) for c in range(5) for _ in range(160)]
+    pred = [frozenset({c, (c + 1) % 5}) if rng.random() < 0.1 else frozenset({c})
+            for c in rng.integers(0, 5, len(true)).tolist()]
+    cov = covering(pred, 5)
+    truth = LabeledCovering(tuple(true))  # fresh: its matrix is built inside the measured call
+    tracemalloc.start()
+    try:
+        m = pair_metrics(cov, truth)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6_000_000, peak
+    assert truth.memberships is truth.memberships
+    # Oracle: pairs counted between distinct (predicted, true) patterns in Python.
+    patterns = list(Counter(zip(pred, true)).items())
+    expected = [0, 0, 0]
+    for a, ((pa, ta), wa) in enumerate(patterns):
+        for (pb, tb), wb in patterns[a:]:
+            pairs = wa * (wa - 1) // 2 if (pa, ta) == (pb, tb) else wa * wb
+            expected[0] += pairs * bool(pa & pb and ta & tb)
+            expected[1] += pairs * bool(pa & pb)
+            expected[2] += pairs * bool(ta & tb)
+    assert (m.ncilp, m.nilp, m.ntlp) == tuple(expected)

@@ -20,7 +20,7 @@ from okmlib import (
     run_okm,
     update_prototypes,
 )
-from okmlib.okm import _assign, _memberships, _update_prototypes
+from okmlib.okm import _assign, _assignment_sets, _memberships, _objective, _update_prototypes
 
 SQ = Dissimilarity(DissimilarityKind.SQUARED_EUCLIDEAN)
 IDIV = Dissimilarity(DissimilarityKind.I_DIVERGENCE)
@@ -33,6 +33,33 @@ def make_covering(assignments, prototypes, k=None):
     prototypes = np.asarray(prototypes, dtype=float)
     return Covering(k=k or len(prototypes), assignments=tuple(assignments),
                     prototypes=prototypes, objective=0.0, n_iter=0)
+
+
+# -------------------------------------------------------------------- Covering
+
+
+def test_covering_reports_the_first_bad_point():
+    with pytest.raises(EmptyAssignment, match="point 1 has no cluster"):
+        make_covering([{0}, set(), {9}], [[0.0], [1.0]])
+    with pytest.raises(ValueError, match=r"point 1 references a cluster outside 0\.\.1") as exc:
+        make_covering([{0}, {9}, set()], [[0.0], [1.0]])
+    assert not isinstance(exc.value, EmptyAssignment)
+    with pytest.raises(ValueError, match="point 2 references"):
+        make_covering([{0}, {1}, {0, -1}], [[0.0], [1.0]])
+
+
+def test_covering_memberships_and_assignment_sets_round_trip():
+    rng = np.random.default_rng(64)
+    for k in (1, 2, 7, 8, 9, 63, 64, 80):
+        n = int(rng.integers(1, 60))
+        sets = tuple(frozenset(rng.choice(k, size=int(rng.integers(1, min(k, 5) + 1)),
+                                          replace=False).tolist()) for _ in range(n))
+        cov = make_covering(sets, np.zeros((k, 2)))
+        expected = _memberships(sets, k)
+        assert cov.memberships.dtype == bool and cov.memberships.shape == (n, k)
+        assert np.array_equal(cov.memberships, expected)
+        assert not cov.memberships.flags.writeable
+        assert _assignment_sets(expected) == sets
 
 
 # ----------------------------------------------------------------------- image
@@ -171,6 +198,10 @@ def test_batched_assignment_matches_per_point_reference():
                                                    None if prev is None else prev[i])
                             for i in range(n)]
                 assert np.array_equal(batched, _memberships(expected, k)), (d, trial, prev is None)
+            # The objective's per-point values stand in for the previous sets' distances.
+            prev_dists = _objective(prev_matrix, protos, data, d)[1]
+            reused = _assign(data, protos, d, prev_matrix, prev_dists)
+            assert np.array_equal(reused, batched), (d, trial)
 
 
 def test_assign_point_is_one_row_of_the_batched_assignment():
