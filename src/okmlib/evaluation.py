@@ -12,8 +12,9 @@ Degenerate denominators: an empty predicted pair set scores precision 1
 against an empty true pair set (perfect agreement) and 0 otherwise, and
 symmetrically for recall, so the metrics are total.
 
-`pair_metrics` counts linked pairs from bool membership matrices (a
-`Covering` and a `LabeledCovering` carry theirs).  Points with the same
+`pair_metrics` counts linked pairs from bool membership matrices: a
+`Covering` and a `LabeledCovering` carry theirs, and a plain sequence of
+sets goes through `linalg.membership_matrix`.  Points with the same
 (predicted, true) membership pattern link alike, so it counts between
 the G distinct patterns, each weighted by its number of points: pattern
 a and b link when (P P^T)_ab > 0, for w_a * w_b pairs across two
@@ -25,11 +26,10 @@ enumerates the pairs themselves and is the reference for those counts.
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
-from .linalg import distinct_rows, row_blocks
+from .linalg import distinct_rows, membership_matrix, row_blocks
 
 
 @dataclass(frozen=True)
@@ -51,9 +51,7 @@ class LabeledCovering:
     @cached_property
     def memberships(self) -> np.ndarray:
         """Read-only (n, m) bool matrix over the m distinct labels, built on first use."""
-        matrix = _membership_matrix(self.label_sets)
-        matrix.flags.writeable = False
-        return matrix
+        return membership_matrix(self.label_sets)
 
 
 @dataclass(frozen=True)
@@ -90,26 +88,11 @@ def linked_pairs(c) -> set:
     return pairs
 
 
-def _membership_matrix(sets) -> np.ndarray:
-    """(n, m) bool matrix of n sets over their m distinct members.
-
-    Members may be any hashable (cluster ids, label strings); columns are
-    numbered by first appearance, so no ordering between them is needed.
-    """
-    column = {member: j for j, member in enumerate(dict.fromkeys(chain.from_iterable(sets)))}
-    sizes = np.fromiter(map(len, sets), dtype=np.intp, count=len(sets))
-    ids = np.fromiter(map(column.__getitem__, chain.from_iterable(sets)), dtype=np.intp,
-                      count=int(sizes.sum()))
-    matrix = np.zeros((len(sets), len(column)), dtype=bool)
-    matrix[np.repeat(np.arange(len(sets)), sizes), ids] = True
-    return matrix
-
-
 def _memberships(c) -> np.ndarray:
     """The bool membership matrix of a Covering, a LabeledCovering or a sequence of sets."""
     if hasattr(c, "memberships"):
         return c.memberships
-    return _membership_matrix(_membership_sets(c))
+    return membership_matrix(_membership_sets(c))
 
 
 def _linked_pair_counts(pred, true):

@@ -12,11 +12,13 @@ of the largest eigenvalue.
 
 `row_blocks` splits the rows of an n x n quantity (a Gram matrix, the
 linked-pair counts, pairwise distances) into blocks whose temporaries
-stay near `BLOCK_ELEMENTS` elements.  `distinct_rows` groups the equal
-rows of a 0/1 matrix (membership patterns) by their packed bits.
+stay near `BLOCK_ELEMENTS` elements.  `membership_matrix` is the one
+set-to-matrix builder (cluster-id sets, label sets), and `distinct_rows`
+groups the equal rows of such a matrix (membership patterns).
 """
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -37,6 +39,25 @@ def row_blocks(n, row_elements):
     block = max(1, BLOCK_ELEMENTS // max(row_elements, 1))
     for start in range(0, n, block):
         yield start, min(start + block, n)
+
+
+def membership_matrix(sets, members=None):
+    """Read-only (n, m) bool matrix: (i, j) is True when set i holds member j.
+
+    `members` lists the m members (any hashables) in column order, and a
+    member outside them raises KeyError; by default they are the distinct
+    members of `sets` by first appearance.  An empty set is an all-False row.
+    """
+    if members is None:
+        members = dict.fromkeys(chain.from_iterable(sets))
+    column = {member: j for j, member in enumerate(members)}
+    sizes = np.fromiter(map(len, sets), dtype=np.intp, count=len(sets))
+    ids = np.fromiter(map(column.__getitem__, chain.from_iterable(sets)), dtype=np.intp,
+                      count=int(sizes.sum()))
+    matrix = np.zeros((len(sets), len(column)), dtype=bool)
+    matrix[np.repeat(np.arange(len(sets)), sizes), ids] = True
+    matrix.flags.writeable = False
+    return matrix
 
 
 def distinct_rows(matrix):

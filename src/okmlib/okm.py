@@ -37,19 +37,19 @@ are the same as a point-by-point evaluation gives.  `assign_point`,
 
 The per-point values of an iteration's objective serve the next
 assignment as the previous sets' dissimilarities, so they are not
-computed twice.  A `Covering` keeps its membership matrix
-(`Covering.memberships`, built and validated once, with vectorized
-checks), which `evaluation.pair_metrics` reads instead of rebuilding it.
+computed twice.  Cluster-id sets become membership rows, and are
+validated, only in `_cluster_matrix` (over `linalg.membership_matrix`).
+A `Covering` keeps its matrix (`Covering.memberships`), which
+`update_prototypes`, `objective` and `evaluation.pair_metrics` read.
 """
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .divergences import Dissimilarity, DissimilarityKind, dissim_rows
 from .errors import DimensionMismatch, EmptyAssignment, InsufficientData, InvalidSpec
-from .linalg import distinct_rows
+from .linalg import distinct_rows, membership_matrix
 
 _REL_TOL_GUARD = 1e-12
 
@@ -75,7 +75,8 @@ class OkmConfig:
 class Covering:
     """k possibly-overlapping clusters over n points, plus the final J.
 
-    `memberships` is the read-only (n, k) bool matrix of `assignments`.
+    `prototypes` is a (k, p) array.  `memberships` is the read-only
+    (n, k) bool matrix of `assignments`.
     """
 
     k: int
@@ -88,36 +89,33 @@ class Covering:
     def __post_init__(self):
         if self.objective < 0:
             raise ValueError(f"objective must be nonnegative, got {self.objective}")
+        shape = np.shape(self.prototypes)
+        if len(shape) != 2 or shape[0] != self.k:
+            raise ValueError(f"prototypes must be a ({self.k}, p) array, got shape {shape}")
         sets = tuple(map(frozenset, self.assignments))
-        sizes, points, ids = _membership_entries(sets)
-        # The first point that is empty or names an unknown cluster is reported.
-        bad = np.concatenate([np.flatnonzero(sizes == 0), points[(ids < 0) | (ids >= self.k)]])
-        if bad.size:
-            i = int(bad.min())
-            if sizes[i] == 0:
-                raise EmptyAssignment(f"point {i} has no cluster")
-            raise ValueError(f"point {i} references a cluster outside 0..{self.k - 1}")
-        memberships = np.zeros((len(sets), self.k), dtype=bool)
-        memberships[points, ids] = True
-        memberships.flags.writeable = False
+        memberships = _cluster_matrix(sets, self.k)
         object.__setattr__(self, "assignments", sets)
         object.__setattr__(self, "memberships", memberships)
 
 
-def _membership_entries(assignments):
-    """Set sizes, and the point and cluster id of every membership, in order."""
-    sizes = np.fromiter(map(len, assignments), dtype=np.intp, count=len(assignments))
-    ids = np.fromiter(itertools.chain.from_iterable(assignments), dtype=np.intp,
-                      count=int(sizes.sum()))
-    return sizes, np.repeat(np.arange(len(assignments)), sizes), ids
+def _cluster_matrix(sets, k) -> np.ndarray:
+    """(n, k) bool matrix of n cluster-id sets.
 
-
-def _memberships(assignments, k) -> np.ndarray:
-    """(n, k) bool matrix of a sequence of cluster-id sets."""
-    _, points, ids = _membership_entries(assignments)
-    memberships = np.zeros((len(assignments), k), dtype=bool)
-    memberships[points, ids] = True
-    return memberships
+    Each set must be non-empty and hold only ids in 0..k-1; the first
+    point that is not is reported.
+    """
+    try:
+        matrix = membership_matrix(sets, range(k))
+    except KeyError:  # an id outside 0..k-1, found below
+        pass
+    else:
+        if matrix.any(axis=1).all():
+            return matrix
+    for i, assigned in enumerate(sets):
+        if not assigned:
+            raise EmptyAssignment(f"point {i} has no cluster")
+        if not all(c in range(k) for c in assigned):
+            raise ValueError(f"point {i} references a cluster outside 0..{k - 1}")
 
 
 def _assignment_sets(memberships) -> tuple:
@@ -137,10 +135,8 @@ def _images(memberships, prototypes) -> np.ndarray:
 
 def image(assigned, prototypes) -> np.ndarray:
     """Mean of the prototypes of the clusters in `assigned`."""
-    if not assigned:
-        raise EmptyAssignment("image of an empty cluster set is undefined")
     prototypes = np.asarray(prototypes, dtype=float)
-    return _images(_memberships([assigned], len(prototypes)), prototypes)[0]
+    return _images(_cluster_matrix([assigned], len(prototypes)), prototypes)[0]
 
 
 def _assign(values, prototypes, d: Dissimilarity, previous=None, previous_dists=None) -> np.ndarray:
@@ -190,7 +186,7 @@ def assign_point(x, prototypes, d: Dissimilarity, previous=None) -> frozenset:
     if x.ndim != 1 or prototypes.ndim != 2 or x.shape[0] != prototypes.shape[1]:
         raise DimensionMismatch(f"incompatible shapes: point {x.shape}, prototypes {prototypes.shape}")
     if previous is not None:
-        previous = _memberships([previous], len(prototypes))
+        previous = _cluster_matrix([previous], len(prototypes))
     chosen = _assign(x[None, :], prototypes, d, previous)[0]
     return frozenset(np.flatnonzero(chosen).tolist())
 
@@ -222,8 +218,7 @@ def _update_prototypes(memberships, prototypes, values, nonneg=False):
 def update_prototypes(cov: Covering, data) -> np.ndarray:
     """Recompute all k prototypes for fixed assignments."""
     values = np.asarray(getattr(data, "values", data), dtype=float)
-    return _update_prototypes(_memberships(cov.assignments, len(cov.prototypes)),
-                              cov.prototypes, values)
+    return _update_prototypes(cov.memberships, cov.prototypes, values)
 
 
 def _objective(memberships, prototypes, values, d):
@@ -236,8 +231,7 @@ def _objective(memberships, prototypes, values, d):
 def objective(cov: Covering, d: Dissimilarity, data) -> float:
     """Recompute J for a covering from scratch."""
     values = np.asarray(getattr(data, "values", data), dtype=float)
-    return _objective(_memberships(cov.assignments, len(cov.prototypes)),
-                      cov.prototypes, values, d)[0]
+    return _objective(cov.memberships, cov.prototypes, values, d)[0]
 
 
 def run_okm(data, config: OkmConfig, on_iteration=None) -> Covering:

@@ -3,8 +3,10 @@
 The fixture holds 43 runs recorded with the per-point reference
 implementation of OKM: Iris under four measures x seeds 650-659, and
 three restarts on the synthetic overlap sample.  The batched
-implementation must give identical assignments and iteration counts,
-and J within 1e-9 relative.  `tests/data/make_golden_coverings.py`
+implementation must give identical assignments (as sets and as the rows
+of `Covering.memberships`) and iteration counts, and J within 1e-9
+relative; J recomputed by `objective` from that matrix must equal the
+run's J exactly.  `tests/data/make_golden_coverings.py`
 defines the cases and wrote the file.
 """
 
@@ -12,7 +14,9 @@ import importlib.util
 import json
 from pathlib import Path
 
-from okmlib import OkmConfig, run_okm
+import numpy as np
+
+from okmlib import OkmConfig, objective, run_okm
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -34,8 +38,11 @@ def test_batched_okm_reproduces_golden_coverings():
     for run, (dataset, values, measure, k, seed) in zip(recorded, cases):
         assert (run["dataset"], run["measure"], run["k"], run["seed"]) == (dataset, measure, k, seed)
         cov = run_okm(values, OkmConfig(k=k, dissimilarity=recorder.MEASURES[measure], seed=seed))
+        rows = [np.flatnonzero(row).tolist() for row in cov.memberships]
         same_covering = (recorder.bitmasks(cov.assignments) == run["assignments"]
-                         and cov.n_iter == run["n_iter"])
+                         and recorder.bitmasks(rows) == run["assignments"]
+                         and cov.n_iter == run["n_iter"]
+                         and objective(cov, recorder.MEASURES[measure], values) == cov.objective)
         close_j = abs(cov.objective - run["objective"]) <= 1e-9 * abs(run["objective"])
         if not (same_covering and close_j):
             mismatches.append((dataset, measure, seed, cov.n_iter, run["n_iter"],

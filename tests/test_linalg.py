@@ -15,6 +15,7 @@ from okmlib import (
     jacobi_eigen,
     sorted_eigenvalues,
 )
+from okmlib.linalg import distinct_rows, membership_matrix
 
 
 def test_symmatrix_rejects_asymmetry():
@@ -156,3 +157,56 @@ def test_lapack_spectrum_matches_jacobi_reference(monkeypatch, iris):
             for lam, ref in ((got.eigenvalues, reference.eigenvalues),
                              (got.centered_eigenvalues, reference.centered_eigenvalues)):
                 assert np.max(np.abs(lam - ref)) <= 1e-9 * abs(ref[0])
+
+
+# ------------------------------------------- membership_matrix, distinct_rows
+
+
+def naive_membership_matrix(sets, members):
+    matrix = np.zeros((len(sets), len(members)), dtype=bool)
+    for i, s in enumerate(sets):
+        for j, member in enumerate(members):
+            matrix[i, j] = member in s
+    return matrix
+
+
+def test_membership_matrix_keeps_integer_ids_in_column_order():
+    rng = np.random.default_rng(81)
+    for k in (1, 2, 7, 8, 9, 63, 64, 80):
+        n = int(rng.integers(1, 60))
+        sets = [frozenset(rng.choice(k, size=int(rng.integers(0, min(k, 5) + 1)),
+                                     replace=False).tolist()) for _ in range(n)]
+        matrix = membership_matrix(sets, range(k))
+        assert matrix.dtype == bool and matrix.shape == (n, k) and not matrix.flags.writeable
+        assert np.array_equal(matrix, naive_membership_matrix(sets, range(k)))
+
+
+def test_membership_matrix_numbers_labels_by_first_appearance():
+    sets = [("b",), ("c", "a"), (), ("a", "b", "d"), ("d",)]
+    matrix = membership_matrix(sets)
+    assert np.array_equal(matrix, naive_membership_matrix(sets, ["b", "c", "a", "d"]))
+    assert not matrix[2].any()
+
+
+def test_membership_matrix_empty_sets_and_no_points():
+    assert np.array_equal(membership_matrix([set(), set()], range(3)), np.zeros((2, 3), dtype=bool))
+    assert membership_matrix([set()]).shape == (1, 0)
+    assert membership_matrix([], range(4)).shape == (0, 4)
+    assert membership_matrix([]).shape == (0, 0)
+
+
+def test_membership_matrix_rejects_members_outside_the_columns():
+    for member in (-1, 3, "a"):
+        with pytest.raises(KeyError):
+            membership_matrix([{0}, {member}], range(3))
+
+
+def test_distinct_rows_groups_equal_rows():
+    rng = np.random.default_rng(82)
+    for m in (1, 8, 9, 80):
+        matrix = rng.random((40, m)) < 0.1
+        first, group, counts = distinct_rows(matrix)
+        assert np.array_equal(matrix[first[group]], matrix)
+        assert len({matrix[i].tobytes() for i in range(40)}) == len(first)
+        assert np.array_equal(counts, np.bincount(group))
+        assert all(first[g] == np.flatnonzero(group == g)[0] for g in range(len(first)))

@@ -20,7 +20,7 @@ from okmlib import (
     run_okm,
     update_prototypes,
 )
-from okmlib.okm import _assign, _assignment_sets, _memberships, _objective, _update_prototypes
+from okmlib.okm import _assign, _assignment_sets, _cluster_matrix, _objective, _update_prototypes
 
 SQ = Dissimilarity(DissimilarityKind.SQUARED_EUCLIDEAN)
 IDIV = Dissimilarity(DissimilarityKind.I_DIVERGENCE)
@@ -48,6 +48,30 @@ def test_covering_reports_the_first_bad_point():
         make_covering([{0}, {1}, {0, -1}], [[0.0], [1.0]])
 
 
+def test_covering_requires_k_by_p_prototypes():
+    for prototypes in (np.zeros((3, 1)), np.zeros(2), np.zeros((2, 1, 1))):
+        with pytest.raises(ValueError, match=r"prototypes must be a \(2, p\) array") as exc:
+            make_covering([{0}, {1}], prototypes, k=2)
+        assert not isinstance(exc.value, EmptyAssignment)
+
+
+def test_invalid_cluster_ids_raise_alike_wherever_they_enter():
+    protos = np.array([[0.0], [1.0], [2.0]])
+    x = np.array([0.5])
+    entries = (
+        lambda ids: make_covering([{0}, ids], protos),
+        lambda ids: image(ids, protos),
+        lambda ids: assign_point(x, protos, SQ, previous=ids),
+    )
+    for enter in entries:
+        with pytest.raises(EmptyAssignment, match="has no cluster"):
+            enter(set())
+        for ids in ({-1}, {3}, {0, 3}, {1.5}):
+            with pytest.raises(ValueError, match=r"references a cluster outside 0\.\.2") as exc:
+                enter(ids)
+            assert not isinstance(exc.value, EmptyAssignment)
+
+
 def test_covering_memberships_and_assignment_sets_round_trip():
     rng = np.random.default_rng(64)
     for k in (1, 2, 7, 8, 9, 63, 64, 80):
@@ -55,7 +79,7 @@ def test_covering_memberships_and_assignment_sets_round_trip():
         sets = tuple(frozenset(rng.choice(k, size=int(rng.integers(1, min(k, 5) + 1)),
                                           replace=False).tolist()) for _ in range(n))
         cov = make_covering(sets, np.zeros((k, 2)))
-        expected = _memberships(sets, k)
+        expected = np.array([[c in s for c in range(k)] for s in sets])
         assert cov.memberships.dtype == bool and cov.memberships.shape == (n, k)
         assert np.array_equal(cov.memberships, expected)
         assert not cov.memberships.flags.writeable
@@ -192,12 +216,12 @@ def test_batched_assignment_matches_per_point_reference():
             previous = [frozenset(rng.choice(k, size=int(rng.integers(1, k + 1)),
                                              replace=False).tolist()) for _ in range(n)]
             for prev in (None, previous):
-                prev_matrix = None if prev is None else _memberships(prev, k)
+                prev_matrix = None if prev is None else _cluster_matrix(prev, k)
                 batched = _assign(data, protos, d, prev_matrix)
                 expected = [reference_assign_point(data[i], protos, d,
                                                    None if prev is None else prev[i])
                             for i in range(n)]
-                assert np.array_equal(batched, _memberships(expected, k)), (d, trial, prev is None)
+                assert np.array_equal(batched, _cluster_matrix(expected, k)), (d, trial, prev is None)
             # The objective's per-point values stand in for the previous sets' distances.
             prev_dists = _objective(prev_matrix, protos, data, d)[1]
             reused = _assign(data, protos, d, prev_matrix, prev_dists)
@@ -291,7 +315,7 @@ def test_batched_update_and_objective_match_per_point_reference():
             cov = make_covering(assignments, protos)
             nonneg = d is IDIV
             expected = reference_update_prototypes(assignments, protos, data, nonneg)
-            assert np.array_equal(_update_prototypes(_memberships(assignments, k), protos, data,
+            assert np.array_equal(_update_prototypes(_cluster_matrix(assignments, k), protos, data,
                                                      nonneg), expected)
             expected_j = sum(dissim(d, data[i], protos[sorted(assignments[i])].mean(axis=0))
                              for i in range(n))
