@@ -31,7 +31,7 @@ from .divergences import Dissimilarity, DissimilarityKind, dissim_rows
 from .errors import DomainError, InsufficientData, InvalidSpec, NegativeInput, NoConvergence
 from .evaluation import pair_metrics
 from .kernels import KernelKind, KernelSpec, gram
-from .linalg import row_blocks
+from .linalg import row_blocks, sequential_sum
 from .model_selection import PolicyKind, SignificancePolicy, estimate_k
 from .okm import OkmConfig, run_okm
 
@@ -104,7 +104,7 @@ class ExperimentReport:
             "f_measure": [r.f_measure for r in self.rows],
         }
         out = {}
-        for stat, fn in (("min", min), ("max", max), ("mean", lambda v: sum(v) / len(v))):
+        for stat, fn in (("min", min), ("max", max), ("mean", lambda v: sequential_sum(v) / len(v))):
             out[stat] = {name: fn(vals) for name, vals in columns.items()}
         return out
 

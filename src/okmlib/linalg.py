@@ -10,6 +10,8 @@ pivot, so it takes 0.4-1.8 s on a 150-row Iris Gram matrix where LAPACK
 takes under a millisecond; there the two spectra agree to within 1.5e-11
 of the largest eigenvalue.
 
+`sequential_sum` adds left to right, so a sum does not depend on the
+Python version (the builtin `sum()` is compensated from 3.12 on).
 `row_blocks` splits the rows of an n x n quantity (a Gram matrix, the
 linked-pair counts, pairwise distances) into blocks whose temporaries
 stay near `BLOCK_ELEMENTS` elements.  `membership_matrix` is the one
@@ -28,6 +30,12 @@ SYMMETRY_TOL = 1e-12
 # Elements in one row block's temporary when an n x n quantity is
 # built or reduced block by block (`row_blocks`).
 BLOCK_ELEMENTS = 1 << 20
+
+
+def sequential_sum(values) -> float:
+    """values[0] + values[1] + ..., added left to right; 0.0 when empty."""
+    values = np.asarray(values, dtype=float)
+    return float(np.cumsum(values)[-1]) if values.size else 0.0
 
 
 def row_blocks(n, row_elements):

@@ -26,14 +26,24 @@ uniformly without replacement.
 
 Batched design: memberships are an (n, k) bool matrix and every phase
 works on all points at once through `dissim_rows`.  Assignment grows
-every point's set together in at most k masked steps, the update does
-one vectorized step per cluster, and the objective is one call.  Python
-loops run only over clusters, and memory is O(n * k * p) per iteration.
-Sums keep the per-point reference order (images add prototypes in
-cluster-id order, the update adds members in index order), so coverings
-are the same as a point-by-point evaluation gives.  `assign_point`,
-`image`, `update_prototypes` and `objective` are one-point or
-`Covering` wrappers over the same functions.
+every point's set together in at most k steps; a set is always a prefix
+of the point's cluster order, so one size per point describes it.  The
+update does one vectorized step per cluster, and the objective is one
+call.  Python loops run only over clusters, and memory is O(n * k * p)
+per iteration.
+
+Images and the update's "other prototypes" are subset sums.  When
+2^k <= n, one table holds the sums of all 2^k cluster subsets (at most
+one (n, p) temporary), and a membership row reads its sum at its
+integer code, the sum of 1 << c over its clusters c; an assignment
+step's candidate is the running sum of `1 << order`.  For larger k the
+sums are masked adds over the rows, one cluster at a time.
+`_uses_table` alone chooses, and both paths give the same bits.  Sums
+keep the per-point reference order (prototypes in cluster-id order from
++0.0, update members in index order), so coverings are the same as a
+point-by-point evaluation gives.  `assign_point`, `image`,
+`update_prototypes` and `objective` are one-point or `Covering`
+wrappers over the same functions.
 
 The per-point values of an iteration's objective serve the next
 assignment as the previous sets' dissimilarities, so they are not
@@ -48,8 +58,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .divergences import Dissimilarity, DissimilarityKind, dissim_rows
-from .errors import DimensionMismatch, EmptyAssignment, InsufficientData, InvalidSpec
-from .linalg import distinct_rows, membership_matrix
+from .errors import DimensionMismatch, DomainError, EmptyAssignment, InsufficientData, InvalidSpec
+from .linalg import distinct_rows, membership_matrix, sequential_sum
 
 _REL_TOL_GUARD = 1e-12
 
@@ -87,8 +97,10 @@ class Covering:
     memberships: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.objective < 0:
-            raise ValueError(f"objective must be nonnegative, got {self.objective}")
+        if not (np.isfinite(self.objective) and self.objective >= 0):
+            raise ValueError(f"objective must be finite and nonnegative, got {self.objective}")
+        if self.n_iter < 0:
+            raise ValueError(f"n_iter must be nonnegative, got {self.n_iter}")
         shape = np.shape(self.prototypes)
         if len(shape) != 2 or shape[0] != self.k:
             raise ValueError(f"prototypes must be a ({self.k}, p) array, got shape {shape}")
@@ -125,12 +137,50 @@ def _assignment_sets(memberships) -> tuple:
     return tuple(map(sets.__getitem__, group.tolist()))
 
 
-def _images(memberships, prototypes) -> np.ndarray:
-    """Each row's image: its prototypes added in cluster-id order, over |A|."""
+def _uses_table(n, k) -> bool:
+    """Whether n membership rows read their sums from a `_subset_sums` table.
+
+    The table has 2^k rows, so with 2^k <= n it is never bigger than one
+    (n, p) temporary; for larger k the masked adds (`_masked_sums`) are
+    the only path.  This is the one place that chooses between the two.
+    """
+    return 1 << k <= n
+
+
+def _subset_sums(prototypes) -> np.ndarray:
+    """The sums of all 2^k subsets of the prototypes, row s for code s.
+
+    Row s adds the prototypes whose bit is set in s in cluster-id order,
+    from +0.0: the additions `_masked_sums` makes, so both give the same
+    bits.  A membership row reads its sum at its code (`_codes`).
+    """
+    k, p = prototypes.shape
+    sums = np.zeros((1 << k, p))
+    for c, prototype in enumerate(prototypes):
+        np.add(sums[:1 << c], prototype, out=sums[1 << c:2 << c])
+    return sums
+
+
+def _codes(memberships) -> np.ndarray:
+    """Each membership row as an integer, with bit c set for cluster c."""
+    return memberships @ (1 << np.arange(memberships.shape[1]))
+
+
+def _masked_sums(memberships, prototypes) -> np.ndarray:
+    """Each row's prototypes added in cluster-id order, from +0.0."""
     total = np.zeros((len(memberships), prototypes.shape[1]))
     for c, prototype in enumerate(prototypes):
         np.add(total, prototype, out=total, where=memberships[:, c, None])
-    return total / memberships.sum(axis=1)[:, None]
+    return total
+
+
+def _images(memberships, prototypes) -> np.ndarray:
+    """Each row's image: its prototypes added in cluster-id order, over |A|."""
+    if not _uses_table(*memberships.shape):
+        return _masked_sums(memberships, prototypes) / memberships.sum(axis=1)[:, None]
+    sizes = _subset_sums(np.ones((len(prototypes), 1)))  # |A| of every subset
+    sizes[0] = 1.0  # the empty set, which no membership row is
+    return np.take(_subset_sums(prototypes) / sizes, _codes(memberships), axis=0)
 
 
 def image(assigned, prototypes) -> np.ndarray:
@@ -148,23 +198,34 @@ def _assign(values, prototypes, d: Dissimilarity, previous=None, previous_dists=
     result are kept instead.  `previous_dists`, if given, are the points'
     dissimilarities to the images of `previous` at these prototypes.
     """
-    n = len(values)
+    n, k = len(values), len(prototypes)
     dists = dissim_rows(d, values[:, None, :], prototypes[None, :, :])
     order = np.argsort(dists, axis=1, kind="stable")
-    chosen = np.zeros(dists.shape, dtype=bool)
-    chosen[np.arange(n), order[:, 0]] = True
     best = np.take_along_axis(dists, order[:, :1], axis=1)[:, 0]  # a 1-set's image is its prototype
+    # A point's set is always the first `size` clusters of its order.
+    size = np.ones(n, dtype=np.intp)
+    table = _uses_table(n, k)
+    if table:
+        sums = _subset_sums(prototypes)
+        prefix_codes = np.cumsum(1 << order, axis=1)
     growing = np.arange(n)
-    for step in range(1, len(prototypes)):
+    for step in range(1, k):
         if not growing.size:
             break
-        candidate = chosen[growing]
-        candidate[np.arange(growing.size), order[growing, step]] = True
-        dist = dissim_rows(d, values[growing], _images(candidate, prototypes))
+        if table:
+            images = np.take(sums, prefix_codes[growing, step], axis=0)
+        else:
+            candidate = np.zeros((growing.size, k), dtype=bool)
+            np.put_along_axis(candidate, order[growing, :step + 1], True, axis=1)
+            images = _masked_sums(candidate, prototypes)
+        images /= step + 1
+        dist = dissim_rows(d, np.take(values, growing, axis=0), images)
         improved = dist < best[growing]
         growing = growing[improved]
-        chosen[growing] = candidate[improved]
+        size[growing] = step + 1
         best[growing] = dist[improved]
+    chosen = np.zeros((n, k), dtype=bool)
+    np.put_along_axis(chosen, order, np.arange(k) < size[:, None], axis=1)
     if previous is not None:
         if previous_dists is None:
             previous_dists = dissim_rows(d, values, _images(previous, prototypes))
@@ -194,19 +255,23 @@ def assign_point(x, prototypes, d: Dissimilarity, previous=None) -> frozenset:
 def _update_prototypes(memberships, prototypes, values, nonneg=False):
     new = prototypes.copy()
     sizes = memberships.sum(axis=1)
+    table = _uses_table(*memberships.shape)
+    if table:
+        codes = _codes(memberships)
     for c in range(len(new)):
-        members = memberships[:, c]
-        if not members.any():
+        members = np.flatnonzero(memberships[:, c])
+        if not members.size:
             continue
         a = sizes[members][:, None]
-        in_cluster = memberships[members]
         # Each member's other prototypes, freshest values, in cluster-id order.
-        others = np.zeros((len(a), new.shape[1]))
-        for other in range(len(new)):
-            if other != c:
-                np.add(others, new[other], out=others, where=in_cluster[:, other, None])
+        if table:
+            others = np.take(_subset_sums(new), codes[members] & ~(1 << c), axis=0)
+        else:
+            others = memberships[members]
+            others[:, c] = False
+            others = _masked_sums(others, new)
         # cumsum adds the members one after another, as the reference does.
-        num = np.cumsum((a * values[members] - others) / (a * a), axis=0)[-1]
+        num = np.cumsum((a * np.take(values, members, axis=0) - others) / (a * a), axis=0)[-1]
         den = np.cumsum(1.0 / (a * a))[-1]
         moved = num / den
         if nonneg:
@@ -224,8 +289,7 @@ def update_prototypes(cov: Covering, data) -> np.ndarray:
 def _objective(memberships, prototypes, values, d):
     """J and the per-point values it adds up."""
     point_values = dissim_rows(d, values, _images(memberships, prototypes))
-    # A sequential sum of the per-point values, as the reference adds them.
-    return sum(point_values.tolist()), point_values
+    return sequential_sum(point_values), point_values  # as the reference adds them
 
 
 def objective(cov: Covering, d: Dissimilarity, data) -> float:
@@ -273,5 +337,7 @@ def run_okm(data, config: OkmConfig, on_iteration=None) -> Covering:
         if unchanged or (improvement is not None and improvement < config.rel_tol):
             break
 
+    if not np.isfinite(current_j):
+        raise DomainError(f"J is {current_j}: the data overflow this measure")
     return Covering(k=config.k, assignments=_assignment_sets(memberships), prototypes=prototypes,
                     objective=current_j, n_iter=iterations)

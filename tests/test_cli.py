@@ -125,7 +125,7 @@ def test_experiment_csv_round_trips_through_loader(pairs_csv, tmp_path, capsys):
     assert np.array_equal(mins, runs.min(axis=0))
     assert np.array_equal(maxs, runs.max(axis=0))
     for c in range(5):
-        assert means[c] == sum(runs[:, c].tolist()) / 3
+        assert means[c] == (runs[0, c] + runs[1, c] + runs[2, c]) / 3  # left to right
 
 
 def test_experiment_estimates_k_when_omitted(labeled_blobs_csv, capsys):
@@ -268,6 +268,12 @@ def _disk_full(monkeypatch):
     monkeypatch.setattr(os, "replace", fail)
 
 
+def _overflow_quietly(monkeypatch):
+    import warnings
+
+    warnings.simplefilter("ignore", RuntimeWarning)  # the test's own filters are restored after it
+
+
 @pytest.fixture()
 def bad_inputs(tmp_path):
     files = {
@@ -277,6 +283,7 @@ def bad_inputs(tmp_path):
         "negative.csv": "-2.0,a\n-1.0,a\n2.0,b\n3.0,b\n",
         "unlabeled.csv": "0.0,5.0\n1.0,5.0\n10.0,5.0\n11.0,5.0\n",
         "one.csv": "1.0,2.0,a\n",
+        "huge.csv": "1e200,a\n-1e200,a\n3e200,b\n0.0,b\n",
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
@@ -338,6 +345,9 @@ EXIT_PATHS = [
     pytest.param(["cluster", "--data", "{dir}/pairs.csv", "--label-col", "last", "--k", "2",
                   "--rel-tol", "nan", "--out", "{dir}/c.csv"], None, 2,
                  "error: rel_tol must be positive, got nan", id="rel-tol-nan-cluster"),
+    pytest.param(["cluster", "--data", "{dir}/huge.csv", "--label-col", "last", "--k", "2",
+                  "--out", "{dir}/c.csv"], _overflow_quietly, 2,
+                 "error: J is inf: the data overflow this measure", id="objective-overflow-cluster"),
     pytest.param(["estimate-k", "--data", "{dir}/one.csv", "--label-col", "last"], None, 2,
                  "error: need at least 2 points to estimate k", id="estimate-k-one-point"),
     pytest.param(["estimate-k", "--data", "{dir}/pairs.csv", "--label-col", "last"],

@@ -15,7 +15,7 @@ from okmlib import (
     jacobi_eigen,
     sorted_eigenvalues,
 )
-from okmlib.linalg import distinct_rows, membership_matrix
+from okmlib.linalg import distinct_rows, membership_matrix, sequential_sum
 
 
 def test_symmatrix_rejects_asymmetry():
@@ -210,3 +210,16 @@ def test_distinct_rows_groups_equal_rows():
         assert len({matrix[i].tobytes() for i in range(40)}) == len(first)
         assert np.array_equal(counts, np.bincount(group))
         assert all(first[g] == np.flatnonzero(group == g)[0] for g in range(len(first)))
+
+
+def test_sequential_sum_adds_left_to_right():
+    # From Python 3.12 on the builtin sum() compensates: this list sums to
+    # 2.0 there and to 0.0 when added left to right.
+    values = [0.1] * 10 + [1e16, 1.0, -1e16]
+    expected = 0.0
+    for v in values:
+        expected += v
+    assert sequential_sum(values) == expected == 0.0
+    assert sequential_sum(np.array([1e16, 1.0, 1.0])) == 1e16
+    assert sequential_sum([]) == 0.0
+    assert type(sequential_sum([2.5])) is float

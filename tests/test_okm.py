@@ -1,5 +1,7 @@
 import itertools
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,13 +15,17 @@ from okmlib import (
     KernelKind,
     KernelSpec,
     OkmConfig,
+    SyntheticSpec,
     assign_point,
     dissim,
+    generate_synthetic,
     image,
     objective,
     run_okm,
     update_prototypes,
 )
+from okmlib import okm
+from okmlib.errors import DomainError
 from okmlib.okm import _assign, _assignment_sets, _cluster_matrix, _objective, _update_prototypes
 
 SQ = Dissimilarity(DissimilarityKind.SQUARED_EUCLIDEAN)
@@ -53,6 +59,19 @@ def test_covering_requires_k_by_p_prototypes():
         with pytest.raises(ValueError, match=r"prototypes must be a \(2, p\) array") as exc:
             make_covering([{0}, {1}], prototypes, k=2)
         assert not isinstance(exc.value, EmptyAssignment)
+
+
+@pytest.mark.parametrize("objective, n_iter, message", [
+    (math.nan, 0, "objective must be finite and nonnegative, got nan"),
+    (math.inf, 0, "objective must be finite and nonnegative, got inf"),
+    (-1.0, 0, "objective must be finite and nonnegative, got -1.0"),
+    (0.0, -3, "n_iter must be nonnegative, got -3"),
+    (math.nan, -3, "objective must be finite and nonnegative, got nan"),
+], ids=["nan", "inf", "negative", "negative-n_iter", "both"])
+def test_covering_rejects_a_non_finite_objective_or_a_negative_n_iter(objective, n_iter, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Covering(k=1, assignments=({0},), prototypes=np.zeros((1, 1)), objective=objective,
+                 n_iter=n_iter)
 
 
 def test_invalid_cluster_ids_raise_alike_wherever_they_enter():
@@ -124,6 +143,15 @@ def test_objective_hand_evaluation():
     assert objective(cov, SQ, data) == 2.0
     # same instance under the rbf-induced distance: 2 * (2 - 2 e^{-1})
     assert objective(cov, RBF1, data) == pytest.approx(4.0 - 4.0 / math.e, abs=1e-12)
+
+
+def test_objective_adds_the_points_left_to_right():
+    # Point values 1e16, 1, 1: a sequential sum rounds each 1 away, a
+    # compensated one (the builtin sum() from Python 3.12 on) keeps both.
+    data = np.array([[1e8], [1.0], [1.0]])
+    cov = make_covering([{0}, {0}, {0}], [[0.0]])
+    assert objective(cov, SQ, data) == 1e16 != math.fsum([1e16, 1.0, 1.0])
+    assert _objective(cov.memberships[:0], cov.prototypes, data[:0], SQ)[0] == 0.0
 
 
 # ---------------------------------------------------------------- assign_point
@@ -237,6 +265,80 @@ def test_assign_point_is_one_row_of_the_batched_assignment():
         assert assign_point(data[i], protos, RBF1) == frozenset(np.flatnonzero(batched[i]).tolist())
 
 
+# ------------------------------------------------------- the two image paths
+#
+# Images and "other prototypes" come from a table of all 2^k subset sums
+# when 2^k <= n and from masked adds otherwise; both must give the same bits.
+
+RBF_WIDE = Dissimilarity(DissimilarityKind.KERNEL_INDUCED, kernel=KernelSpec(KernelKind.RBF, sigma=1e3))
+
+
+@pytest.fixture()
+def image_paths(monkeypatch):
+    """The path each choice in `_uses_table` took ("table" or "masked"), in order."""
+    taken = []
+    uses_table = okm._uses_table
+
+    def recording(n, k):
+        table = uses_table(n, k)
+        taken.append("table" if table else "masked")
+        return table
+
+    monkeypatch.setattr(okm, "_uses_table", recording)
+    return taken
+
+
+def _path_cases():
+    """Rows X with 2^k - 1 points and X tiled to exactly 2^k, for each case.
+
+    Magnitudes run from 1e-3 to 1e3; euclidean and rbf get both signs, the
+    measures that need nonnegative input (idiv, fractional poly) do not.
+    """
+    rng = np.random.default_rng(71)
+    for d in (SQ, IDIV, RBF_WIDE, POLY025):
+        signs = (-1.0, 1.0) if d in (SQ, RBF_WIDE) else (1.0,)
+        spread = lambda shape: 10.0 ** rng.uniform(-3, 3, shape) * rng.choice(signs, shape)
+        for p in (1, 8):
+            for k in range(1, 9):
+                n = 2 ** k - 1
+                values, protos = spread((n, p)), spread((k, p))
+                memberships = np.zeros((n, k), dtype=bool)
+                for i in range(n):
+                    memberships[i, rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False)] = True
+                yield d, values, protos, memberships, np.arange(2 ** k) % n
+
+
+def test_assign_and_objective_are_the_same_on_both_image_paths(image_paths):
+    for d, values, protos, memberships, tile in _path_cases():
+        case = (d.kind, values.shape, len(protos))
+        results = {}
+        for path, rows in (("masked", slice(None)), ("table", tile)):
+            image_paths.clear()
+            x, previous = values[rows], memberships[rows]
+            j, point_values = _objective(previous, protos, x, d)
+            results[path] = (point_values,
+                             _assign(x, protos, d),
+                             _assign(x, protos, d, previous),
+                             _assign(x, protos, d, previous, point_values))
+            assert set(image_paths) == {path}, (case, image_paths)
+            assert j == np.cumsum(point_values)[-1]
+        for masked, table in zip(results["masked"], results["table"]):
+            assert np.array_equal(table, masked[tile]), case
+
+
+def test_update_is_the_same_on_both_image_paths(image_paths, monkeypatch):
+    for d, values, protos, memberships, tile in _path_cases():
+        x, rows = values[tile], memberships[tile]
+        nonneg = d is IDIV
+        image_paths.clear()
+        table = _update_prototypes(rows, protos, x, nonneg)
+        assert set(image_paths) == {"table"}
+        with monkeypatch.context() as forced:
+            forced.setattr(okm, "_uses_table", lambda n, k: False)
+            masked = _update_prototypes(rows, protos, x, nonneg)
+        assert np.array_equal(table, masked), (d.kind, x.shape, len(protos))
+
+
 # ----------------------------------------------------------- update_prototypes
 
 
@@ -317,8 +419,9 @@ def test_batched_update_and_objective_match_per_point_reference():
             expected = reference_update_prototypes(assignments, protos, data, nonneg)
             assert np.array_equal(_update_prototypes(_cluster_matrix(assignments, k), protos, data,
                                                      nonneg), expected)
-            expected_j = sum(dissim(d, data[i], protos[sorted(assignments[i])].mean(axis=0))
-                             for i in range(n))
+            expected_j = 0.0  # left to right, one point after another
+            for i in range(n):
+                expected_j += dissim(d, data[i], protos[sorted(assignments[i])].mean(axis=0))
             assert objective(cov, d, data) == expected_j
 
 
@@ -435,6 +538,31 @@ def test_run_okm_i_divergence_stays_in_domain():
     assert np.all(cov.prototypes >= 0.0)
     recomputed = objective(cov, IDIV, data)
     assert abs(cov.objective - recomputed) <= 1e-9 * max(recomputed, 1.0)
+
+
+def test_run_okm_rejects_an_objective_that_overflows():
+    data = np.array([[1e200], [-1e200], [3e200], [0.0]])
+    with np.errstate(all="ignore"), pytest.raises(DomainError, match="J is inf"):
+        run_okm(data, OkmConfig(k=2, dissimilarity=SQ, seed=0))
+
+
+def test_run_okm_memory_stays_within_two_distance_temporaries_at_n20800():
+    # A deterministic guard, no wall clock: one restart at n = 20 800,
+    # k = 5, p = 8 peaks at about one (n, k, p) distance temporary.  The
+    # bound of two keeps any n^2 or n * 2^k object off the OKM path.
+    n, k, p = 20_800, 5, 8
+    data = generate_synthetic(SyntheticSpec(
+        k=k, points_per_cluster=4000, overlap_pairs=tuple((c, (c + 1) % k, 160) for c in range(k)),
+        dimension=p, seed=0))
+    assert data.values.shape == (n, p)
+    tracemalloc.start()
+    try:
+        cov = run_okm(data, OkmConfig(k=k, dissimilarity=SQ, seed=650))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cov.n_iter >= 2
+    assert peak < 2 * n * k * p * 8, peak
 
 
 def test_run_okm_kernel_measures_run_to_completion():
