@@ -25,7 +25,7 @@ from .errors import (
     RaggedRows,
 )
 from .evaluation import LabeledCovering, PairMetrics, linked_pairs, pair_metrics
-from .kernels import GramMatrix, KernelKind, KernelSpec, gram, kernel_distance_sq, kernel_eval, kernel_rows
+from .kernels import KernelKind, KernelSpec, gram, kernel_distance_sq, kernel_eval, kernel_rows
 from .linalg import EigenDecomposition, SymMatrix, jacobi_eigen, sorted_eigenvalues
 from .model_selection import (
     PolicyKind,

@@ -37,15 +37,7 @@ from .okm import OkmConfig, run_okm
 
 SPECTRUM_PRINT_LIMIT = 20
 
-_MEASURES = {
-    "euclidean": DissimilarityKind.SQUARED_EUCLIDEAN,
-    "idiv": DissimilarityKind.I_DIVERGENCE,
-    "kernel": DissimilarityKind.KERNEL_INDUCED,
-}
 _SQUARED_EUCLIDEAN = Dissimilarity(DissimilarityKind.SQUARED_EUCLIDEAN)
-_KERNELS = {"rbf": KernelKind.RBF, "poly": KernelKind.POLYNOMIAL, "linear": KernelKind.LINEAR}
-_KERNEL_NAMES = {kind: name for name, kind in _KERNELS.items()}
-_POLICIES = {"eigengap": PolicyKind.LARGEST_EIGENGAP, "ratio": PolicyKind.RATIO_THRESHOLD}
 
 
 class PathError(Exception):
@@ -109,6 +101,7 @@ class ExperimentReport:
         return out
 
 
+@np.errstate(over="ignore")  # an overflowing distance is inf, and KernelSpec rejects an inf sigma
 def _median_heuristic_sigma(values):
     # Median of the nonzero pairwise distances; a serviceable default bandwidth.
     # Row blocks bound the (rows, n, p) difference temporary; the n(n-1)/2
@@ -134,8 +127,7 @@ def _parse_label_col(text):
     return int(text)
 
 
-def _kernel_spec(args, values):
-    kind = _KERNELS[args.kernel]
+def _kernel_spec(kind, args, values):
     sigma = args.sigma
     if sigma is None:
         sigma = _median_heuristic_sigma(values) if kind == KernelKind.RBF else 1.0
@@ -143,9 +135,9 @@ def _kernel_spec(args, values):
 
 
 def _dissimilarity(args, values):
-    kind = _MEASURES[args.measure]
+    kind = DissimilarityKind(args.measure)
     if kind == DissimilarityKind.KERNEL_INDUCED:
-        return Dissimilarity(kind=kind, kernel=_kernel_spec(args, values))
+        return Dissimilarity(kind=kind, kernel=_kernel_spec(KernelKind(args.kernel), args, values))
     return Dissimilarity(kind=kind)
 
 
@@ -159,13 +151,11 @@ def _kernel_param(spec: KernelSpec):
 
 
 def _measure_label(d: Dissimilarity):
-    if d.kind == DissimilarityKind.SQUARED_EUCLIDEAN:
-        return "euclidean"
-    if d.kind == DissimilarityKind.I_DIVERGENCE:
-        return "idiv"
+    if d.kind != DissimilarityKind.KERNEL_INDUCED:
+        return d.kind.value
     param = _kernel_param(d.kernel)
     suffix = f"({param[0]}={param[1]})" if param else ""
-    return f"kernel:{_KERNEL_NAMES[d.kernel.kind]}{suffix}"
+    return f"{d.kind.value}:{d.kernel.kind.value}{suffix}"
 
 
 def _load(args):
@@ -197,8 +187,8 @@ def _print_spectrum(title, values):
 
 def cmd_estimate_k(args):
     data = _load(args)
-    policy = SignificancePolicy(kind=_POLICIES[args.policy], tau=args.tau)
-    spec = _kernel_spec(args, data.values)
+    policy = SignificancePolicy(kind=PolicyKind(args.policy), tau=args.tau)
+    spec = _kernel_spec(KernelKind(args.kernel), args, data.values)
     report = estimate_k(gram(spec, data), policy)
 
     param = _kernel_param(spec)
@@ -343,8 +333,7 @@ def cmd_experiment(args):
     measure = _dissimilarity(args, data.values)
     estimation_kernel = measure.kernel  # None unless the measure is kernel-induced
     if args.k is None and estimation_kernel is None:
-        sigma = args.sigma if args.sigma is not None else _median_heuristic_sigma(data.values)
-        estimation_kernel = KernelSpec(kind=KernelKind.RBF, sigma=sigma)
+        estimation_kernel = _kernel_spec(KernelKind.RBF, args, data.values)
     config = ExperimentConfig(
         measure=measure,
         k=args.k,
@@ -352,7 +341,7 @@ def cmd_experiment(args):
         base_seed=args.seed,
         max_iter=args.max_iter,
         rel_tol=args.rel_tol,
-        policy=SignificancePolicy(kind=_POLICIES[args.policy], tau=args.tau),
+        policy=SignificancePolicy(kind=PolicyKind(args.policy), tau=args.tau),
         estimation_kernel=estimation_kernel,
         jobs=args.jobs,
     )
@@ -387,13 +376,14 @@ def build_parser():
                        help="separator inside multi-label cells")
 
     def add_kernel_args(p):
-        p.add_argument("--kernel", choices=sorted(_KERNELS), default="rbf")
+        p.add_argument("--kernel", choices=sorted(kind.value for kind in KernelKind), default="rbf")
         p.add_argument("--sigma", type=float, default=None,
                        help="rbf bandwidth (default: median pairwise distance)")
         p.add_argument("--degree", type=float, default=2.0, help="polynomial exponent")
 
     def add_measure_args(p):
-        p.add_argument("--measure", choices=sorted(_MEASURES), default="euclidean")
+        p.add_argument("--measure", choices=sorted(kind.value for kind in DissimilarityKind),
+                       default="euclidean")
         add_kernel_args(p)
 
     def add_okm_args(p):
@@ -401,7 +391,7 @@ def build_parser():
         p.add_argument("--rel-tol", type=float, default=1e-6)
 
     def add_policy_args(p):
-        p.add_argument("--policy", choices=sorted(_POLICIES), default="eigengap")
+        p.add_argument("--policy", choices=sorted(kind.value for kind in PolicyKind), default="eigengap")
         p.add_argument("--tau", type=float, default=0.05,
                        help="significance threshold for the ratio policy")
 

@@ -63,7 +63,7 @@ def dissim_rows(d: Dissimilarity, X, Y) -> np.ndarray:
         xt = np.maximum(X, d.epsilon)
         yt = np.maximum(Y, d.epsilon)
         total = (xt * np.log(xt / yt) - xt + yt).sum(axis=-1)
-        return np.where(total > 0.0, total, 0.0)
+        return np.maximum(total, 0.0)
 
     return kernel_distance_rows(d.kernel, X, Y)
 

@@ -15,11 +15,12 @@ each row rounds exactly like `np.dot` on that pair.
 The induced squared distance K(x,x) + K(y,y) - 2 K(x,y) is clamped below
 at zero: fractional polynomial degrees are not Mercer kernels, so tiny
 negative values can occur and would otherwise poison downstream
-comparisons and square roots.
+comparisons and square roots.  A NaN (inf - inf, when K(x, x)
+overflows) stays NaN, so an overflow cannot pass for a zero distance.
 
 Memory: `gram` holds the dense n x n result, 8 n^2 bytes (about 3.2 GB
 at n = 20 000), and builds it in row blocks whose temporaries stay at
-O(block * n * p) elements.
+O(block * n * p) elements; `SymMatrix` validates it in row blocks too.
 """
 
 import enum
@@ -53,18 +54,6 @@ class KernelSpec:
             raise InvalidSpec(f"rbf kernel needs sigma > 0, got {self.sigma}")
         if self.kind == KernelKind.POLYNOMIAL and not (np.isfinite(self.degree) and self.degree > 0):
             raise InvalidSpec(f"polynomial kernel needs degree > 0, got {self.degree}")
-
-
-@dataclass(frozen=True)
-class GramMatrix:
-    """Pairwise kernel evaluations K(i, j) = K(x_i, x_j) for one dataset."""
-
-    spec: KernelSpec
-    matrix: SymMatrix
-
-    @property
-    def n(self):
-        return self.matrix.n
 
 
 def _check_pair(x, y):
@@ -109,7 +98,7 @@ def kernel_rows(spec: KernelSpec, X, Y) -> np.ndarray:
 def kernel_distance_rows(spec: KernelSpec, X, Y) -> np.ndarray:
     """Kernel-induced squared distances of X against Y, row by row, clamped at 0."""
     d2 = kernel_rows(spec, X, X) + kernel_rows(spec, Y, Y) - 2.0 * kernel_rows(spec, X, Y)
-    return np.where(d2 > 0.0, d2, 0.0)
+    return np.maximum(d2, 0.0)  # keeps NaN: an overflow must not read as distance 0
 
 
 def kernel_eval(spec: KernelSpec, x, y) -> float:
@@ -118,12 +107,14 @@ def kernel_eval(spec: KernelSpec, x, y) -> float:
     return float(kernel_rows(spec, x, y))
 
 
-def gram(spec: KernelSpec, data) -> GramMatrix:
-    """Build the n x n Gram matrix for a dataset.
+@np.errstate(over="ignore", invalid="ignore")  # overflow is caught as a non-finite entry
+def gram(spec: KernelSpec, data) -> SymMatrix:
+    """Build the n x n Gram matrix K(i, j) = K(x_i, x_j) for a dataset.
 
     Row blocks of the upper triangle are evaluated with `kernel_rows`;
     the lower triangle is mirrored, so the result is symmetric by
     construction.  `data` may be a DataMatrix or a plain (n, p) array.
+    Raises DomainError when an entry overflows.
     """
     values = np.asarray(getattr(data, "values", data), dtype=float)
     if values.ndim != 2 or values.shape[0] < 1:
@@ -133,11 +124,13 @@ def gram(spec: KernelSpec, data) -> GramMatrix:
     for start, stop in row_blocks(n, n * p):
         # Row i against columns j >= start; only j >= i is kept.
         rows = kernel_rows(spec, values[start:stop, None, :], values[None, start:, :])
+        if not np.all(np.isfinite(rows)):
+            raise DomainError("Gram matrix is not finite: the data overflow this kernel")
         diagonal = np.triu(rows[:, :stop - start])
         k[start:stop, start:stop] = diagonal + np.triu(diagonal, 1).T
         k[start:stop, stop:] = rows[:, stop - start:]
         k[stop:, start:stop] = rows[:, stop - start:].T
-    return GramMatrix(spec=spec, matrix=SymMatrix(k))
+    return SymMatrix(k)
 
 
 def kernel_distance_sq(spec: KernelSpec, x, y) -> float:

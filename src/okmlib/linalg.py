@@ -24,7 +24,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import NoConvergence
+from .errors import DomainError, NoConvergence
 
 SYMMETRY_TOL = 1e-12
 # Elements in one row block's temporary when an n x n quantity is
@@ -84,7 +84,7 @@ def distinct_rows(matrix):
 
 @dataclass(frozen=True)
 class SymMatrix:
-    """An n x n real symmetric matrix (validated at construction)."""
+    """An n x n real symmetric matrix (validated; a non-finite entry raises DomainError)."""
 
     values: np.ndarray
 
@@ -94,9 +94,13 @@ class SymMatrix:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
         if a.shape[0] < 1:
             raise ValueError("matrix must have at least one row")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("matrix entries must be finite")
-        asym = np.max(np.abs(a - a.T)) if a.shape[0] > 1 else 0.0
+        # Row blocks keep the check's temporaries at O(block), not n x n.
+        asym = 0.0
+        for start, stop in row_blocks(a.shape[0], a.shape[0]):
+            rows = a[start:stop]
+            if not np.all(np.isfinite(rows)):
+                raise DomainError("matrix entries must be finite")
+            asym = max(asym, float(np.max(np.abs(rows - a[:, start:stop].T))))
         if asym > SYMMETRY_TOL:
             raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
         object.__setattr__(self, "values", a)
@@ -104,9 +108,6 @@ class SymMatrix:
     @property
     def n(self):
         return self.values.shape[0]
-
-    def trace(self):
-        return float(np.trace(self.values))
 
 
 @dataclass(frozen=True)

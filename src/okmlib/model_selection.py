@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidSpec
-from .kernels import GramMatrix
 from .linalg import SymMatrix, sorted_eigenvalues
 
 GAP_NOISE_FLOOR = 0.01
@@ -71,27 +70,34 @@ def significant_count(eigenvalues, policy: SignificancePolicy) -> int:
     return int(np.argmax(gaps)) + 1
 
 
+@np.errstate(over="ignore", invalid="ignore")  # SymMatrix rejects an entry that overflows
 def _centered(matrix: SymMatrix) -> SymMatrix:
+    # In one buffer, rounding like (c + c.T) / 2 of c = k - row_means - row_means.T + grand_mean.
     k = matrix.values
     row_means = k.mean(axis=1, keepdims=True)
     grand_mean = k.mean()
-    c = k - row_means - row_means.T + grand_mean
-    return SymMatrix((c + c.T) / 2.0)
+    c = np.subtract(k, row_means)
+    c -= row_means.T
+    c += grand_mean
+    c += c.T
+    c /= 2.0
+    return SymMatrix(c)
 
 
-def estimate_k(g: GramMatrix, policy: SignificancePolicy) -> SpectrumReport:
+def estimate_k(matrix: SymMatrix, policy: SignificancePolicy) -> SpectrumReport:
     """Estimate the cluster count for the dataset behind a Gram matrix.
 
     Returns the full descending spectrum (raw and centered) so a human
     can second-guess the mechanical estimate.  Raises DomainError for
-    fewer than two points.
+    fewer than two points.  Memory: 2 n^2 doubles on top of `matrix` (the
+    centered copy and its transpose), plus LAPACK's working copies.
     """
-    n = g.n
+    n = matrix.n
     if n < 2:
         raise DomainError("need at least 2 points to estimate k")
 
-    raw = sorted_eigenvalues(g.matrix)
-    centered = sorted_eigenvalues(_centered(g.matrix))
+    raw = sorted_eigenvalues(matrix)
+    centered = sorted_eigenvalues(_centered(matrix))
 
     count = significant_count(centered, policy)
     cap = n if policy.max_k is None else min(policy.max_k, n)

@@ -298,13 +298,15 @@ def objective(cov: Covering, d: Dissimilarity, data) -> float:
     return _objective(cov.memberships, cov.prototypes, values, d)[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is caught as a non-finite J
 def run_okm(data, config: OkmConfig, on_iteration=None) -> Covering:
     """One clustering run: initialize, alternate assign/update, stop.
 
     Stops when assignments repeat, the relative improvement of J falls
     below `rel_tol`, `max_iter` is reached, or J increases (the state
     then reverts to the previous iteration).  `on_iteration(i, J)`, if
-    given, is called after each completed iteration.
+    given, is called after each completed iteration.  Raises DomainError
+    at the first J that is not finite: the data overflow the measure.
     """
     values = np.ascontiguousarray(getattr(data, "values", data), dtype=float)
     n = len(values)
@@ -325,6 +327,8 @@ def run_okm(data, config: OkmConfig, on_iteration=None) -> Covering:
         new_memberships = _assign(values, prototypes, d, memberships, point_values)
         new_prototypes = _update_prototypes(new_memberships, prototypes, values, nonneg)
         new_j, new_point_values = _objective(new_memberships, new_prototypes, values, d)
+        if not np.isfinite(new_j):
+            raise DomainError(f"J is {new_j}: the data overflow this measure")
         if current_j is not None and new_j > current_j:
             break  # safeguard: keep the previous (better) state
         unchanged = memberships is not None and np.array_equal(new_memberships, memberships)
@@ -337,7 +341,5 @@ def run_okm(data, config: OkmConfig, on_iteration=None) -> Covering:
         if unchanged or (improvement is not None and improvement < config.rel_tol):
             break
 
-    if not np.isfinite(current_j):
-        raise DomainError(f"J is {current_j}: the data overflow this measure")
     return Covering(k=config.k, assignments=_assignment_sets(memberships), prototypes=prototypes,
                     objective=current_j, n_iter=iterations)

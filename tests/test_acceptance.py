@@ -16,7 +16,6 @@ import okmlib
 from okmlib import (
     Dissimilarity,
     DissimilarityKind,
-    GramMatrix,
     KernelKind,
     KernelSpec,
     OkmConfig,
@@ -62,7 +61,7 @@ def ones_blocks(sizes):
     for s in sizes:
         m[offset:offset + s, offset:offset + s] = 1.0
         offset += s
-    return GramMatrix(spec=KernelSpec(KernelKind.LINEAR), matrix=SymMatrix(m))
+    return SymMatrix(m)
 
 
 def iris_measures():

@@ -268,12 +268,6 @@ def _disk_full(monkeypatch):
     monkeypatch.setattr(os, "replace", fail)
 
 
-def _overflow_quietly(monkeypatch):
-    import warnings
-
-    warnings.simplefilter("ignore", RuntimeWarning)  # the test's own filters are restored after it
-
-
 @pytest.fixture()
 def bad_inputs(tmp_path):
     files = {
@@ -284,6 +278,10 @@ def bad_inputs(tmp_path):
         "unlabeled.csv": "0.0,5.0\n1.0,5.0\n10.0,5.0\n11.0,5.0\n",
         "one.csv": "1.0,2.0,a\n",
         "huge.csv": "1e200,a\n-1e200,a\n3e200,b\n0.0,b\n",
+        # K(x, x) overflows under the linear and polynomial kernels.
+        "overflow.csv": "1e200,2e200,a\n3e200,1e200,a\n-2e200,5e199,b\n1e199,-3e200,b\n",
+        # The Gram entries are finite, the sums that center them are not.
+        "near-max.csv": "9e153,1,a\n-9e153,2,a\n9e153,9e153,b\n0.5,9e153,b\n",
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
@@ -291,6 +289,8 @@ def bad_inputs(tmp_path):
 
 
 POLY_HALF = ["--measure", "kernel", "--kernel", "poly", "--degree", "0.5"]
+LINEAR = ["--measure", "kernel", "--kernel", "linear"]
+GRAM_OVERFLOW = "error: Gram matrix is not finite: the data overflow this kernel"
 
 # (argv, setup, exit code, the one stderr line); "{dir}" is the inputs' directory.
 EXIT_PATHS = [
@@ -346,8 +346,28 @@ EXIT_PATHS = [
                   "--rel-tol", "nan", "--out", "{dir}/c.csv"], None, 2,
                  "error: rel_tol must be positive, got nan", id="rel-tol-nan-cluster"),
     pytest.param(["cluster", "--data", "{dir}/huge.csv", "--label-col", "last", "--k", "2",
-                  "--out", "{dir}/c.csv"], _overflow_quietly, 2,
+                  "--out", "{dir}/c.csv"], None, 2,
                  "error: J is inf: the data overflow this measure", id="objective-overflow-cluster"),
+    pytest.param(["cluster", "--data", "{dir}/overflow.csv", "--label-col", "last", *LINEAR,
+                  "--k", "2", "--out", "{dir}/c.csv"], None, 2,
+                 "error: J is nan: the data overflow this measure",
+                 id="kernel-objective-overflow-cluster"),
+    pytest.param(["experiment", "--data", "{dir}/overflow.csv", *LINEAR, "--k", "2"], None, 2,
+                 "error: J is nan: the data overflow this measure",
+                 id="kernel-objective-overflow-experiment"),
+    pytest.param(["estimate-k", "--data", "{dir}/overflow.csv", "--label-col", "last",
+                  "--kernel", "poly", "--degree", "2"], None, 2, GRAM_OVERFLOW,
+                 id="gram-overflow-poly-estimate-k"),
+    pytest.param(["estimate-k", "--data", "{dir}/overflow.csv", "--label-col", "last",
+                  "--kernel", "linear"], None, 2, GRAM_OVERFLOW, id="gram-overflow-linear-estimate-k"),
+    pytest.param(["experiment", "--data", "{dir}/overflow.csv", "--measure", "kernel", "--kernel",
+                  "poly", "--degree", "2", "--restarts", "1"], None, 2, GRAM_OVERFLOW,
+                 id="gram-overflow-experiment"),
+    pytest.param(["estimate-k", "--data", "{dir}/near-max.csv", "--label-col", "last",
+                  "--kernel", "linear"], None, 2, "error: matrix entries must be finite",
+                 id="centering-overflow-estimate-k"),
+    pytest.param(["estimate-k", "--data", "{dir}/overflow.csv", "--label-col", "last"], None, 2,
+                 "error: rbf kernel needs sigma > 0, got inf", id="median-sigma-overflow-estimate-k"),
     pytest.param(["estimate-k", "--data", "{dir}/one.csv", "--label-col", "last"], None, 2,
                  "error: need at least 2 points to estimate k", id="estimate-k-one-point"),
     pytest.param(["estimate-k", "--data", "{dir}/pairs.csv", "--label-col", "last"],

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from okmlib import (
 RBF2 = KernelSpec(KernelKind.RBF, sigma=2.0)
 POLY2 = KernelSpec(KernelKind.POLYNOMIAL, degree=2.0)
 LIN = KernelSpec(KernelKind.LINEAR)
+# K(x, x) overflows to inf for every row, and the linear cross terms to +-inf or NaN.
+OVERFLOWING = np.array([[1e200, 2e200], [3e200, 1e200], [-2e200, 5e199], [1e199, -3e200]])
 
 
 def test_rbf_same_point_is_one():
@@ -61,20 +64,20 @@ def test_fractional_degree_negative_base():
 
 def test_gram_single_point():
     g = gram(KernelSpec(KernelKind.RBF, sigma=3.0), np.array([[1.0, 2.0]]))
-    assert g.matrix.values.shape == (1, 1)
-    assert g.matrix.values[0, 0] == 1.0
+    assert g.values.shape == (1, 1)
+    assert g.values[0, 0] == 1.0
 
 
 def test_gram_identical_points():
     data = np.array([[1.0, 2.0], [1.0, 2.0]])
     for spec in (RBF2, POLY2, LIN):
-        m = gram(spec, data).matrix.values
+        m = gram(spec, data).values
         assert m[0, 0] == m[1, 1] == m[0, 1] == m[1, 0]
 
 
 def test_gram_three_points_rbf():
     data = np.array([[0.0], [1.0], [2.0]])
-    m = gram(KernelSpec(KernelKind.RBF, sigma=1.0), data).matrix.values
+    m = gram(KernelSpec(KernelKind.RBF, sigma=1.0), data).values
     assert m[0, 1] == pytest.approx(math.exp(-1.0), abs=1e-15)
     assert m[0, 2] == pytest.approx(math.exp(-4.0), abs=1e-15)
     assert m[1, 2] == pytest.approx(math.exp(-1.0), abs=1e-15)
@@ -131,7 +134,7 @@ def test_linear_kernel_distance_is_squared_euclidean():
 def test_rbf_gram_diagonal_exactly_one_and_entries_bounded():
     rng = np.random.default_rng(18)
     data = rng.standard_normal((10, 4)) * 5.0
-    m = gram(KernelSpec(KernelKind.RBF, sigma=2.0), data).matrix.values
+    m = gram(KernelSpec(KernelKind.RBF, sigma=2.0), data).values
     assert np.all(np.diag(m) == 1.0)
     assert np.all(m > 0.0) and np.all(m <= 1.0)
 
@@ -142,7 +145,7 @@ def test_gram_positive_semidefinite_for_mercer_kernels():
     for spec in (KernelSpec(KernelKind.RBF, sigma=2.0),
                  KernelSpec(KernelKind.POLYNOMIAL, degree=3.0),
                  LIN):
-        lam = sorted_eigenvalues(gram(spec, data).matrix)
+        lam = sorted_eigenvalues(gram(spec, data))
         assert lam[-1] >= -1e-8 * max(lam[0], 1.0)
 
 
@@ -158,7 +161,7 @@ def test_gram_row_blocks_match_pairwise_kernel_eval(monkeypatch):
         for i in range(23):
             for j in range(i, 23):
                 expected[i, j] = expected[j, i] = kernel_eval(spec, data[i], data[j])
-        assert np.array_equal(gram(spec, data).matrix.values, expected)
+        assert np.array_equal(gram(spec, data).values, expected)
 
 
 def test_kernel_rows_broadcast_and_domain_check():
@@ -174,3 +177,36 @@ def test_kernel_rows_broadcast_and_domain_check():
     with pytest.raises(DomainError):
         kernel_rows(KernelSpec(KernelKind.POLYNOMIAL, degree=0.5),
                     np.array([[1.0], [-2.0]]), np.array([[1.0], [1.0]]))
+
+
+def test_kernel_distance_of_overflowing_rows_is_nan_not_zero():
+    # inf + inf - 2 * inf is NaN; the clamp at 0 must not turn it into 0.
+    with np.errstate(all="ignore"):
+        d2 = kernel_distance_sq(LIN, OVERFLOWING[0], OVERFLOWING[1])
+    assert math.isnan(d2)
+
+
+def test_gram_that_overflows_is_a_domain_error():
+    for spec in (LIN, POLY2):
+        with pytest.raises(DomainError, match="Gram matrix is not finite"):
+            gram(spec, OVERFLOWING)
+
+
+def test_gram_memory_stays_near_one_matrix(monkeypatch):
+    # A deterministic guard, no wall clock.  Small row blocks make the
+    # result dominate at n = 600: the Gram matrix is one n^2 buffer, and
+    # neither its construction nor the SymMatrix check holds another.
+    import okmlib.linalg as linalg
+
+    monkeypatch.setattr(linalg, "BLOCK_ELEMENTS", 4096)
+    n = 600
+    data = np.random.default_rng(21).standard_normal((n, 4))
+    for spec in (RBF2, POLY2, LIN):
+        tracemalloc.start()
+        try:
+            g = gram(spec, data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.n == n
+        assert peak <= 1.25 * 8 * n * n, peak / (8 * n * n)

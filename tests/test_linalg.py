@@ -3,7 +3,7 @@ import pytest
 
 import okmlib.model_selection as model_selection
 from okmlib import (
-    GramMatrix,
+    DomainError,
     KernelKind,
     KernelSpec,
     NoConvergence,
@@ -26,8 +26,22 @@ def test_symmatrix_rejects_asymmetry():
 def test_symmatrix_rejects_nonsquare_and_nonfinite():
     with pytest.raises(ValueError):
         SymMatrix(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError, match="must be finite"):
         SymMatrix(np.array([[np.nan]]))
+
+
+def test_symmatrix_checks_every_row_block(monkeypatch):
+    import okmlib.linalg as linalg
+
+    monkeypatch.setattr(linalg, "BLOCK_ELEMENTS", 20)  # two rows per block at n = 9
+    a = np.zeros((9, 9))
+    a[1, 7] = 0.25
+    a[8, 2] = 0.5
+    with pytest.raises(ValueError, match=r"not symmetric \(max asymmetry 5\.000e-01\)"):
+        SymMatrix(a)
+    a[8, 2] = a[2, 8] = np.inf  # a later block's non-finite entry outranks an asymmetry
+    with pytest.raises(DomainError, match="must be finite"):
+        SymMatrix(a)
 
 
 def test_identity_eigenvalues():
@@ -130,7 +144,7 @@ def _random_grams():
     for _ in range(20):
         n = int(rng.integers(2, 31))
         a = rng.standard_normal((n, n))
-        yield GramMatrix(spec=KernelSpec(KernelKind.LINEAR), matrix=SymMatrix((a + a.T) / 2.0))
+        yield SymMatrix((a + a.T) / 2.0)
 
 
 def _jacobi_estimates(monkeypatch, g):

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import okmlib.linalg as linalg
 from okmlib import (
-    GramMatrix,
+    DomainError,
     InvalidSpec,
     KernelKind,
     KernelSpec,
@@ -13,6 +16,7 @@ from okmlib import (
     gram,
     significant_count,
 )
+from okmlib.model_selection import _centered
 
 RATIO = SignificancePolicy(kind=PolicyKind.RATIO_THRESHOLD)
 GAP = SignificancePolicy(kind=PolicyKind.LARGEST_EIGENGAP)
@@ -25,7 +29,7 @@ def ones_blocks(sizes):
     for s in sizes:
         m[offset:offset + s, offset:offset + s] = 1.0
         offset += s
-    return GramMatrix(spec=KernelSpec(KernelKind.LINEAR), matrix=SymMatrix(m))
+    return SymMatrix(m)
 
 
 def test_ratio_count_example():
@@ -63,7 +67,7 @@ def test_permutation_invariance():
     rng = np.random.default_rng(1)
     g = ones_blocks([4, 3, 2])
     perm = rng.permutation(g.n)
-    permuted = GramMatrix(spec=g.spec, matrix=SymMatrix(g.matrix.values[np.ix_(perm, perm)]))
+    permuted = SymMatrix(g.values[np.ix_(perm, perm)])
     for policy in (RATIO, GAP):
         assert estimate_k(permuted, policy).estimated_k == estimate_k(g, policy).estimated_k
 
@@ -72,7 +76,7 @@ def test_ratio_policy_scale_invariant():
     g = ones_blocks([4, 4, 3])
     base = estimate_k(g, RATIO).estimated_k
     for c in (0.25, 3.0, 100.0):
-        scaled = GramMatrix(spec=g.spec, matrix=SymMatrix(c * g.matrix.values))
+        scaled = SymMatrix(c * g.values)
         assert estimate_k(scaled, RATIO).estimated_k == base
 
 
@@ -89,7 +93,7 @@ def test_single_block_gives_one():
 
 
 def test_needs_two_points():
-    g = GramMatrix(spec=KernelSpec(KernelKind.LINEAR), matrix=SymMatrix(np.array([[2.0]])))
+    g = SymMatrix(np.array([[2.0]]))
     with pytest.raises(ValueError):
         estimate_k(g, GAP)
 
@@ -118,3 +122,37 @@ def test_separated_gaussian_blobs_give_three():
     g = gram(KernelSpec(KernelKind.RBF, sigma=4.0), data)
     for policy in (RATIO, GAP):
         assert estimate_k(g, policy).estimated_k == 3
+
+
+def test_centered_matches_the_two_step_expression_bit_for_bit():
+    rng = np.random.default_rng(31)
+    data = rng.standard_normal((57, 3)) * 4.0
+    for spec in (KernelSpec(KernelKind.RBF, sigma=3.0), KernelSpec(KernelKind.POLYNOMIAL, degree=3.0),
+                 KernelSpec(KernelKind.LINEAR)):
+        k = gram(spec, data).values
+        row_means = k.mean(axis=1, keepdims=True)
+        c = k - row_means - row_means.T + k.mean()
+        assert np.array_equal(_centered(SymMatrix(k)).values, (c + c.T) / 2.0)
+
+
+def test_centering_that_overflows_is_a_domain_error():
+    # Every entry is finite, but a row of them sums past the largest double.
+    with pytest.raises(DomainError, match="must be finite"):
+        estimate_k(SymMatrix(np.full((3, 3), 1e308)), GAP)
+
+
+def test_estimate_k_memory_stays_near_two_matrices(monkeypatch):
+    # A deterministic guard, no wall clock: on top of the caller's Gram
+    # matrix, estimate_k holds the centered copy and, while symmetrizing
+    # it in place, one copy of its transpose.  LAPACK's working copies are
+    # not seen by tracemalloc.
+    monkeypatch.setattr(linalg, "BLOCK_ELEMENTS", 4096)
+    n = 600
+    g = gram(KernelSpec(KernelKind.RBF, sigma=2.0), np.random.default_rng(32).standard_normal((n, 4)))
+    tracemalloc.start()
+    try:
+        estimate_k(g, GAP)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * 8 * n * n, peak / (8 * n * n)

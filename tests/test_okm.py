@@ -542,8 +542,20 @@ def test_run_okm_i_divergence_stays_in_domain():
 
 def test_run_okm_rejects_an_objective_that_overflows():
     data = np.array([[1e200], [-1e200], [3e200], [0.0]])
-    with np.errstate(all="ignore"), pytest.raises(DomainError, match="J is inf"):
+    with pytest.raises(DomainError, match="J is inf"):
         run_okm(data, OkmConfig(k=2, dissimilarity=SQ, seed=0))
+
+
+def test_run_okm_stops_at_the_first_objective_that_is_nan():
+    # K(x, x) overflows, so every kernel distance is inf + inf - 2 * inf = NaN;
+    # a clamp that turned NaN into 0 reported J = 0.
+    data = np.array([[1e200, 2e200], [3e200, 1e200], [-2e200, 5e199], [1e199, -3e200]])
+    linear = Dissimilarity(DissimilarityKind.KERNEL_INDUCED, kernel=KernelSpec(KernelKind.LINEAR))
+    completed = []
+    with pytest.raises(DomainError, match="J is nan"):
+        run_okm(data, OkmConfig(k=2, dissimilarity=linear, seed=0),
+                on_iteration=lambda i, j: completed.append(j))
+    assert completed == []
 
 
 def test_run_okm_memory_stays_within_two_distance_temporaries_at_n20800():
