@@ -101,7 +101,7 @@ class ExperimentReport:
         return out
 
 
-@np.errstate(over="ignore")  # an overflowing distance is inf, and KernelSpec rejects an inf sigma
+@np.errstate(over="ignore")  # an overflowing distance is inf, and an inf median is rejected
 def _median_heuristic_sigma(values):
     # Median of the nonzero pairwise distances; a serviceable default bandwidth.
     # Row blocks bound the (rows, n, p) difference temporary; the n(n-1)/2
@@ -116,7 +116,10 @@ def _median_heuristic_sigma(values):
         parts.append(np.sqrt(d2[upper]))
     dist = np.concatenate(parts)
     dist = dist[dist > 0]
-    return float(np.median(dist)) if dist.size else 1.0
+    sigma = float(np.median(dist)) if dist.size else 1.0
+    if not np.isfinite(sigma):
+        raise DomainError(f"median sigma is {sigma}: the pairwise distances overflow")
+    return sigma
 
 
 def _parse_label_col(text):

@@ -69,6 +69,8 @@ class SyntheticSpec:
             raise InvalidSpec(f"noise_scale must be positive, got {self.noise_scale}")
         if self.dimension < 1:
             raise InvalidSpec("dimension must be >= 1")
+        if self.seed < 0:
+            raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
         if self.k > 1 and not (np.isfinite(self.center_separation) and self.center_separation > 0):
             raise InvalidSpec("center_separation must be positive for k > 1")
         pairs = tuple(tuple(p) for p in self.overlap_pairs)

@@ -6,7 +6,7 @@
 
 The I-divergence is the generalized (Bregman) form whose centroid is the
 arithmetic mean, so the clustering prototype update stays valid for it.
-Both arguments are clamped below at `epsilon` componentwise before
+Both arguments are clamped below at `EPSILON` componentwise before
 evaluation, which makes zeros safe; genuinely negative components are an
 error.  Note the I-divergence is not symmetric in (x, y): callers pass
 the data point first and the model point second.
@@ -25,6 +25,8 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidSpec, NegativeInput
 from .kernels import KernelSpec, kernel_distance_rows, kernel_distance_sq
 
+EPSILON = 1e-10  # the i-divergence's lower clamp
+
 
 class DissimilarityKind(enum.Enum):
     SQUARED_EUCLIDEAN = "euclidean"
@@ -36,13 +38,10 @@ class DissimilarityKind(enum.Enum):
 class Dissimilarity:
     kind: DissimilarityKind
     kernel: KernelSpec | None = None
-    epsilon: float = 1e-10
 
     def __post_init__(self):
         if self.kind == DissimilarityKind.KERNEL_INDUCED and self.kernel is None:
             raise InvalidSpec("kernel-induced dissimilarity needs a KernelSpec")
-        if not (np.isfinite(self.epsilon) and self.epsilon > 0):
-            raise InvalidSpec(f"epsilon must be positive, got {self.epsilon}")
 
 
 def dissim_rows(d: Dissimilarity, X, Y) -> np.ndarray:
@@ -60,8 +59,8 @@ def dissim_rows(d: Dissimilarity, X, Y) -> np.ndarray:
     if d.kind == DissimilarityKind.I_DIVERGENCE:
         if np.any(X < 0) or np.any(Y < 0):
             raise NegativeInput("i-divergence requires nonnegative components")
-        xt = np.maximum(X, d.epsilon)
-        yt = np.maximum(Y, d.epsilon)
+        xt = np.maximum(X, EPSILON)
+        yt = np.maximum(Y, EPSILON)
         total = (xt * np.log(xt / yt) - xt + yt).sum(axis=-1)
         return np.maximum(total, 0.0)
 

@@ -37,13 +37,10 @@ class PolicyKind(enum.Enum):
 class SignificancePolicy:
     kind: PolicyKind
     tau: float = 0.05
-    max_k: int | None = None
 
     def __post_init__(self):
         if self.kind == PolicyKind.RATIO_THRESHOLD and not (0.0 < self.tau < 1.0):
             raise InvalidSpec(f"tau must be in (0, 1), got {self.tau}")
-        if self.max_k is not None and self.max_k < 1:
-            raise InvalidSpec(f"max_k must be >= 1, got {self.max_k}")
 
 
 @dataclass(frozen=True)
@@ -51,7 +48,6 @@ class SpectrumReport:
     eigenvalues: np.ndarray
     centered_eigenvalues: np.ndarray
     estimated_k: int
-    policy: SignificancePolicy
 
 
 def significant_count(eigenvalues, policy: SignificancePolicy) -> int:
@@ -99,8 +95,5 @@ def estimate_k(matrix: SymMatrix, policy: SignificancePolicy) -> SpectrumReport:
     raw = sorted_eigenvalues(matrix)
     centered = sorted_eigenvalues(_centered(matrix))
 
-    count = significant_count(centered, policy)
-    cap = n if policy.max_k is None else min(policy.max_k, n)
-    estimated = max(1, min(1 + count, cap))
-    return SpectrumReport(eigenvalues=raw, centered_eigenvalues=centered,
-                          estimated_k=estimated, policy=policy)
+    estimated = max(1, min(1 + significant_count(centered, policy), n))
+    return SpectrumReport(eigenvalues=raw, centered_eigenvalues=centered, estimated_k=estimated)

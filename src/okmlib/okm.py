@@ -47,13 +47,14 @@ wrappers over the same functions.
 
 The per-point values of an iteration's objective serve the next
 assignment as the previous sets' dissimilarities, so they are not
-computed twice.  Cluster-id sets become membership rows, and are
-validated, only in `_cluster_matrix` (over `linalg.membership_matrix`).
-A `Covering` keeps its matrix (`Covering.memberships`), which
-`update_prototypes`, `objective` and `evaluation.pair_metrics` read.
+computed twice.  A `Covering` holds the final matrix (`memberships`),
+which `update_prototypes`, `objective` and `evaluation.pair_metrics`
+read; its cluster-id sets (`assignments`) are built on first read.  Only
+`image` and `assign_point` take sets, validated by `_cluster_matrix`.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -79,35 +80,51 @@ class OkmConfig:
             raise InvalidSpec(f"max_iter must be >= 1, got {self.max_iter}")
         if not (np.isfinite(self.rel_tol) and self.rel_tol > 0):
             raise InvalidSpec(f"rel_tol must be positive, got {self.rel_tol}")
+        if self.seed < 0:
+            raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
 class Covering:
     """k possibly-overlapping clusters over n points, plus the final J.
 
-    `prototypes` is a (k, p) array.  `memberships` is the read-only
-    (n, k) bool matrix of `assignments`.
+    `memberships` is an (n, k) bool matrix, row i marking point i's
+    clusters, stored as a read-only copy.  `prototypes` is a (k, p) array.
     """
 
-    k: int
-    assignments: tuple
+    memberships: np.ndarray
     prototypes: np.ndarray
     objective: float
     n_iter: int
-    memberships: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (np.isfinite(self.objective) and self.objective >= 0):
             raise ValueError(f"objective must be finite and nonnegative, got {self.objective}")
         if self.n_iter < 0:
             raise ValueError(f"n_iter must be nonnegative, got {self.n_iter}")
-        shape = np.shape(self.prototypes)
-        if len(shape) != 2 or shape[0] != self.k:
-            raise ValueError(f"prototypes must be a ({self.k}, p) array, got shape {shape}")
-        sets = tuple(map(frozenset, self.assignments))
-        memberships = _cluster_matrix(sets, self.k)
-        object.__setattr__(self, "assignments", sets)
+        memberships = np.array(self.memberships)
+        if memberships.dtype != bool or memberships.ndim != 2:
+            raise ValueError(f"memberships must be an (n, k) bool array, got {memberships.dtype} "
+                             f"of shape {memberships.shape}")
+        k, shape = memberships.shape[1], np.shape(self.prototypes)
+        if len(shape) != 2 or shape[0] != k:
+            raise ValueError(f"prototypes must be a ({k}, p) array, got shape {shape}")
+        covered = memberships.any(axis=1)
+        if not covered.all():
+            raise EmptyAssignment(f"point {covered.argmin()} has no cluster")
+        memberships.flags.writeable = False
         object.__setattr__(self, "memberships", memberships)
+
+    @property
+    def k(self) -> int:
+        return len(self.prototypes)
+
+    @cached_property
+    def assignments(self) -> tuple:
+        """One frozenset of cluster ids per point, built on first use."""
+        first, group, _ = distinct_rows(self.memberships)
+        sets = [frozenset(np.flatnonzero(self.memberships[i]).tolist()) for i in first.tolist()]
+        return tuple(map(sets.__getitem__, group.tolist()))
 
 
 def _cluster_matrix(sets, k) -> np.ndarray:
@@ -128,13 +145,6 @@ def _cluster_matrix(sets, k) -> np.ndarray:
             raise EmptyAssignment(f"point {i} has no cluster")
         if not all(c in range(k) for c in assigned):
             raise ValueError(f"point {i} references a cluster outside 0..{k - 1}")
-
-
-def _assignment_sets(memberships) -> tuple:
-    """One frozenset of cluster ids per row of a membership matrix."""
-    first, group, _ = distinct_rows(memberships)
-    sets = [frozenset(np.flatnonzero(memberships[i]).tolist()) for i in first.tolist()]
-    return tuple(map(sets.__getitem__, group.tolist()))
 
 
 def _uses_table(n, k) -> bool:
@@ -341,5 +351,5 @@ def run_okm(data, config: OkmConfig, on_iteration=None) -> Covering:
         if unchanged or (improvement is not None and improvement < config.rel_tol):
             break
 
-    return Covering(k=config.k, assignments=_assignment_sets(memberships), prototypes=prototypes,
-                    objective=current_j, n_iter=iterations)
+    return Covering(memberships=memberships, prototypes=prototypes, objective=current_j,
+                    n_iter=iterations)

@@ -238,7 +238,7 @@ def test_criterion_8_synthetic_overlap_recovery():
     scores = []
     for seed in range(BASE_SEED, BASE_SEED + 10):
         cov = run_okm(data, OkmConfig(k=3, dissimilarity=sq, seed=seed))
-        scores.append(pair_metrics(cov.assignments, data.labels).f_measure)
+        scores.append(pair_metrics(cov, data.labels).f_measure)
     wins = sum(1 for f in scores if f >= 0.95)
     report("8 synthetic overlap recovered in >=8/10 restarts", wins >= 8,
            f"wins={wins}/10 scores={[f'{s:.3f}' for s in scores]}")

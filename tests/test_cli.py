@@ -3,6 +3,7 @@ import pytest
 
 from okmlib import SyntheticSpec, generate_synthetic, load_csv, save_csv
 from okmlib.cli import main
+from okmlib.linalg import distinct_rows
 
 
 @pytest.fixture()
@@ -216,6 +217,50 @@ def test_experiment_jobs_below_one_exits_2(pairs_csv, capsys):
         assert "jobs" in _one_line_error(capsys)
 
 
+def _overlap_csv(tmp_path):
+    """The n = 2 200, p = 8 synthetic overlap sample, five clusters, labeled."""
+    spec = SyntheticSpec(k=5, points_per_cluster=400,
+                         overlap_pairs=((0, 1, 40), (1, 2, 40), (2, 3, 40), (3, 4, 40), (4, 0, 40)),
+                         dimension=8, seed=0)
+    path = tmp_path / "overlap.csv"
+    save_csv(generate_synthetic(spec), path)
+    return path
+
+
+def test_experiment_builds_no_cluster_id_sets(tmp_path, monkeypatch, capsys):
+    # Covering.assignments groups rows with okm.distinct_rows; pair metrics read the matrix.
+    import okmlib.okm as okm
+    from conftest import IRIS_PATH
+
+    def unused(memberships):
+        raise AssertionError("a covering's cluster-id sets were built")
+
+    monkeypatch.setattr(okm, "distinct_rows", unused)
+    for measure in ("euclidean", "idiv", "kernel"):
+        assert main(["experiment", "--data", str(IRIS_PATH), "--k", "3", "--measure", measure,
+                     "--format", "json"]) == 0
+    assert main(["experiment", "--data", str(IRIS_PATH), "--restarts", "2"]) == 0
+    assert main(["experiment", "--data", str(_overlap_csv(tmp_path)), "--k", "5",
+                 "--restarts", "3", "--format", "csv"]) == 0
+
+
+def test_cluster_builds_the_cluster_id_sets_once(tmp_path, monkeypatch, capsys):
+    # Writing the covering CSV reads Covering.assignments, built through okm.distinct_rows.
+    import okmlib.okm as okm
+    from conftest import IRIS_PATH
+
+    calls = []
+
+    def counted(memberships):
+        calls.append(memberships.shape)
+        return distinct_rows(memberships)
+
+    monkeypatch.setattr(okm, "distinct_rows", counted)
+    assert main(["cluster", "--data", str(IRIS_PATH), "--label-col", "last", "--k", "3",
+                 "--out", str(tmp_path / "c.csv")]) == 0
+    assert calls == [(150, 3)]
+
+
 def test_median_sigma_row_blocks_match_dense_formula(monkeypatch):
     import okmlib.cli as cli
 
@@ -268,6 +313,15 @@ def _disk_full(monkeypatch):
     monkeypatch.setattr(os, "replace", fail)
 
 
+def _no_runs(monkeypatch):
+    import okmlib.cli as cli
+
+    def fail(data, config, on_iteration=None):
+        raise AssertionError("a clustering ran before every restart's config was valid")
+
+    monkeypatch.setattr(cli, "run_okm", fail)
+
+
 @pytest.fixture()
 def bad_inputs(tmp_path):
     files = {
@@ -291,6 +345,7 @@ def bad_inputs(tmp_path):
 POLY_HALF = ["--measure", "kernel", "--kernel", "poly", "--degree", "0.5"]
 LINEAR = ["--measure", "kernel", "--kernel", "linear"]
 GRAM_OVERFLOW = "error: Gram matrix is not finite: the data overflow this kernel"
+MEDIAN_SIGMA_OVERFLOW = "error: median sigma is inf: the pairwise distances overflow"
 
 # (argv, setup, exit code, the one stderr line); "{dir}" is the inputs' directory.
 EXIT_PATHS = [
@@ -340,6 +395,12 @@ EXIT_PATHS = [
                  id="negative-input-experiment"),
     pytest.param(["experiment", "--data", "{dir}/pairs.csv", "--k", "2", "--restarts", "0"],
                  None, 2, "error: restarts must be >= 1, got 0", id="restarts-zero"),
+    pytest.param(["cluster", "--data", "{dir}/pairs.csv", "--label-col", "last", "--k", "2",
+                  "--seed", "-1", "--out", "{dir}/c.csv"], _no_runs, 2,
+                 "error: seed must be >= 0, got -1", id="negative-seed-cluster"),
+    pytest.param(["experiment", "--data", "{dir}/pairs.csv", "--k", "2", "--seed", "-3",
+                  "--restarts", "10"], _no_runs, 2, "error: seed must be >= 0, got -3",
+                 id="negative-seed-experiment"),
     pytest.param(["experiment", "--data", "{dir}/pairs.csv", "--k", "2", "--rel-tol", "nan"],
                  None, 2, "error: rel_tol must be positive, got nan", id="rel-tol-nan-experiment"),
     pytest.param(["cluster", "--data", "{dir}/pairs.csv", "--label-col", "last", "--k", "2",
@@ -367,7 +428,12 @@ EXIT_PATHS = [
                   "--kernel", "linear"], None, 2, "error: matrix entries must be finite",
                  id="centering-overflow-estimate-k"),
     pytest.param(["estimate-k", "--data", "{dir}/overflow.csv", "--label-col", "last"], None, 2,
-                 "error: rbf kernel needs sigma > 0, got inf", id="median-sigma-overflow-estimate-k"),
+                 MEDIAN_SIGMA_OVERFLOW, id="median-sigma-overflow-estimate-k"),
+    pytest.param(["cluster", "--data", "{dir}/overflow.csv", "--label-col", "last", "--measure",
+                  "kernel", "--k", "2", "--out", "{dir}/c.csv"], None, 2, MEDIAN_SIGMA_OVERFLOW,
+                 id="median-sigma-overflow-cluster"),
+    pytest.param(["experiment", "--data", "{dir}/overflow.csv"], None, 2, MEDIAN_SIGMA_OVERFLOW,
+                 id="median-sigma-overflow-experiment"),
     pytest.param(["estimate-k", "--data", "{dir}/one.csv", "--label-col", "last"], None, 2,
                  "error: need at least 2 points to estimate k", id="estimate-k-one-point"),
     pytest.param(["estimate-k", "--data", "{dir}/pairs.csv", "--label-col", "last"],

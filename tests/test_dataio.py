@@ -97,7 +97,7 @@ def test_round_trip_is_idempotent(tmp_path, iris):
 
 
 def test_save_covering_csv(tmp_path):
-    cov = Covering(k=2, assignments=(frozenset({0}), frozenset({0, 1})),
+    cov = Covering(memberships=np.array([[True, False], [True, True]]),
                    prototypes=np.zeros((2, 1)), objective=0.0, n_iter=1)
     out = tmp_path / "covering.csv"
     save_covering_csv(cov, out)
@@ -158,6 +158,8 @@ def test_synthetic_validation():
         SyntheticSpec(k=2, points_per_cluster=5, noise_scale=0.0)
     with pytest.raises(InvalidSpec):
         SyntheticSpec(k=0, points_per_cluster=5)
+    with pytest.raises(InvalidSpec, match="^seed must be >= 0, got -1$"):
+        SyntheticSpec(k=2, points_per_cluster=5, seed=-1)
 
 
 def _grid(rows):

@@ -87,8 +87,6 @@ def test_dimension_mismatch():
 def test_config_validation():
     with pytest.raises(InvalidSpec):
         Dissimilarity(DissimilarityKind.KERNEL_INDUCED)  # kernel missing
-    with pytest.raises(InvalidSpec):
-        Dissimilarity(DissimilarityKind.I_DIVERGENCE, epsilon=0.0)
 
 
 def test_rows_are_the_scalar_form_row_by_row():

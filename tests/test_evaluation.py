@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from okmlib import Covering, LabeledCovering, linked_pairs, pair_metrics
+from okmlib.okm import _cluster_matrix
 
 
 def naive_metrics(pred_sets, true_sets):
@@ -146,7 +147,7 @@ def linked_pair_counts(pred, true):
 
 
 def covering(sets, k):
-    return Covering(k=k, assignments=tuple(sets), prototypes=np.zeros((k, 1)),
+    return Covering(memberships=_cluster_matrix(sets, k), prototypes=np.zeros((k, 1)),
                     objective=0.0, n_iter=0)
 
 

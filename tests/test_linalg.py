@@ -159,14 +159,14 @@ def _jacobi_estimates(monkeypatch, g):
 
     with monkeypatch.context() as patch:
         patch.setattr(model_selection, "sorted_eigenvalues", jacobi_spectrum)
-        return [estimate_k(g, SignificancePolicy(kind=kind)) for kind in PolicyKind]
+        return [(policy, estimate_k(g, policy)) for policy in map(SignificancePolicy, PolicyKind)]
 
 
 def test_lapack_spectrum_matches_jacobi_reference(monkeypatch, iris):
     grams = [*_random_grams(), gram(KernelSpec(KernelKind.RBF, sigma=150.0), iris)]
     for g in grams:
-        for reference in _jacobi_estimates(monkeypatch, g):
-            got = estimate_k(g, reference.policy)
+        for policy, reference in _jacobi_estimates(monkeypatch, g):
+            got = estimate_k(g, policy)
             assert got.estimated_k == reference.estimated_k
             for lam, ref in ((got.eigenvalues, reference.eigenvalues),
                              (got.centered_eigenvalues, reference.centered_eigenvalues)):

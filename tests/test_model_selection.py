@@ -80,12 +80,6 @@ def test_ratio_policy_scale_invariant():
         assert estimate_k(scaled, RATIO).estimated_k == base
 
 
-def test_max_k_caps_the_estimate():
-    g = ones_blocks([4, 4, 3, 2])
-    policy = SignificancePolicy(kind=PolicyKind.LARGEST_EIGENGAP, max_k=2)
-    assert estimate_k(g, policy).estimated_k == 2
-
-
 def test_single_block_gives_one():
     g = ones_blocks([6])
     for policy in (RATIO, GAP):
@@ -101,8 +95,6 @@ def test_needs_two_points():
 def test_policy_validation():
     with pytest.raises(InvalidSpec):
         SignificancePolicy(kind=PolicyKind.RATIO_THRESHOLD, tau=1.5)
-    with pytest.raises(InvalidSpec):
-        SignificancePolicy(kind=PolicyKind.LARGEST_EIGENGAP, max_k=0)
 
 
 def test_report_carries_full_descending_spectra():

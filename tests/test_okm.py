@@ -25,8 +25,8 @@ from okmlib import (
     update_prototypes,
 )
 from okmlib import okm
-from okmlib.errors import DomainError
-from okmlib.okm import _assign, _assignment_sets, _cluster_matrix, _objective, _update_prototypes
+from okmlib.errors import DomainError, InvalidSpec
+from okmlib.okm import _assign, _cluster_matrix, _objective, _update_prototypes
 
 SQ = Dissimilarity(DissimilarityKind.SQUARED_EUCLIDEAN)
 IDIV = Dissimilarity(DissimilarityKind.I_DIVERGENCE)
@@ -35,9 +35,9 @@ POLY025 = Dissimilarity(DissimilarityKind.KERNEL_INDUCED,
                         kernel=KernelSpec(KernelKind.POLYNOMIAL, degree=0.25))
 
 
-def make_covering(assignments, prototypes, k=None):
+def make_covering(assignments, prototypes):
     prototypes = np.asarray(prototypes, dtype=float)
-    return Covering(k=k or len(prototypes), assignments=tuple(assignments),
+    return Covering(memberships=_cluster_matrix(assignments, len(prototypes)),
                     prototypes=prototypes, objective=0.0, n_iter=0)
 
 
@@ -45,20 +45,47 @@ def make_covering(assignments, prototypes, k=None):
 
 
 def test_covering_reports_the_first_bad_point():
-    with pytest.raises(EmptyAssignment, match="point 1 has no cluster"):
-        make_covering([{0}, set(), {9}], [[0.0], [1.0]])
-    with pytest.raises(ValueError, match=r"point 1 references a cluster outside 0\.\.1") as exc:
-        make_covering([{0}, {9}, set()], [[0.0], [1.0]])
-    assert not isinstance(exc.value, EmptyAssignment)
-    with pytest.raises(ValueError, match="point 2 references"):
-        make_covering([{0}, {1}, {0, -1}], [[0.0], [1.0]])
+    for first in (0, 1, 4):
+        memberships = np.ones((6, 2), dtype=bool)
+        memberships[first::2] = False
+        with pytest.raises(EmptyAssignment, match=f"^point {first} has no cluster$"):
+            Covering(memberships=memberships, prototypes=np.zeros((2, 1)), objective=0.0, n_iter=0)
 
 
 def test_covering_requires_k_by_p_prototypes():
-    for prototypes in (np.zeros((3, 1)), np.zeros(2), np.zeros((2, 1, 1))):
-        with pytest.raises(ValueError, match=r"prototypes must be a \(2, p\) array") as exc:
-            make_covering([{0}, {1}], prototypes, k=2)
+    two = np.array([[True, False], [False, True]])
+    three = np.ones((2, 3), dtype=bool)
+    for memberships, prototypes, k in ((two, np.zeros((3, 1)), 2),
+                                       (two, np.zeros(2), 2),
+                                       (two, np.zeros((2, 1, 1)), 2),
+                                       (three, np.zeros((2, 1)), 3)):
+        with pytest.raises(ValueError, match=rf"prototypes must be a \({k}, p\) array") as exc:
+            Covering(memberships=memberships, prototypes=prototypes, objective=0.0, n_iter=0)
         assert not isinstance(exc.value, EmptyAssignment)
+
+
+@pytest.mark.parametrize("memberships, message", [
+    (np.array([[0], [1]], dtype=np.int64), "int64 of shape (2, 1)"),
+    (np.ones(2, dtype=bool), "bool of shape (2,)"),
+    (np.ones((2, 2, 1), dtype=bool), "bool of shape (2, 2, 1)"),
+], ids=["cluster-ids", "one-row", "three-axes"])
+def test_covering_requires_an_n_by_k_bool_matrix(memberships, message):
+    with pytest.raises(ValueError, match=f"^memberships must be an \\(n, k\\) bool array, got "
+                                         f"{re.escape(message)}$"):
+        Covering(memberships=memberships, prototypes=np.zeros((2, 1)), objective=0.0, n_iter=0)
+
+
+def test_covering_keeps_a_read_only_copy_of_the_memberships():
+    memberships = np.array([[True, False], [True, True]])
+    cov = Covering(memberships=memberships, prototypes=np.zeros((2, 1)), objective=0.0, n_iter=0)
+    assert not cov.memberships.flags.writeable
+    with pytest.raises(ValueError):
+        cov.memberships[0, 1] = True
+    memberships[0, 1] = True  # the caller's array stays the caller's
+    memberships[1] = False
+    assert np.array_equal(cov.memberships, [[True, False], [True, True]])
+    assert cov.assignments == (frozenset({0}), frozenset({0, 1}))
+    assert cov.k == 2
 
 
 @pytest.mark.parametrize("objective, n_iter, message", [
@@ -70,15 +97,14 @@ def test_covering_requires_k_by_p_prototypes():
 ], ids=["nan", "inf", "negative", "negative-n_iter", "both"])
 def test_covering_rejects_a_non_finite_objective_or_a_negative_n_iter(objective, n_iter, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        Covering(k=1, assignments=({0},), prototypes=np.zeros((1, 1)), objective=objective,
-                 n_iter=n_iter)
+        Covering(memberships=np.ones((1, 1), dtype=bool), prototypes=np.zeros((1, 1)),
+                 objective=objective, n_iter=n_iter)
 
 
 def test_invalid_cluster_ids_raise_alike_wherever_they_enter():
     protos = np.array([[0.0], [1.0], [2.0]])
     x = np.array([0.5])
     entries = (
-        lambda ids: make_covering([{0}, ids], protos),
         lambda ids: image(ids, protos),
         lambda ids: assign_point(x, protos, SQ, previous=ids),
     )
@@ -93,16 +119,20 @@ def test_invalid_cluster_ids_raise_alike_wherever_they_enter():
 
 def test_covering_memberships_and_assignment_sets_round_trip():
     rng = np.random.default_rng(64)
-    for k in (1, 2, 7, 8, 9, 63, 64, 80):
+    for k in (1, 2, 3, 7, 8, 9, 16, 31, 32, 33, 63, 64, 65, 80):
         n = int(rng.integers(1, 60))
         sets = tuple(frozenset(rng.choice(k, size=int(rng.integers(1, min(k, 5) + 1)),
                                           replace=False).tolist()) for _ in range(n))
-        cov = make_covering(sets, np.zeros((k, 2)))
         expected = np.array([[c in s for c in range(k)] for s in sets])
+        assert np.array_equal(_cluster_matrix(sets, k), expected)
+        cov = Covering(memberships=expected, prototypes=np.zeros((k, 2)), objective=0.0, n_iter=0)
         assert cov.memberships.dtype == bool and cov.memberships.shape == (n, k)
         assert np.array_equal(cov.memberships, expected)
         assert not cov.memberships.flags.writeable
-        assert _assignment_sets(expected) == sets
+        assert cov.k == k
+        assert cov.assignments == sets
+        assert cov.assignments is cov.assignments  # built once
+        assert np.array_equal(make_covering(cov.assignments, np.zeros((k, 2))).memberships, expected)
 
 
 # ----------------------------------------------------------------------- image
@@ -361,7 +391,7 @@ def test_update_simple_mean():
 
 def test_update_keeps_prototype_of_empty_cluster():
     data = np.array([[1.0], [3.0]])
-    cov = make_covering([{0}, {0}], [[0.0], [42.0]], k=2)
+    cov = make_covering([{0}, {0}], [[0.0], [42.0]])
     updated = update_prototypes(cov, data)
     assert updated[1, 0] == 42.0
 
@@ -488,7 +518,7 @@ def test_run_okm_deterministic():
     config = OkmConfig(k=3, dissimilarity=SQ, seed=123)
     a = run_okm(data, config)
     b = run_okm(data, config)
-    assert a.assignments == b.assignments
+    assert np.array_equal(a.memberships, b.memberships)
     assert np.array_equal(a.prototypes, b.prototypes)
     assert a.objective == b.objective
     assert a.n_iter == b.n_iter
@@ -523,6 +553,12 @@ def test_run_okm_matches_kmeans_on_far_blobs():
         km_parts = {frozenset(np.flatnonzero(km == c).tolist()) for c in range(2)}
         assert okm_parts == km_parts
         assert all(len(a) == 1 for a in cov.assignments)
+
+
+def test_okm_config_rejects_a_negative_seed():
+    with pytest.raises(InvalidSpec, match="^seed must be >= 0, got -1$"):
+        OkmConfig(k=1, dissimilarity=SQ, seed=-1)
+    assert OkmConfig(k=1, dissimilarity=SQ, seed=0).seed == 0
 
 
 def test_run_okm_insufficient_data():
