@@ -5,7 +5,8 @@ Subcommands:
     estimate-k   print the Gram spectrum and the estimated cluster count
     cluster      one clustering run, covering written as CSV
     experiment   restarts from consecutive seeds with pair metrics
-                 against ground truth, reported as table / csv / json
+                 against ground truth; the report is one document (the
+                 JSON form's dict) that table, csv and json render
 
 Exit codes, all mapped in main(): 0 ok, 2 usage trouble, an invalid
 flag or input, or a failed load or write, 3 eigensolver failure, 4 fewer
@@ -22,7 +23,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
@@ -46,59 +47,6 @@ class PathError(Exception):
 
 class MissingLabels(Exception):
     """The dataset of an experiment has no ground-truth label column."""
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    measure: Dissimilarity
-    k: int | None
-    restarts: int
-    base_seed: int
-    max_iter: int
-    rel_tol: float
-    policy: SignificancePolicy
-    estimation_kernel: KernelSpec | None  # read only when k is None
-    jobs: int
-
-    def __post_init__(self):
-        if self.restarts < 1:
-            raise InvalidSpec(f"restarts must be >= 1, got {self.restarts}")
-        if self.jobs < 1:
-            raise InvalidSpec(f"jobs must be >= 1, got {self.jobs}")
-
-
-@dataclass(frozen=True)
-class RunRow:
-    seed: int
-    objective: float
-    precision: float
-    recall: float
-    f_measure: float
-
-
-@dataclass(frozen=True)
-class ExperimentReport:
-    measure_label: str
-    k: int
-    restarts: int
-    base_seed: int
-    rows: tuple
-    estimated_k: int | None = None
-    spectrum: tuple | None = None
-
-    def aggregates(self):
-        """min/max/mean per column, recomputed from the rows."""
-        columns = {
-            "seed": [float(r.seed) for r in self.rows],
-            "objective": [r.objective for r in self.rows],
-            "precision": [r.precision for r in self.rows],
-            "recall": [r.recall for r in self.rows],
-            "f_measure": [r.f_measure for r in self.rows],
-        }
-        out = {}
-        for stat, fn in (("min", min), ("max", max), ("mean", lambda v: sequential_sum(v) / len(v))):
-            out[stat] = {name: fn(vals) for name, vals in columns.items()}
-        return out
 
 
 @np.errstate(over="ignore")  # an overflowing distance is inf, and an inf median is rejected
@@ -224,13 +172,24 @@ def cmd_cluster(args):
 # ------------------------------------------------------------------ experiment
 
 
+def _require_labels(data):
+    if data.labels is None:
+        raise MissingLabels("experiment needs ground-truth labels (see --label-col)")
+
+
+def _check_counts(restarts, jobs):
+    if restarts < 1:
+        raise InvalidSpec(f"restarts must be >= 1, got {restarts}")
+    if jobs < 1:
+        raise InvalidSpec(f"jobs must be >= 1, got {jobs}")
+
+
 def _experiment_worker(payload):
-    values, labels, config = payload
-    covering = run_okm(values, config)
-    metrics = pair_metrics(covering, labels)
-    return RunRow(seed=config.seed, objective=covering.objective,
-                  precision=metrics.precision, recall=metrics.recall,
-                  f_measure=metrics.f_measure)
+    data, config = payload
+    covering = run_okm(data, config)
+    metrics = pair_metrics(covering, data.labels)
+    return {"seed": config.seed, "objective": covering.objective, "precision": metrics.precision,
+            "recall": metrics.recall, "f_measure": metrics.f_measure}
 
 
 def _worker_count(jobs, restarts):
@@ -238,91 +197,65 @@ def _worker_count(jobs, restarts):
     return min(jobs, restarts, os.cpu_count() or 1)
 
 
-def run_experiment(data, config: ExperimentConfig) -> ExperimentReport:
-    """Execute the restart protocol for one measure on a labeled dataset."""
-    if data.labels is None:
-        raise ValueError("experiment needs ground-truth labels")
+def run_experiment(data, config: OkmConfig, restarts, jobs=1):
+    """The restart protocol on a labeled dataset: run i clusters with seed config.seed + i.
 
-    estimated_k = None
-    spectrum = None
-    k = config.k
-    if k is None:
-        report = estimate_k(gram(config.estimation_kernel, data), config.policy)
-        estimated_k = report.estimated_k
-        spectrum = tuple(float(v) for v in report.eigenvalues)
-        k = estimated_k
-
+    Returns one dict per run (seed, objective, precision, recall, f_measure), in seed order.
+    """
+    _require_labels(data)
+    _check_counts(restarts, jobs)
     # Every restart's OkmConfig is built (and validated) before any run starts.
-    payloads = [(data.values, data.labels,
-                 OkmConfig(k=k, dissimilarity=config.measure, max_iter=config.max_iter,
-                           rel_tol=config.rel_tol, seed=config.base_seed + i))
-                for i in range(config.restarts)]
-    workers = _worker_count(config.jobs, config.restarts)
+    payloads = [(data, replace(config, seed=config.seed + i)) for i in range(restarts)]
+    workers = _worker_count(jobs, restarts)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_experiment_worker, payloads))
-    else:
-        rows = [_experiment_worker(p) for p in payloads]
-    rows.sort(key=lambda r: r.seed)
-
-    return ExperimentReport(measure_label=_measure_label(config.measure), k=k,
-                            restarts=config.restarts, base_seed=config.base_seed,
-                            rows=tuple(rows), estimated_k=estimated_k, spectrum=spectrum)
+            return list(pool.map(_experiment_worker, payloads))
+    return [_experiment_worker(p) for p in payloads]
 
 
-def _render_table(report: ExperimentReport):
+def aggregates(runs):
+    """min/max/mean of each run column (seeds as floats); the mean sums left to right."""
+    columns = {name: [run[name] for run in runs] for name in runs[0]}
+    columns["seed"] = [float(seed) for seed in columns["seed"]]
+    out = {}
+    for stat, fn in (("min", min), ("max", max), ("mean", lambda v: sequential_sum(v) / len(v))):
+        out[stat] = {name: fn(vals) for name, vals in columns.items()}
+    return out
+
+
+def _render_table(doc):
     out = io.StringIO()
-    out.write(f"measure = {report.measure_label}  k = {report.k}  "
-              f"restarts = {report.restarts}  base_seed = {report.base_seed}\n")
-    if report.estimated_k is not None:
-        top = ", ".join(f"{v:.6g}" for v in report.spectrum[:5])
-        out.write(f"k estimated from spectrum: {report.estimated_k} (top eigenvalues: {top})\n")
+    out.write(f"measure = {doc['measure']}  k = {doc['k']}  "
+              f"restarts = {doc['restarts']}  base_seed = {doc['base_seed']}\n")
+    if "estimated_k" in doc:
+        top = ", ".join(f"{v:.6g}" for v in doc["spectrum"][:5])
+        out.write(f"k estimated from spectrum: {doc['estimated_k']} (top eigenvalues: {top})\n")
     out.write("\n")
     out.write(f"{'seed':>6s}  {'objective':>14s}  {'precision':>9s}  {'recall':>9s}  {'f-measure':>9s}\n")
-    for r in report.rows:
-        out.write(f"{r.seed:>6d}  {r.objective:>14.6f}  {r.precision:>9.4f}  "
-                  f"{r.recall:>9.4f}  {r.f_measure:>9.4f}\n")
+    for r in doc["runs"]:
+        out.write(f"{r['seed']:>6d}  {r['objective']:>14.6f}  {r['precision']:>9.4f}  "
+                  f"{r['recall']:>9.4f}  {r['f_measure']:>9.4f}\n")
     out.write("\n")
-    agg = report.aggregates()
     out.write(f"{'':>6s}  {'precision':>9s}  {'recall':>9s}  {'f-measure':>9s}  {'objective':>14s}\n")
-    for stat in ("min", "max", "mean"):
-        a = agg[stat]
+    for stat, a in doc["aggregates"].items():
         out.write(f"{stat:>6s}  {a['precision']:>9.4f}  {a['recall']:>9.4f}  "
                   f"{a['f_measure']:>9.4f}  {a['objective']:>14.6f}\n")
     return out.getvalue()
 
 
-def _render_csv(report: ExperimentReport):
+def _render_csv(doc):
     out = io.StringIO()
     writer = csv.writer(out)
-    writer.writerow(["kind", "seed", "objective", "precision", "recall", "f_measure"])
-    for r in report.rows:
-        writer.writerow(["run", r.seed, repr(r.objective), repr(r.precision),
-                         repr(r.recall), repr(r.f_measure)])
-    agg = report.aggregates()
-    for stat in ("min", "max", "mean"):
-        a = agg[stat]
-        writer.writerow([stat, repr(a["seed"]), repr(a["objective"]), repr(a["precision"]),
-                         repr(a["recall"]), repr(a["f_measure"])])
+    columns = ["seed", "objective", "precision", "recall", "f_measure"]
+    writer.writerow(["kind", *columns])
+    for r in doc["runs"]:
+        writer.writerow(["run", r["seed"], *(repr(r[c]) for c in columns[1:])])
+    for stat, a in doc["aggregates"].items():
+        writer.writerow([stat, *(repr(a[c]) for c in columns)])
     return out.getvalue()
 
 
-def _render_json(report: ExperimentReport):
-    doc = {
-        "measure": report.measure_label,
-        "k": report.k,
-        "restarts": report.restarts,
-        "base_seed": report.base_seed,
-        "runs": [
-            {"seed": r.seed, "objective": r.objective, "precision": r.precision,
-             "recall": r.recall, "f_measure": r.f_measure}
-            for r in report.rows
-        ],
-        "aggregates": report.aggregates(),
-    }
-    if report.estimated_k is not None:
-        doc["estimated_k"] = report.estimated_k
-        doc["spectrum"] = list(report.spectrum)
+def _render_json(doc):
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -331,28 +264,29 @@ _RENDERERS = {"csv": _render_csv, "json": _render_json, "table": _render_table}
 
 def cmd_experiment(args):
     data = _load(args)
-    if data.labels is None:
-        raise MissingLabels("experiment needs ground-truth labels (see --label-col)")
+    _require_labels(data)
     measure = _dissimilarity(args, data.values)
     estimation_kernel = measure.kernel  # None unless the measure is kernel-induced
     if args.k is None and estimation_kernel is None:
         estimation_kernel = _kernel_spec(KernelKind.RBF, args, data.values)
-    config = ExperimentConfig(
-        measure=measure,
-        k=args.k,
-        restarts=args.restarts,
-        base_seed=args.seed,
-        max_iter=args.max_iter,
-        rel_tol=args.rel_tol,
-        policy=SignificancePolicy(kind=PolicyKind(args.policy), tau=args.tau),
-        estimation_kernel=estimation_kernel,
-        jobs=args.jobs,
-    )
-    report = run_experiment(data, config)
+    policy = SignificancePolicy(kind=PolicyKind(args.policy), tau=args.tau)
+    _check_counts(args.restarts, args.jobs)
+    k, estimate = args.k, None
+    if k is None:
+        estimate = estimate_k(gram(estimation_kernel, data), policy)
+        k = estimate.estimated_k
+    config = OkmConfig(k=k, dissimilarity=measure, max_iter=args.max_iter,
+                       rel_tol=args.rel_tol, seed=args.seed)
+    runs = run_experiment(data, config, args.restarts, args.jobs)
 
-    text = _RENDERERS[args.format](report)
-    if args.format == "csv" and report.estimated_k is not None:
-        print(f"estimated_k = {report.estimated_k}", file=sys.stderr)
+    doc = {"measure": _measure_label(measure), "k": k, "restarts": args.restarts,
+           "base_seed": args.seed, "runs": runs, "aggregates": aggregates(runs)}
+    if estimate is not None:
+        doc["estimated_k"] = estimate.estimated_k
+        doc["spectrum"] = estimate.eigenvalues.tolist()
+    text = _RENDERERS[args.format](doc)
+    if args.format == "csv" and estimate is not None:
+        print(f"estimated_k = {estimate.estimated_k}", file=sys.stderr)
 
     if args.out:
         with _writing(args.out):

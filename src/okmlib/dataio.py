@@ -22,7 +22,7 @@ from .errors import EmptyFile, InvalidSpec, ParseError, RaggedRows
 from .evaluation import LabeledCovering
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DataMatrix:
     """n x p observations, optionally with per-row ground-truth labels."""
 
@@ -46,6 +46,11 @@ class DataMatrix:
     @property
     def p(self):
         return self.values.shape[1]
+
+
+def data_values(data) -> np.ndarray:
+    """A DataMatrix's values as they are; any other array gets DataMatrix's 2-D and finite checks."""
+    return data.values if isinstance(data, DataMatrix) else DataMatrix(data).values
 
 
 @dataclass(frozen=True)

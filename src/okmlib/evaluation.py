@@ -13,9 +13,10 @@ against an empty true pair set (perfect agreement) and 0 otherwise, and
 symmetrically for recall, so the metrics are total.
 
 `pair_metrics` counts linked pairs from bool membership matrices: a
-`Covering` and a `LabeledCovering` carry theirs, and a plain sequence of
-sets goes through `linalg.membership_matrix`.  Points with the same
-(predicted, true) membership pattern link alike, so it counts between
+`Covering` and a `LabeledCovering` carry theirs, a 2-D bool array is
+one, and a plain sequence of sets goes through
+`linalg.membership_matrix`.  Points with the same (predicted, true)
+membership pattern link alike, so it counts between
 the G distinct patterns, each weighted by its number of points: pattern
 a and b link when (P P^T)_ab > 0, for w_a * w_b pairs across two
 patterns and w_a (w_a - 1) / 2 within one.  That takes O(n + G^2) time
@@ -64,18 +65,28 @@ class PairMetrics:
     f_measure: float
 
 
+def _bool_matrix(a: np.ndarray) -> np.ndarray:
+    if a.ndim != 2 or a.dtype != bool:
+        raise ValueError(f"an array must be an (n, k) bool membership matrix, "
+                         f"got {a.dtype} of shape {a.shape}")
+    return a
+
+
 def _membership_sets(c):
     if hasattr(c, "label_sets"):
         return c.label_sets
     if hasattr(c, "assignments"):
         return c.assignments
+    if isinstance(c, np.ndarray):
+        return tuple(frozenset(np.flatnonzero(row).tolist()) for row in _bool_matrix(c))
     return tuple(frozenset(s) for s in c)
 
 
 def linked_pairs(c) -> set:
     """All unordered index pairs (i, j), i < j, sharing a cluster.
 
-    Accepts a Covering, a LabeledCovering, or any sequence of sets.
+    Accepts a Covering, a LabeledCovering, an (n, k) bool membership
+    matrix, or any sequence of sets.
     """
     sets = _membership_sets(c)
     n = len(sets)
@@ -89,9 +100,11 @@ def linked_pairs(c) -> set:
 
 
 def _memberships(c) -> np.ndarray:
-    """The bool membership matrix of a Covering, a LabeledCovering or a sequence of sets."""
+    """The bool membership matrix of one side of `pair_metrics`."""
     if hasattr(c, "memberships"):
         return c.memberships
+    if isinstance(c, np.ndarray):
+        return _bool_matrix(c)
     return membership_matrix(_membership_sets(c))
 
 
@@ -120,8 +133,9 @@ def _linked_pair_counts(pred, true):
 def pair_metrics(predicted, truth) -> PairMetrics:
     """Precision / recall / F over linked pairs of `predicted` vs `truth`.
 
-    Each side is a Covering, a LabeledCovering or a sequence of sets;
-    the first two bring their membership matrices.
+    Each side is a Covering, a LabeledCovering, an (n, k) bool
+    membership matrix or a sequence of sets; any other ndarray raises
+    ValueError.
     """
     pred = _memberships(predicted)
     true = _memberships(truth)

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataio import data_values
 from .errors import DimensionMismatch, DomainError, InvalidSpec
 from .linalg import SymMatrix, row_blocks
 
@@ -116,8 +117,8 @@ def gram(spec: KernelSpec, data) -> SymMatrix:
     construction.  `data` may be a DataMatrix or a plain (n, p) array.
     Raises DomainError when an entry overflows.
     """
-    values = np.asarray(getattr(data, "values", data), dtype=float)
-    if values.ndim != 2 or values.shape[0] < 1:
+    values = data_values(data)
+    if values.shape[0] < 1:
         raise ValueError(f"expected an (n, p) data array, got shape {values.shape}")
     n, p = values.shape
     k = np.empty((n, n))

@@ -82,7 +82,7 @@ def distinct_rows(matrix):
     return first, inverse.reshape(-1), counts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymMatrix:
     """An n x n real symmetric matrix (validated; a non-finite entry raises DomainError)."""
 
@@ -110,7 +110,7 @@ class SymMatrix:
         return self.values.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenDecomposition:
     """Eigenvalues sorted descending with the matching orthonormal columns."""
 

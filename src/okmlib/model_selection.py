@@ -43,7 +43,7 @@ class SignificancePolicy:
             raise InvalidSpec(f"tau must be in (0, 1), got {self.tau}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumReport:
     eigenvalues: np.ndarray
     centered_eigenvalues: np.ndarray

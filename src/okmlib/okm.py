@@ -58,6 +58,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .dataio import data_values
 from .divergences import Dissimilarity, DissimilarityKind, dissim_rows
 from .errors import DimensionMismatch, DomainError, EmptyAssignment, InsufficientData, InvalidSpec
 from .linalg import distinct_rows, membership_matrix, sequential_sum
@@ -84,7 +85,7 @@ class OkmConfig:
             raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Covering:
     """k possibly-overlapping clusters over n points, plus the final J.
 
@@ -292,7 +293,7 @@ def _update_prototypes(memberships, prototypes, values, nonneg=False):
 
 def update_prototypes(cov: Covering, data) -> np.ndarray:
     """Recompute all k prototypes for fixed assignments."""
-    values = np.asarray(getattr(data, "values", data), dtype=float)
+    values = data_values(data)
     return _update_prototypes(cov.memberships, cov.prototypes, values)
 
 
@@ -304,7 +305,7 @@ def _objective(memberships, prototypes, values, d):
 
 def objective(cov: Covering, d: Dissimilarity, data) -> float:
     """Recompute J for a covering from scratch."""
-    values = np.asarray(getattr(data, "values", data), dtype=float)
+    values = data_values(data)
     return _objective(cov.memberships, cov.prototypes, values, d)[0]
 
 
@@ -318,7 +319,7 @@ def run_okm(data, config: OkmConfig, on_iteration=None) -> Covering:
     given, is called after each completed iteration.  Raises DomainError
     at the first J that is not finite: the data overflow the measure.
     """
-    values = np.ascontiguousarray(getattr(data, "values", data), dtype=float)
+    values = np.ascontiguousarray(data_values(data))
     n = len(values)
     if n < config.k:
         raise InsufficientData(f"{n} points cannot seed {config.k} clusters")

@@ -34,7 +34,7 @@ from okmlib import (
     run_okm,
     save_csv,
 )
-from okmlib.cli import ExperimentConfig, run_experiment
+from okmlib.cli import aggregates, run_experiment
 
 BASE_SEED = 650
 RESTARTS = 10
@@ -117,15 +117,9 @@ def test_criterion_3_iris_restart_protocol(iris):
     started = time.monotonic()
     means = {}
     for name, measure in iris_measures().items():
-        config = ExperimentConfig(
-            measure=measure, k=3, restarts=RESTARTS, base_seed=BASE_SEED,
-            max_iter=100, rel_tol=1e-6,
-            policy=SignificancePolicy(kind=PolicyKind.LARGEST_EIGENGAP),
-            estimation_kernel=KernelSpec(KernelKind.RBF, sigma=150.0),
-            jobs=1,
-        )
-        rep = run_experiment(iris, config)
-        means[name] = rep.aggregates()["mean"]["f_measure"]
+        runs = run_experiment(iris, OkmConfig(k=3, dissimilarity=measure, seed=BASE_SEED),
+                              RESTARTS)
+        means[name] = aggregates(runs)["mean"]["f_measure"]
     elapsed = time.monotonic() - started
 
     deltas = {name: abs(means[name] - REFERENCE_MEAN_F[name]) for name in means}

@@ -515,3 +515,84 @@ def test_commands_call_layers_through_module_globals(labeled_blobs_csv, monkeypa
     called.clear()
     assert main(["experiment", *data, "--restarts", "1"]) == 0
     assert called == set(names)
+
+
+# The exact report of `experiment --data pairs.csv --k 2 --restarts 3 --seed 9`.  The data
+# are binary fractions and every run finds the two pairs, so no digit depends on libm or LAPACK.
+REPORT_TABLE = """\
+measure = euclidean  k = 2  restarts = 3  base_seed = 9
+
+  seed       objective  precision     recall  f-measure
+     9        1.000000     1.0000     1.0000     1.0000
+    10        1.000000     1.0000     1.0000     1.0000
+    11        1.000000     1.0000     1.0000     1.0000
+
+        precision     recall  f-measure       objective
+   min     1.0000     1.0000     1.0000        1.000000
+   max     1.0000     1.0000     1.0000        1.000000
+  mean     1.0000     1.0000     1.0000        1.000000
+"""
+
+REPORT_CSV = (
+    "kind,seed,objective,precision,recall,f_measure\r\n"
+    "run,9,1.0,1.0,1.0,1.0\r\n"
+    "run,10,1.0,1.0,1.0,1.0\r\n"
+    "run,11,1.0,1.0,1.0,1.0\r\n"
+    "min,9.0,1.0,1.0,1.0,1.0\r\n"
+    "max,11.0,1.0,1.0,1.0,1.0\r\n"
+    "mean,10.0,1.0,1.0,1.0,1.0\r\n"
+)
+
+_REPORT_JSON_RUN = """\
+    {{
+      "seed": {seed},
+      "objective": 1.0,
+      "precision": 1.0,
+      "recall": 1.0,
+      "f_measure": 1.0
+    }}"""
+
+_REPORT_JSON_STAT = """\
+    "{stat}": {{
+      "seed": {seed},
+      "objective": 1.0,
+      "precision": 1.0,
+      "recall": 1.0,
+      "f_measure": 1.0
+    }}"""
+
+REPORT_JSON = (
+    '{\n'
+    '  "measure": "euclidean",\n'
+    '  "k": 2,\n'
+    '  "restarts": 3,\n'
+    '  "base_seed": 9,\n'
+    '  "runs": [\n'
+    + ",\n".join(_REPORT_JSON_RUN.format(seed=s) for s in (9, 10, 11))
+    + '\n  ],\n'
+    '  "aggregates": {\n'
+    + ",\n".join(_REPORT_JSON_STAT.format(stat=stat, seed=seed)
+                 for stat, seed in (("min", "9.0"), ("max", "11.0"), ("mean", "10.0")))
+    + '\n  }\n'
+    '}\n'
+)
+
+REPORTS = {"table": REPORT_TABLE, "csv": REPORT_CSV, "json": REPORT_JSON}
+PAIRS_EXPERIMENT = ["experiment", "--k", "2", "--restarts", "3", "--seed", "9"]
+
+
+@pytest.mark.parametrize("fmt", sorted(REPORTS))
+def test_experiment_report_bytes(pairs_csv, capsys, fmt):
+    assert main([*PAIRS_EXPERIMENT, "--data", str(pairs_csv), "--format", fmt]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == REPORTS[fmt]
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("fmt", sorted(REPORTS))
+def test_experiment_report_file_bytes(pairs_csv, tmp_path, capsys, fmt):
+    out_path = tmp_path / f"report.{fmt}"
+    assert main([*PAIRS_EXPERIMENT, "--data", str(pairs_csv), "--format", fmt,
+                 "--out", str(out_path)]) == 0
+    assert capsys.readouterr().out == f"report written to {out_path}\n"
+    assert out_path.read_bytes() == REPORTS[fmt].encode("utf-8")

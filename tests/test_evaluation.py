@@ -225,3 +225,23 @@ def test_pair_metrics_memory_is_not_n_by_block_at_n20800():
             expected[1] += pairs * bool(pa & pb)
             expected[2] += pairs * bool(ta & tb)
     assert (m.ncilp, m.nilp, m.ntlp) == tuple(expected)
+
+
+def test_a_membership_matrix_reads_as_its_covering():
+    from okmlib import Dissimilarity, DissimilarityKind, OkmConfig, run_okm
+
+    values = np.random.default_rng(4).standard_normal((20, 2))
+    cov = run_okm(values, OkmConfig(k=2, dissimilarity=Dissimilarity(DissimilarityKind.SQUARED_EUCLIDEAN)))
+    assert pair_metrics(cov, cov.memberships) == pair_metrics(cov, cov)
+    assert pair_metrics(cov.memberships, cov).recall == 1.0
+    assert linked_pairs(cov.memberships) == linked_pairs(cov)
+
+
+@pytest.mark.parametrize("array", [np.zeros(4, dtype=bool), np.eye(4, dtype=int),
+                                   np.array([{0}, {1}, {0}, {1}], dtype=object)])
+def test_other_arrays_are_rejected(array):
+    sets = [{0}, {1}, {0}, {1}]
+    with pytest.raises(ValueError, match="bool membership matrix"):
+        pair_metrics(array, sets)
+    with pytest.raises(ValueError, match="bool membership matrix"):
+        linked_pairs(array)

@@ -622,3 +622,51 @@ def test_run_okm_kernel_measures_run_to_completion():
         cov = run_okm(data, OkmConfig(k=2, dissimilarity=d, seed=5))
         assert cov.n_iter >= 1
         assert cov.objective >= 0.0
+
+
+def _array_holders():
+    from okmlib import DataMatrix, EigenDecomposition, SpectrumReport, SymMatrix
+
+    return {
+        "Covering": lambda: Covering(memberships=np.eye(2, dtype=bool), prototypes=np.eye(2),
+                                     objective=1.0, n_iter=1),
+        "SymMatrix": lambda: SymMatrix(np.eye(2)),
+        "DataMatrix": lambda: DataMatrix(np.eye(2)),
+        "SpectrumReport": lambda: SpectrumReport(eigenvalues=np.ones(2),
+                                                 centered_eigenvalues=np.ones(2), estimated_k=1),
+        "EigenDecomposition": lambda: EigenDecomposition(np.ones(2), np.eye(2)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_array_holders()))
+def test_values_holding_arrays_compare_and_hash_by_identity(name):
+    make = _array_holders()[name]
+    a, b = make(), make()
+    assert a == a and a != b
+    assert hash(a) == hash(a)
+    assert len({a, b}) == 2
+
+
+RAW_ARRAY_CASES = {
+    "nan-cell": (np.array([[0.0, 1.0], [np.nan, 2.0], [3.0, 4.0]]), "data values must be finite"),
+    "one-d": (np.arange(20.0), r"expected a 2-D data array, got shape \(20,\)"),
+    "three-d": (np.zeros((1, 20, 2)), r"expected a 2-D data array, got shape \(1, 20, 2\)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RAW_ARRAY_CASES))
+def test_raw_arrays_get_the_data_matrix_checks(case):
+    from okmlib import gram
+
+    values, message = RAW_ARRAY_CASES[case]
+    sq = Dissimilarity(DissimilarityKind.SQUARED_EUCLIDEAN)
+    cov = run_okm(np.array([[0.0, 0.0], [1.0, 1.0], [5.0, 5.0]]), OkmConfig(k=2, dissimilarity=sq))
+    calls = {
+        "run_okm": lambda: run_okm(values, OkmConfig(k=2, dissimilarity=sq)),
+        "gram": lambda: gram(KernelSpec(KernelKind.LINEAR), values),
+        "update_prototypes": lambda: update_prototypes(cov, values),
+        "objective": lambda: objective(cov, sq, values),
+    }
+    for call in calls.values():
+        with pytest.raises(ValueError, match=message):
+            call()
