@@ -12,9 +12,12 @@ error.  Note the I-divergence is not symmetric in (x, y): callers pass
 the data point first and the model point second.
 
 `dissim_rows` is the batched core: it broadcasts two stacks of
-p-vectors against each other and returns one value per row, summing
-each row's components in the same order as the scalar form.  `dissim`
-is its one-row case and the place where vector shapes are checked.
+p-vectors against each other and returns one value per row.  It sums
+each row's components with `linalg.row_sum`, in numpy's own order for
+`sum(axis=-1)` (pairwise in eight lanes for 8 <= p <= 128, left to
+right below), so a row's value does not depend on the batch it is in.
+`dissim` is its one-row case and the place where vector shapes are
+checked.
 """
 
 import enum
@@ -24,6 +27,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidSpec, NegativeInput
 from .kernels import KernelSpec, kernel_distance_rows, kernel_distance_sq
+from .linalg import row_sum
 
 EPSILON = 1e-10  # the i-divergence's lower clamp
 
@@ -54,14 +58,14 @@ def dissim_rows(d: Dissimilarity, X, Y) -> np.ndarray:
     Y = np.asarray(Y, dtype=float)
 
     if d.kind == DissimilarityKind.SQUARED_EUCLIDEAN:
-        return ((X - Y) ** 2).sum(axis=-1)
+        return row_sum((X - Y) ** 2)
 
     if d.kind == DissimilarityKind.I_DIVERGENCE:
         if np.any(X < 0) or np.any(Y < 0):
             raise NegativeInput("i-divergence requires nonnegative components")
         xt = np.maximum(X, EPSILON)
         yt = np.maximum(Y, EPSILON)
-        total = (xt * np.log(xt / yt) - xt + yt).sum(axis=-1)
+        total = row_sum(xt * np.log(xt / yt) - xt + yt)
         return np.maximum(total, 0.0)
 
     return kernel_distance_rows(d.kernel, X, Y)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidSpec
-from .linalg import SymMatrix, sorted_eigenvalues
+from .linalg import SymMatrix, row_blocks, sorted_eigenvalues
 
 GAP_NOISE_FLOOR = 0.01
 
@@ -75,8 +75,16 @@ def _centered(matrix: SymMatrix) -> SymMatrix:
     c = np.subtract(k, row_means)
     c -= row_means.T
     c += grand_mean
-    c += c.T
-    c /= 2.0
+    # Symmetrize a row block at a time: `c += c.T` would copy all of c.T
+    # first.  Each block's rows from the diagonal on, and the matching
+    # columns, are still unwritten; addition commutes, so both halves get
+    # the bits of (c + c.T) / 2.
+    n = len(c)
+    for start, stop in row_blocks(n, n):
+        half = c[start:stop, start:] + c[start:, start:stop].T
+        half /= 2.0
+        c[start:stop, start:] = half
+        c[start:, start:stop] = half.T
     return SymMatrix(c)
 
 
@@ -85,8 +93,8 @@ def estimate_k(matrix: SymMatrix, policy: SignificancePolicy) -> SpectrumReport:
 
     Returns the full descending spectrum (raw and centered) so a human
     can second-guess the mechanical estimate.  Raises DomainError for
-    fewer than two points.  Memory: 2 n^2 doubles on top of `matrix` (the
-    centered copy and its transpose), plus LAPACK's working copies.
+    fewer than two points.  Memory: n^2 doubles on top of `matrix` (the
+    centered copy) and a row block, plus LAPACK's working copies.
     """
     n = matrix.n
     if n < 2:

@@ -61,7 +61,7 @@ import numpy as np
 from .dataio import data_values
 from .divergences import Dissimilarity, DissimilarityKind, dissim_rows
 from .errors import DimensionMismatch, DomainError, EmptyAssignment, InsufficientData, InvalidSpec
-from .linalg import distinct_rows, membership_matrix, sequential_sum
+from .linalg import distinct_rows, membership_matrix, sequential_row_sum, sequential_sum
 
 _REL_TOL_GUARD = 1e-12
 
@@ -281,8 +281,8 @@ def _update_prototypes(memberships, prototypes, values, nonneg=False):
             others = memberships[members]
             others[:, c] = False
             others = _masked_sums(others, new)
-        # cumsum adds the members one after another, as the reference does.
-        num = np.cumsum((a * np.take(values, members, axis=0) - others) / (a * a), axis=0)[-1]
+        # Members are added one after another, in index order, as the reference does.
+        num = sequential_row_sum((a * np.take(values, members, axis=0) - others) / (a * a))
         den = np.cumsum(1.0 / (a * a))[-1]
         moved = num / den
         if nonneg:

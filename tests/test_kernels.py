@@ -19,6 +19,7 @@ from okmlib import (
     kernel_rows,
     sorted_eigenvalues,
 )
+from okmlib.kernels import kernel_distance_rows
 
 RBF2 = KernelSpec(KernelKind.RBF, sigma=2.0)
 POLY2 = KernelSpec(KernelKind.POLYNOMIAL, degree=2.0)
@@ -184,6 +185,24 @@ def test_kernel_distance_of_overflowing_rows_is_nan_not_zero():
     with np.errstate(all="ignore"):
         d2 = kernel_distance_sq(LIN, OVERFLOWING[0], OVERFLOWING[1])
     assert math.isnan(d2)
+
+
+def test_rbf_distance_without_the_diagonal_terms_is_the_full_formula_bit_for_bit():
+    # For finite rows K(x, x) = K(y, y) = 1.0 exactly, so the distance can
+    # skip them; a row with a non-finite entry still gives NaN.
+    rng = np.random.default_rng(23)
+    for sigma in (0.1, 0.3, 1.0, 2.5, 10.0, 40.0, 150.0):
+        spec = KernelSpec(KernelKind.RBF, sigma=sigma)
+        x = sigma * rng.standard_normal((30, 1, 5))
+        y = sigma * rng.standard_normal((1, 6, 5))
+        full = kernel_rows(spec, x, x) + kernel_rows(spec, y, y) - 2.0 * kernel_rows(spec, x, y)
+        got = kernel_distance_rows(spec, x, y)
+        assert np.array_equal(got.view(np.int64), np.maximum(full, 0.0).view(np.int64)), sigma
+    x = np.array([[0.5, 1.0], [np.inf, 0.0]])
+    with np.errstate(invalid="ignore"):
+        got = kernel_distance_rows(RBF2, x, np.zeros(2))
+    assert got[0] == kernel_distance_sq(RBF2, x[0], np.zeros(2))
+    assert math.isnan(got[1])
 
 
 def test_gram_that_overflows_is_a_domain_error():

@@ -133,11 +133,11 @@ def test_centering_that_overflows_is_a_domain_error():
         estimate_k(SymMatrix(np.full((3, 3), 1e308)), GAP)
 
 
-def test_estimate_k_memory_stays_near_two_matrices(monkeypatch):
+def test_estimate_k_memory_stays_near_one_matrix(monkeypatch):
     # A deterministic guard, no wall clock: on top of the caller's Gram
-    # matrix, estimate_k holds the centered copy and, while symmetrizing
-    # it in place, one copy of its transpose.  LAPACK's working copies are
-    # not seen by tracemalloc.
+    # matrix, estimate_k holds the centered copy, which it symmetrizes in
+    # place one row block at a time.  LAPACK's working copies are not seen
+    # by tracemalloc.
     monkeypatch.setattr(linalg, "BLOCK_ELEMENTS", 4096)
     n = 600
     g = gram(KernelSpec(KernelKind.RBF, sigma=2.0), np.random.default_rng(32).standard_normal((n, 4)))
@@ -147,4 +147,4 @@ def test_estimate_k_memory_stays_near_two_matrices(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2.25 * 8 * n * n, peak / (8 * n * n)
+    assert peak <= 1.25 * 8 * n * n, peak / (8 * n * n)

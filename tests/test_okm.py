@@ -24,8 +24,9 @@ from okmlib import (
     run_okm,
     update_prototypes,
 )
-from okmlib import okm
+from okmlib import divergences, kernels, okm
 from okmlib.errors import DomainError, InvalidSpec
+from okmlib.linalg import row_sum
 from okmlib.okm import _assign, _cluster_matrix, _objective, _update_prototypes
 
 SQ = Dissimilarity(DissimilarityKind.SQUARED_EUCLIDEAN)
@@ -611,6 +612,32 @@ def test_run_okm_memory_stays_within_two_distance_temporaries_at_n20800():
         tracemalloc.stop()
     assert cov.n_iter >= 2
     assert peak < 2 * n * k * p * 8, peak
+
+
+def test_row_sum_is_numpys_row_sum_on_every_array_okm_sums(monkeypatch):
+    # The (n, k, p) distances, the growing points' (g, p) image distances
+    # and the objective's (n, p) rows, as a run builds them.
+    shapes = set()
+
+    def checked_row_sum(a):
+        expected = a.sum(axis=-1)
+        got = row_sum(a)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64)), a.shape
+        shapes.add(a.shape)
+        return got
+
+    monkeypatch.setattr(divergences, "row_sum", checked_row_sum)
+    monkeypatch.setattr(kernels, "row_sum", checked_row_sum)
+    n, k, p = 2200, 5, 8
+    data = generate_synthetic(SyntheticSpec(
+        k=k, points_per_cluster=400, overlap_pairs=tuple((c, (c + 1) % k, 40) for c in range(k)),
+        dimension=p, seed=0))
+    values = np.abs(data.values)  # the i-divergence needs nonnegative data
+    rbf = Dissimilarity(DissimilarityKind.KERNEL_INDUCED, kernel=KernelSpec(KernelKind.RBF, sigma=3.0))
+    for d in (SQ, IDIV, rbf):
+        run_okm(values, OkmConfig(k=k, dissimilarity=d, max_iter=3, seed=650))
+    assert {(n, k, p), (n, p)} <= shapes
+    assert any(len(shape) == 2 and 0 < shape[0] < n for shape in shapes), shapes
 
 
 def test_run_okm_kernel_measures_run_to_completion():
