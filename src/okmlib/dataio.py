@@ -118,7 +118,7 @@ def load_csv(path, label_column=None, label_separator="|") -> DataMatrix:
     index.  A header row is skipped automatically when any feature cell
     in the first row fails to parse as a number.
     """
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         rows = [row for row in csv.reader(handle) if row]
     if not rows:
         raise EmptyFile(f"no rows in {path}")

@@ -12,9 +12,9 @@ Degenerate denominators: an empty predicted pair set scores precision 1
 against an empty true pair set (perfect agreement) and 0 otherwise, and
 symmetrically for recall, so the metrics are total.
 
-`pair_metrics` counts linked pairs from bool membership matrices: a
-`Covering` and a `LabeledCovering` carry theirs, a 2-D bool array is
-one, and a plain sequence of sets goes through
+`pair_metrics` counts linked pairs from bool membership matrices, which
+`_memberships` reads: a `Covering` and a `LabeledCovering` carry theirs,
+a 2-D bool array is one, and a plain sequence of sets goes through
 `linalg.membership_matrix`.  Points with the same (predicted, true)
 membership pattern link alike, so it counts between
 the G distinct patterns, each weighted by its number of points: pattern
@@ -22,7 +22,8 @@ a and b link when (P P^T)_ab > 0, for w_a * w_b pairs across two
 patterns and w_a (w_a - 1) / 2 within one.  That takes O(n + G^2) time
 and, in row blocks over the patterns, O(n + block * G) memory, with
 exact int64 counts; G is at most n and usually tiny.  `linked_pairs`
-enumerates the pairs themselves and is the reference for those counts.
+enumerates the pairs themselves, over the sets of `linalg.membership_sets`
+(the one matrix-to-sets reader), and is the reference for those counts.
 """
 
 from dataclasses import dataclass
@@ -30,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import distinct_rows, membership_matrix, row_blocks
+from .linalg import distinct_rows, membership_matrix, membership_sets, row_blocks
 
 
 @dataclass(frozen=True)
@@ -65,21 +66,16 @@ class PairMetrics:
     f_measure: float
 
 
-def _bool_matrix(a: np.ndarray) -> np.ndarray:
-    if a.ndim != 2 or a.dtype != bool:
-        raise ValueError(f"an array must be an (n, k) bool membership matrix, "
-                         f"got {a.dtype} of shape {a.shape}")
-    return a
-
-
-def _membership_sets(c):
-    if hasattr(c, "label_sets"):
-        return c.label_sets
-    if hasattr(c, "assignments"):
-        return c.assignments
+def _memberships(c) -> np.ndarray:
+    """The bool membership matrix of a pair-metric input (see the module docstring)."""
+    if hasattr(c, "memberships"):
+        return c.memberships
     if isinstance(c, np.ndarray):
-        return tuple(frozenset(np.flatnonzero(row).tolist()) for row in _bool_matrix(c))
-    return tuple(frozenset(s) for s in c)
+        if c.ndim != 2 or c.dtype != bool:
+            raise ValueError(f"an array must be an (n, k) bool membership matrix, "
+                             f"got {c.dtype} of shape {c.shape}")
+        return c
+    return membership_matrix([frozenset(s) for s in c])
 
 
 def linked_pairs(c) -> set:
@@ -88,7 +84,7 @@ def linked_pairs(c) -> set:
     Accepts a Covering, a LabeledCovering, an (n, k) bool membership
     matrix, or any sequence of sets.
     """
-    sets = _membership_sets(c)
+    sets = membership_sets(_memberships(c))
     n = len(sets)
     pairs = set()
     for i in range(n):
@@ -97,15 +93,6 @@ def linked_pairs(c) -> set:
             if si & sets[j]:
                 pairs.add((i, j))
     return pairs
-
-
-def _memberships(c) -> np.ndarray:
-    """The bool membership matrix of one side of `pair_metrics`."""
-    if hasattr(c, "memberships"):
-        return c.memberships
-    if isinstance(c, np.ndarray):
-        return _bool_matrix(c)
-    return membership_matrix(_membership_sets(c))
 
 
 def _linked_pair_counts(pred, true):

@@ -20,8 +20,9 @@ temporary.
 `row_blocks` splits the rows of an n x n quantity (a Gram matrix, the
 linked-pair counts, pairwise distances) into blocks whose temporaries
 stay near `BLOCK_ELEMENTS` elements.  `membership_matrix` is the one
-set-to-matrix builder (cluster-id sets, label sets), and `distinct_rows`
-groups the equal rows of such a matrix (membership patterns).
+set-to-matrix builder (cluster-id sets, label sets), `membership_sets`
+the one matrix-to-sets reader, and `distinct_rows` groups the equal rows
+of such a matrix (membership patterns).
 """
 
 from dataclasses import dataclass
@@ -125,6 +126,19 @@ def distinct_rows(matrix):
     _, first, inverse, counts = np.unique(keys, return_index=True, return_inverse=True,
                                           return_counts=True)
     return first, inverse.reshape(-1), counts
+
+
+def membership_sets(matrix) -> tuple:
+    """One frozenset of column indices per row of an (n, m) bool matrix.
+
+    Equal rows share one set, built once per distinct row; an all-False
+    row is the empty set.
+    """
+    if not matrix.shape[1]:  # `distinct_rows` needs a column
+        return (frozenset(),) * len(matrix)
+    first, group, _ = distinct_rows(matrix)
+    sets = [frozenset(np.flatnonzero(matrix[i]).tolist()) for i in first.tolist()]
+    return tuple(map(sets.__getitem__, group.tolist()))
 
 
 @dataclass(frozen=True, eq=False)

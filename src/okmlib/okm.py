@@ -49,8 +49,9 @@ The per-point values of an iteration's objective serve the next
 assignment as the previous sets' dissimilarities, so they are not
 computed twice.  A `Covering` holds the final matrix (`memberships`),
 which `update_prototypes`, `objective` and `evaluation.pair_metrics`
-read; its cluster-id sets (`assignments`) are built on first read.  Only
-`image` and `assign_point` take sets, validated by `_cluster_matrix`.
+read; its cluster-id sets (`assignments`) are built on first read by
+`linalg.membership_sets`, the one matrix-to-sets reader.  Only `image`
+and `assign_point` take sets, validated by `_cluster_matrix`.
 """
 
 from dataclasses import dataclass
@@ -61,7 +62,7 @@ import numpy as np
 from .dataio import data_values
 from .divergences import Dissimilarity, DissimilarityKind, dissim_rows
 from .errors import DimensionMismatch, DomainError, EmptyAssignment, InsufficientData, InvalidSpec
-from .linalg import distinct_rows, membership_matrix, sequential_row_sum, sequential_sum
+from .linalg import membership_matrix, membership_sets, sequential_row_sum, sequential_sum
 
 _REL_TOL_GUARD = 1e-12
 
@@ -123,9 +124,7 @@ class Covering:
     @cached_property
     def assignments(self) -> tuple:
         """One frozenset of cluster ids per point, built on first use."""
-        first, group, _ = distinct_rows(self.memberships)
-        sets = [frozenset(np.flatnonzero(self.memberships[i]).tolist()) for i in first.tolist()]
-        return tuple(map(sets.__getitem__, group.tolist()))
+        return membership_sets(self.memberships)
 
 
 def _cluster_matrix(sets, k) -> np.ndarray:
@@ -134,18 +133,12 @@ def _cluster_matrix(sets, k) -> np.ndarray:
     Each set must be non-empty and hold only ids in 0..k-1; the first
     point that is not is reported.
     """
-    try:
-        matrix = membership_matrix(sets, range(k))
-    except KeyError:  # an id outside 0..k-1, found below
-        pass
-    else:
-        if matrix.any(axis=1).all():
-            return matrix
     for i, assigned in enumerate(sets):
         if not assigned:
             raise EmptyAssignment(f"point {i} has no cluster")
         if not all(c in range(k) for c in assigned):
             raise ValueError(f"point {i} references a cluster outside 0..{k - 1}")
+    return membership_matrix(sets, range(k))
 
 
 def _uses_table(n, k) -> bool:
@@ -283,7 +276,7 @@ def _update_prototypes(memberships, prototypes, values, nonneg=False):
             others = _masked_sums(others, new)
         # Members are added one after another, in index order, as the reference does.
         num = sequential_row_sum((a * np.take(values, members, axis=0) - others) / (a * a))
-        den = np.cumsum(1.0 / (a * a))[-1]
+        den = sequential_sum(1.0 / (a * a))
         moved = num / den
         if nonneg:
             moved = np.maximum(moved, 0.0)

@@ -3,7 +3,7 @@ import pytest
 
 from okmlib import SyntheticSpec, generate_synthetic, load_csv, save_csv
 from okmlib.cli import main
-from okmlib.linalg import distinct_rows
+from okmlib.linalg import membership_sets
 
 
 @pytest.fixture()
@@ -228,14 +228,14 @@ def _overlap_csv(tmp_path):
 
 
 def test_experiment_builds_no_cluster_id_sets(tmp_path, monkeypatch, capsys):
-    # Covering.assignments groups rows with okm.distinct_rows; pair metrics read the matrix.
+    # Covering.assignments reads the matrix with okm.membership_sets; pair metrics read the matrix.
     import okmlib.okm as okm
     from conftest import IRIS_PATH
 
     def unused(memberships):
         raise AssertionError("a covering's cluster-id sets were built")
 
-    monkeypatch.setattr(okm, "distinct_rows", unused)
+    monkeypatch.setattr(okm, "membership_sets", unused)
     for measure in ("euclidean", "idiv", "kernel"):
         assert main(["experiment", "--data", str(IRIS_PATH), "--k", "3", "--measure", measure,
                      "--format", "json"]) == 0
@@ -245,7 +245,7 @@ def test_experiment_builds_no_cluster_id_sets(tmp_path, monkeypatch, capsys):
 
 
 def test_cluster_builds_the_cluster_id_sets_once(tmp_path, monkeypatch, capsys):
-    # Writing the covering CSV reads Covering.assignments, built through okm.distinct_rows.
+    # Writing the covering CSV reads Covering.assignments, built through okm.membership_sets.
     import okmlib.okm as okm
     from conftest import IRIS_PATH
 
@@ -253,9 +253,9 @@ def test_cluster_builds_the_cluster_id_sets_once(tmp_path, monkeypatch, capsys):
 
     def counted(memberships):
         calls.append(memberships.shape)
-        return distinct_rows(memberships)
+        return membership_sets(memberships)
 
-    monkeypatch.setattr(okm, "distinct_rows", counted)
+    monkeypatch.setattr(okm, "membership_sets", counted)
     assert main(["cluster", "--data", str(IRIS_PATH), "--label-col", "last", "--k", "3",
                  "--out", str(tmp_path / "c.csv")]) == 0
     assert calls == [(150, 3)]

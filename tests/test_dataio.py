@@ -41,10 +41,11 @@ def test_custom_separator_and_indexed_label_column(tmp_path):
 
 
 def test_header_detection(tmp_path):
-    with_header = load_csv(write(tmp_path, "x,y\n1.0,2.0\n3.0,4.0\n"))
-    without = load_csv(write(tmp_path, "1.0,2.0\n3.0,4.0\n", name="plain.csv"))
-    assert with_header.n == without.n == 2
-    assert np.array_equal(with_header.values, without.values)
+    for bom in ("", "\ufeff"):  # a UTF-8 byte-order mark is not part of the first cell
+        with_header = load_csv(write(tmp_path, bom + "x,y\n1.0,2.0\n3.0,4.0\n"))
+        without = load_csv(write(tmp_path, bom + "1.0,2.0\n3.0,4.0\n", name="plain.csv"))
+        assert with_header.n == without.n == 2
+        assert np.array_equal(with_header.values, without.values)
 
 
 def test_iris_shape(iris):

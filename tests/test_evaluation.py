@@ -235,6 +235,9 @@ def test_a_membership_matrix_reads_as_its_covering():
     assert pair_metrics(cov, cov.memberships) == pair_metrics(cov, cov)
     assert pair_metrics(cov.memberships, cov).recall == 1.0
     assert linked_pairs(cov.memberships) == linked_pairs(cov)
+    truth = LabeledCovering([{"a"}, {"a", "b"}, {"b"}, {"c"}, {"b", "c"}])
+    assert linked_pairs(truth) == linked_pairs(truth.memberships) == linked_pairs(truth.label_sets)
+    assert pair_metrics(truth, truth.memberships) == pair_metrics(truth, truth)
 
 
 @pytest.mark.parametrize("array", [np.zeros(4, dtype=bool), np.eye(4, dtype=int),

@@ -15,7 +15,8 @@ from okmlib import (
     jacobi_eigen,
     sorted_eigenvalues,
 )
-from okmlib.linalg import distinct_rows, membership_matrix, row_sum, sequential_row_sum, sequential_sum
+from okmlib.linalg import (distinct_rows, membership_matrix, membership_sets, row_sum,
+                           sequential_row_sum, sequential_sum)
 
 
 def test_symmatrix_rejects_asymmetry():
@@ -173,7 +174,7 @@ def test_lapack_spectrum_matches_jacobi_reference(monkeypatch, iris):
                 assert np.max(np.abs(lam - ref)) <= 1e-9 * abs(ref[0])
 
 
-# ------------------------------------------- membership_matrix, distinct_rows
+# -------------------------- membership_matrix, membership_sets, distinct_rows
 
 
 def naive_membership_matrix(sets, members):
@@ -224,6 +225,17 @@ def test_distinct_rows_groups_equal_rows():
         assert len({matrix[i].tobytes() for i in range(40)}) == len(first)
         assert np.array_equal(counts, np.bincount(group))
         assert all(first[g] == np.flatnonzero(group == g)[0] for g in range(len(first)))
+
+
+def test_membership_sets_read_back_the_matrix():
+    rng = np.random.default_rng(83)
+    for n, m in ((40, 1), (40, 8), (40, 9), (40, 80), (0, 3), (5, 0), (0, 0)):
+        matrix = rng.random((n, m)) < 0.1  # many all-False rows
+        sets = membership_sets(matrix)
+        assert type(sets) is tuple and all(type(s) is frozenset for s in sets)
+        assert np.array_equal(membership_matrix(sets, range(m)), matrix)
+        # Equal rows share one set object.
+        assert len({id(s) for s in sets}) == len({row.tobytes() for row in matrix})
 
 
 def test_sequential_sum_adds_left_to_right():
