@@ -24,7 +24,14 @@ from .evaluation import LabeledCovering
 
 @dataclass(frozen=True, eq=False)
 class DataMatrix:
-    """n x p observations, optionally with per-row ground-truth labels."""
+    """n x p observations, optionally with per-row ground-truth labels.
+
+    The values are stored points-innermost (Fortran order): each feature
+    is one contiguous row of n values, so the batched distances, Gram
+    blocks and updates built from them run over n-long rows.  The layout
+    is memory only: indexing, `tobytes()` and pickling see the same (n, p)
+    array.
+    """
 
     values: np.ndarray
     labels: LabeledCovering | None = None
@@ -37,7 +44,7 @@ class DataMatrix:
             raise ValueError("data values must be finite")
         if self.labels is not None and self.labels.n != a.shape[0]:
             raise ValueError(f"label count {self.labels.n} != row count {a.shape[0]}")
-        object.__setattr__(self, "values", a)
+        object.__setattr__(self, "values", np.asfortranarray(a))
 
     @property
     def n(self):

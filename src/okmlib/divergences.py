@@ -13,11 +13,14 @@ the data point first and the model point second.
 
 `dissim_rows` is the batched core: it broadcasts two stacks of
 p-vectors against each other and returns one value per row.  It sums
-each row's components with `linalg.row_sum`, in numpy's own order for
-`sum(axis=-1)` (pairwise in eight lanes for 8 <= p <= 128, left to
-right below), so a row's value does not depend on the batch it is in.
-`dissim` is its one-row case and the place where vector shapes are
-checked.
+each row's components with `linalg.row_sum`, in numpy's own order for a
+C-ordered `sum(axis=-1)` (pairwise in eight lanes for 8 <= p <= 128,
+left to right below), so a row's value depends neither on the batch it
+is in nor on the memory layout of its inputs.  Data from a `DataMatrix`
+is points-innermost, and numpy keeps the point axis innermost in the
+(..., p) temporaries built from it, so the subtract, the square and the
+row sum's column adds run over contiguous runs of points.  `dissim` is
+its one-row case and the place where vector shapes are checked.
 """
 
 import enum

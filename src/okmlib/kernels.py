@@ -9,8 +9,11 @@ Supported kernels:
 Everything is computed by one row-batched core, `kernel_rows`, which
 broadcasts two stacks of p-vectors against each other and returns one
 kernel value per row; `kernel_eval` and `kernel_distance_sq` are its
-one-row cases.  Inner products are stacked 1 x p by p x 1 matmuls, so
-each row rounds exactly like `np.dot` on that pair.
+one-row cases.  Inner products are stacked 1 x p by p x 1 matmuls over
+C-contiguous rows, so each row rounds exactly like `np.dot` on that
+pair; a points-innermost input (`DataMatrix`) is copied to C rows first,
+once per `kernel_distance_rows` call, because a matmul over strided
+rows rounds differently.
 
 The induced squared distance K(x,x) + K(y,y) - 2 K(x,y) is clamped below
 at zero: fractional polynomial degrees are not Mercer kernels, so tiny
@@ -23,7 +26,9 @@ K(x, x) and K(y, y).  A call whose X or Y has a non-finite entry takes
 the full formula, so such a row still reads NaN.
 
 The squared euclidean distance inside the rbf kernel is summed with
-`linalg.row_sum`, in numpy's own `sum(axis=-1)` order.
+`linalg.row_sum`, in numpy's own C-order `sum(axis=-1)` order whatever
+the layout; on points-innermost data the Gram's row blocks run over
+contiguous runs of points.
 
 Memory: `gram` holds the dense n x n result, 8 n^2 bytes (about 3.2 GB
 at n = 20 000), and builds it in row blocks whose temporaries stay at
@@ -88,6 +93,9 @@ def kernel_rows(spec: KernelSpec, X, Y) -> np.ndarray:
     if spec.kind == KernelKind.RBF:
         d2 = row_sum((X - Y) ** 2)
         return np.exp(-d2 / (spec.sigma * spec.sigma))
+    # A matmul over strided (points-innermost) rows rounds differently.
+    X = np.ascontiguousarray(X)
+    Y = np.ascontiguousarray(Y)
     inner = (X[..., None, :] @ Y[..., :, None])[..., 0, 0]
     if spec.kind == KernelKind.LINEAR:
         return inner
@@ -111,6 +119,9 @@ def kernel_distance_rows(spec: KernelSpec, X, Y) -> np.ndarray:
         # K(x, x) = exp(-0.0) = 1.0 exactly for a finite x.
         d2 = (1.0 + 1.0) - 2.0 * kernel_rows(spec, X, Y)
     else:
+        # Copied once here, the C rows the inner products need (`kernel_rows`).
+        X = np.ascontiguousarray(X)
+        Y = np.ascontiguousarray(Y)
         d2 = kernel_rows(spec, X, X) + kernel_rows(spec, Y, Y) - 2.0 * kernel_rows(spec, X, Y)
     return np.maximum(d2, 0.0)  # keeps NaN: an overflow must not read as distance 0
 

@@ -11,12 +11,13 @@ takes under a millisecond; there the two spectra agree to within 1.5e-11
 of the largest eigenvalue.
 
 `sequential_sum` adds left to right, so a sum does not depend on the
-Python version (the builtin `sum()` is compensated from 3.12 on), and
-`sequential_row_sum` adds the rows of a matrix one after another.
-`row_sum` is `a.sum(axis=-1)` bit for bit, faster on short rows: numpy
-sums a row of 8 to 128 values pairwise, in eight lanes, and `row_sum`
-makes those same additions as whole-column adds in the caller's
-temporary.
+Python version (the builtin `sum()` is compensated from 3.12 on).
+`row_sum` is numpy's `sum(axis=-1)` of a C-ordered array bit for bit,
+whatever the memory layout: numpy sums a C row of 8 to 128 values
+pairwise, in eight lanes, and `row_sum` makes those same additions as
+whole-column adds in the caller's temporary.  On a points-innermost
+temporary (the layout `DataMatrix` gives) each column is a contiguous
+run of points, so these adds are long vector loops.
 `row_blocks` splits the rows of an n x n quantity (a Gram matrix, the
 linked-pair counts, pairwise distances) into blocks whose temporaries
 stay near `BLOCK_ELEMENTS` elements.  `membership_matrix` is the one
@@ -44,32 +45,24 @@ def sequential_sum(values) -> float:
     return float(np.cumsum(values)[-1]) if values.size else 0.0
 
 
-def sequential_row_sum(a) -> np.ndarray:
-    """a[0] + a[1] + ... of an (m, p) array, m >= 1, added one row after another.
-
-    Numpy reduces a C-ordered (m, p) array along axis 0 row by row, except
-    that it sums a single column (p = 1) pairwise; `cumsum` is sequential
-    there.  The reduction starts from -0.0, as `cumsum` starts from a[0].
-    """
-    if a.shape[1] == 1:
-        return np.cumsum(a, axis=0)[-1]
-    return np.add.reduce(a, axis=0, initial=-0.0)
-
-
 def row_sum(a) -> np.ndarray:
-    """`a.sum(axis=-1)` bit for bit, for a float array `a` that it may overwrite.
+    """`np.ascontiguousarray(a).sum(axis=-1)` bit for bit, for a float array `a` that it may overwrite.
 
     On a C-ordered row of 8 <= p <= 128 values numpy adds in eight lanes,
     lane j holding a[j] + a[j + 8] + ..., combines the lanes as
     ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), adds the p mod 8
     tail columns left to right and adds the result to +0.0.  Done here
     with column adds over all rows at once, in place, this is faster than
-    numpy's per-row loop on short rows.  Other arrays go to `a.sum`
-    (below 8 numpy adds left to right; above 128 it halves the row first).
+    numpy's per-row loop on short rows, and it does not depend on the
+    layout of `a`.  Below 8 numpy adds left to right in every layout, so
+    `a.sum` is used as it is; above 128 numpy halves a C row first, so a
+    contiguous copy is summed.
     """
     p = a.shape[-1]
-    if not (8 <= p <= 128 and a.flags.c_contiguous):
+    if p < 8:
         return a.sum(axis=-1)
+    if p > 128:
+        return np.ascontiguousarray(a).sum(axis=-1)
     lanes = a[..., :8]
     body = p - p % 8
     for start in range(8, body, 8):

@@ -32,12 +32,21 @@ update does one vectorized step per cluster, and the objective is one
 call.  Python loops run only over clusters, and memory is O(n * k * p)
 per iteration.
 
+The data are points-innermost (`DataMatrix`): each feature is one
+contiguous row of n values, and every (n, k, p) distance temporary,
+(n, p) image and gathered (p, m) subset keeps the point axis innermost,
+so numpy's loops run over runs of points, not over p features.  Points
+and images are gathered along that axis (`values.T.take(idx, axis=1)`),
+the assignment's per-point state (distances, order, prefix codes, chosen
+sets) is held as (k, n) rows, and the update adds its members with
+`cumsum` along the point axis.
+
 Images and the update's "other prototypes" are subset sums.  When
-2^k <= n, one table holds the sums of all 2^k cluster subsets (at most
-one (n, p) temporary), and a membership row reads its sum at its
-integer code, the sum of 1 << c over its clusters c; an assignment
+2^k <= n, one (p, 2^k) table holds the sums of all 2^k cluster subsets
+(at most one (n, p) temporary), and a membership row reads its sum at
+its integer code, the sum of 1 << c over its clusters c; an assignment
 step's candidate is the running sum of `1 << order`.  For larger k the
-sums are masked adds over the rows, one cluster at a time.
+sums are masked adds over the points, one cluster at a time.
 `_uses_table` alone chooses, and both paths give the same bits.  Sums
 keep the per-point reference order (prototypes in cluster-id order from
 +0.0, update members in index order), so coverings are the same as a
@@ -62,7 +71,7 @@ import numpy as np
 from .dataio import data_values
 from .divergences import Dissimilarity, DissimilarityKind, dissim_rows
 from .errors import DimensionMismatch, DomainError, EmptyAssignment, InsufficientData, InvalidSpec
-from .linalg import membership_matrix, membership_sets, sequential_row_sum, sequential_sum
+from .linalg import membership_matrix, membership_sets, sequential_sum
 
 _REL_TOL_GUARD = 1e-12
 
@@ -152,39 +161,42 @@ def _uses_table(n, k) -> bool:
 
 
 def _subset_sums(prototypes) -> np.ndarray:
-    """The sums of all 2^k subsets of the prototypes, row s for code s.
+    """The sums of all 2^k subsets of the prototypes, column s for code s: (p, 2^k).
 
-    Row s adds the prototypes whose bit is set in s in cluster-id order,
-    from +0.0: the additions `_masked_sums` makes, so both give the same
-    bits.  A membership row reads its sum at its code (`_codes`).
+    Column s adds the prototypes whose bit is set in s in cluster-id
+    order, from +0.0: the additions `_masked_sums` makes, so both give
+    the same bits.  A membership row reads its sum at its code (`_codes`).
     """
     k, p = prototypes.shape
-    sums = np.zeros((1 << k, p))
-    for c, prototype in enumerate(prototypes):
-        np.add(sums[:1 << c], prototype, out=sums[1 << c:2 << c])
+    sums = np.zeros((p, 1 << k))
+    for c, prototype in enumerate(prototypes[:, :, None]):
+        np.add(sums[:, :1 << c], prototype, out=sums[:, 1 << c:2 << c])
     return sums
 
 
 def _codes(memberships) -> np.ndarray:
     """Each membership row as an integer, with bit c set for cluster c."""
-    return memberships @ (1 << np.arange(memberships.shape[1]))
+    return (1 << np.arange(memberships.shape[1])) @ memberships.T
 
 
-def _masked_sums(memberships, prototypes) -> np.ndarray:
-    """Each row's prototypes added in cluster-id order, from +0.0."""
-    total = np.zeros((len(memberships), prototypes.shape[1]))
-    for c, prototype in enumerate(prototypes):
-        np.add(total, prototype, out=total, where=memberships[:, c, None])
+def _masked_sums(clusters, prototypes) -> np.ndarray:
+    """Each point's prototypes added in cluster-id order, from +0.0: (p, n).
+
+    `clusters` is a (k, n) bool matrix, row c marking cluster c's points.
+    """
+    total = np.zeros((prototypes.shape[1], clusters.shape[1]))
+    for cluster, prototype in zip(clusters, prototypes[:, :, None]):
+        np.add(total, prototype, out=total, where=cluster)
     return total
 
 
 def _images(memberships, prototypes) -> np.ndarray:
-    """Each row's image: its prototypes added in cluster-id order, over |A|."""
+    """Each row's image, points-innermost: its prototypes added in cluster-id order, over |A|."""
     if not _uses_table(*memberships.shape):
-        return _masked_sums(memberships, prototypes) / memberships.sum(axis=1)[:, None]
+        return (_masked_sums(memberships.T, prototypes) / memberships.sum(axis=1)).T
     sizes = _subset_sums(np.ones((len(prototypes), 1)))  # |A| of every subset
-    sizes[0] = 1.0  # the empty set, which no membership row is
-    return np.take(_subset_sums(prototypes) / sizes, _codes(memberships), axis=0)
+    sizes[0, 0] = 1.0  # the empty set, which no membership row is
+    return (_subset_sums(prototypes) / sizes).take(_codes(memberships), axis=1).T
 
 
 def image(assigned, prototypes) -> np.ndarray:
@@ -203,39 +215,41 @@ def _assign(values, prototypes, d: Dissimilarity, previous=None, previous_dists=
     dissimilarities to the images of `previous` at these prototypes.
     """
     n, k = len(values), len(prototypes)
-    dists = dissim_rows(d, values[:, None, :], prototypes[None, :, :])
-    order = np.argsort(dists, axis=1, kind="stable")
-    best = np.take_along_axis(dists, order[:, :1], axis=1)[:, 0]  # a 1-set's image is its prototype
+    points = values.T  # (p, n), gathered along the point axis
+    # Per-point state is (k, n): one row per rank or cluster.
+    dists = dissim_rows(d, values[:, None, :], prototypes[None, :, :]).T
+    order = dists.argsort(axis=0, kind="stable")
+    growing = np.arange(n)
+    best = dists[order[0], growing]  # a 1-set's image is its prototype
     # A point's set is always the first `size` clusters of its order.
     size = np.ones(n, dtype=np.intp)
     table = _uses_table(n, k)
     if table:
         sums = _subset_sums(prototypes)
-        prefix_codes = np.cumsum(1 << order, axis=1)
-    growing = np.arange(n)
+        prefix_codes = (1 << order).cumsum(axis=0)
     for step in range(1, k):
         if not growing.size:
             break
         if table:
-            images = np.take(sums, prefix_codes[growing, step], axis=0)
+            images = sums.take(prefix_codes[step, growing], axis=1)
         else:
-            candidate = np.zeros((growing.size, k), dtype=bool)
-            np.put_along_axis(candidate, order[growing, :step + 1], True, axis=1)
+            candidate = np.zeros((k, growing.size), dtype=bool)
+            np.put_along_axis(candidate, order[:step + 1, growing], True, axis=0)
             images = _masked_sums(candidate, prototypes)
         images /= step + 1
-        dist = dissim_rows(d, np.take(values, growing, axis=0), images)
+        dist = dissim_rows(d, points.take(growing, axis=1).T, images.T)
         improved = dist < best[growing]
         growing = growing[improved]
         size[growing] = step + 1
         best[growing] = dist[improved]
-    chosen = np.zeros((n, k), dtype=bool)
-    np.put_along_axis(chosen, order, np.arange(k) < size[:, None], axis=1)
+    chosen = np.zeros((k, n), dtype=bool)
+    np.put_along_axis(chosen, order, np.arange(k)[:, None] < size, axis=0)
     if previous is not None:
         if previous_dists is None:
             previous_dists = dissim_rows(d, values, _images(previous, prototypes))
         kept = previous_dists < best
-        chosen[kept] = previous[kept]
-    return chosen
+        chosen[:, kept] = previous.T[:, kept]
+    return chosen.T
 
 
 def assign_point(x, prototypes, d: Dissimilarity, previous=None) -> frozenset:
@@ -262,20 +276,21 @@ def _update_prototypes(memberships, prototypes, values, nonneg=False):
     table = _uses_table(*memberships.shape)
     if table:
         codes = _codes(memberships)
-    for c in range(len(new)):
-        members = np.flatnonzero(memberships[:, c])
+    points = values.T  # (p, n): members are gathered and summed along the point axis
+    for c, cluster in enumerate(memberships.T):
+        members = cluster.nonzero()[0]
         if not members.size:
             continue
-        a = sizes[members][:, None]
-        # Each member's other prototypes, freshest values, in cluster-id order.
+        a = sizes[members]
+        # Each member's other prototypes, freshest values, in cluster-id order: (p, m).
         if table:
-            others = np.take(_subset_sums(new), codes[members] & ~(1 << c), axis=0)
+            others = _subset_sums(new).take(codes[members] & ~(1 << c), axis=1)
         else:
-            others = memberships[members]
-            others[:, c] = False
+            others = memberships[members].T
+            others[c] = False
             others = _masked_sums(others, new)
         # Members are added one after another, in index order, as the reference does.
-        num = sequential_row_sum((a * np.take(values, members, axis=0) - others) / (a * a))
+        num = ((a * points.take(members, axis=1) - others) / (a * a)).cumsum(axis=1)[:, -1]
         den = sequential_sum(1.0 / (a * a))
         moved = num / den
         if nonneg:
@@ -312,7 +327,7 @@ def run_okm(data, config: OkmConfig, on_iteration=None) -> Covering:
     given, is called after each completed iteration.  Raises DomainError
     at the first J that is not finite: the data overflow the measure.
     """
-    values = np.ascontiguousarray(data_values(data))
+    values = data_values(data)
     n = len(values)
     if n < config.k:
         raise InsufficientData(f"{n} points cannot seed {config.k} clusters")
@@ -321,7 +336,7 @@ def run_okm(data, config: OkmConfig, on_iteration=None) -> Covering:
 
     rng = np.random.default_rng(config.seed)
     idx = rng.choice(n, size=config.k, replace=False)
-    prototypes = values[idx].copy()
+    prototypes = values[idx]  # C rows: each (n, k, p) distance temporary is points-innermost
 
     memberships = point_values = None
     current_j = None

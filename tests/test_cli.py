@@ -263,6 +263,7 @@ def test_cluster_builds_the_cluster_id_sets_once(tmp_path, monkeypatch, capsys):
 
 def test_median_sigma_row_blocks_match_dense_formula(monkeypatch):
     import okmlib.cli as cli
+    from okmlib import DataMatrix
 
     def dense(values):
         n = len(values)
@@ -277,8 +278,9 @@ def test_median_sigma_row_blocks_match_dense_formula(monkeypatch):
     rng = np.random.default_rng(8)
     for n, p in ((2, 1), (7, 3), (40, 2), (41, 9)):
         values = rng.standard_normal((n, p))
-        assert cli._median_heuristic_sigma(values) == dense(values)
-    assert cli._median_heuristic_sigma(np.zeros((5, 2))) == 1.0
+        # As the CLI passes them: a DataMatrix's points-innermost values.
+        assert cli._median_heuristic_sigma(DataMatrix(values).values) == dense(values)
+    assert cli._median_heuristic_sigma(DataMatrix(np.zeros((5, 2))).values) == 1.0
 
 
 def test_experiment_with_k_skips_the_median_sigma(pairs_csv, monkeypatch, capsys):

@@ -156,13 +156,31 @@ def test_gram_row_blocks_match_pairwise_kernel_eval(monkeypatch):
 
     monkeypatch.setattr(linalg, "BLOCK_ELEMENTS", 50)
     rng = np.random.default_rng(19)
-    data = rng.uniform(0.0, 3.0, (23, 3))
-    for spec in (RBF2, POLY2, LIN, KernelSpec(KernelKind.POLYNOMIAL, degree=0.25)):
-        expected = np.empty((23, 23))
-        for i in range(23):
-            for j in range(i, 23):
-                expected[i, j] = expected[j, i] = kernel_eval(spec, data[i], data[j])
-        assert np.array_equal(gram(spec, data).values, expected)
+    # p = 9 takes the rbf row sum's column adds.
+    for data in (rng.uniform(0.0, 3.0, (23, 3)), rng.uniform(0.0, 3.0, (23, 9))):
+        for spec in (RBF2, POLY2, LIN, KernelSpec(KernelKind.POLYNOMIAL, degree=0.25)):
+            expected = np.empty((23, 23))
+            for i in range(23):
+                for j in range(i, 23):
+                    expected[i, j] = expected[j, i] = kernel_eval(spec, data[i], data[j])
+            assert np.array_equal(gram(spec, data).values, expected), (spec, data.shape)
+
+
+def test_inner_product_kernels_round_alike_on_points_innermost_rows():
+    # A stacked matmul over strided rows rounds differently, so the rows of
+    # a points-innermost input are made C-contiguous first.
+    rng = np.random.default_rng(23)
+    for p in (4, 8, 9):
+        x, y = rng.uniform(0.0, 3.0, (2, 600, p))
+        fx, fy = np.asfortranarray(x), np.asfortranarray(y)
+        prototypes = rng.uniform(0.0, 3.0, (1, 5, p))
+        # (C inputs, points-innermost inputs): points against prototypes, and row against row.
+        cases = (((x[:, None, :], prototypes), (fx[:, None, :], prototypes)), ((x, y), (fx, fy)))
+        for spec in (POLY2, LIN, KernelSpec(KernelKind.POLYNOMIAL, degree=0.25)):
+            for rows in (kernel_rows, kernel_distance_rows):
+                for c_args, f_args in cases:
+                    assert np.array_equal(rows(spec, *f_args).view(np.int64),
+                                          rows(spec, *c_args).view(np.int64)), (spec, p, rows.__name__)
 
 
 def test_kernel_rows_broadcast_and_domain_check():

@@ -435,11 +435,13 @@ def reference_update_prototypes(assignments, prototypes, values, nonneg=False):
 
 
 def test_batched_update_and_objective_match_per_point_reference():
+    # Clusters of more than 8 members and p up to 9: a pairwise member sum
+    # or a row sum in another order would fail.
     rng = np.random.default_rng(63)
     for d in (SQ, IDIV, RBF1, POLY025):
         for _ in range(30):
-            n = int(rng.integers(1, 30))
-            p = int(rng.integers(1, 5))
+            n = int(rng.integers(1, 40))
+            p = int(rng.integers(1, 10))
             k = int(rng.integers(1, 6))
             data = rng.uniform(0.0, 3.0, (n, p))
             protos = rng.uniform(0.0, 3.0, (k, p))
@@ -616,11 +618,15 @@ def test_run_okm_memory_stays_within_two_distance_temporaries_at_n20800():
 
 def test_row_sum_is_numpys_row_sum_on_every_array_okm_sums(monkeypatch):
     # The (n, k, p) distances, the growing points' (g, p) image distances
-    # and the objective's (n, p) rows, as a run builds them.
+    # and the objective's (n, p) rows, as a run builds them.  The oracle is
+    # the sum of a C copy: on a points-innermost array `a.sum` adds left
+    # to right, which is not the order the golden fixture was recorded in.
     shapes = set()
+    innermost = {}
 
     def checked_row_sum(a):
-        expected = a.sum(axis=-1)
+        expected = np.ascontiguousarray(a).sum(axis=-1)
+        innermost[a.shape] = a.strides[0] == a.itemsize  # the point axis
         got = row_sum(a)
         assert np.array_equal(got.view(np.int64), expected.view(np.int64)), a.shape
         shapes.add(a.shape)
@@ -637,6 +643,7 @@ def test_row_sum_is_numpys_row_sum_on_every_array_okm_sums(monkeypatch):
     for d in (SQ, IDIV, rbf):
         run_okm(values, OkmConfig(k=k, dissimilarity=d, max_iter=3, seed=650))
     assert {(n, k, p), (n, p)} <= shapes
+    assert innermost[n, k, p] and innermost[n, p]
     assert any(len(shape) == 2 and 0 < shape[0] < n for shape in shapes), shapes
 
 
