@@ -21,6 +21,8 @@ is points-innermost, and numpy keeps the point axis innermost in the
 (..., p) temporaries built from it, so the subtract, the square and the
 row sum's column adds run over contiguous runs of points.  `dissim` is
 its one-row case and the place where vector shapes are checked.
+`unchecked_dissim_rows` is the same core without the i-divergence's sign
+check (`check_domain`), for callers that check their inputs once.
 """
 
 import enum
@@ -51,6 +53,12 @@ class Dissimilarity:
             raise InvalidSpec("kernel-induced dissimilarity needs a KernelSpec")
 
 
+def check_domain(d: Dissimilarity, *arrays) -> None:
+    """Raise NegativeInput if the i-divergence is given a negative component."""
+    if d.kind == DissimilarityKind.I_DIVERGENCE and any(np.any(a < 0) for a in arrays):
+        raise NegativeInput("i-divergence requires nonnegative components")
+
+
 def dissim_rows(d: Dissimilarity, X, Y) -> np.ndarray:
     """Dissimilarities of X (..., p) against Y (..., p), broadcast row by row.
 
@@ -59,13 +67,21 @@ def dissim_rows(d: Dissimilarity, X, Y) -> np.ndarray:
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
+    check_domain(d, X, Y)
+    return unchecked_dissim_rows(d, X, Y)
 
+
+def unchecked_dissim_rows(d: Dissimilarity, X, Y) -> np.ndarray:
+    """`dissim_rows` of float arrays whose sign `check_domain` has passed.
+
+    For callers that check their inputs once, at their boundary: OKM
+    checks the data once per run, and its prototypes and images stay
+    nonnegative under the i-divergence.
+    """
     if d.kind == DissimilarityKind.SQUARED_EUCLIDEAN:
         return row_sum((X - Y) ** 2)
 
     if d.kind == DissimilarityKind.I_DIVERGENCE:
-        if np.any(X < 0) or np.any(Y < 0):
-            raise NegativeInput("i-divergence requires nonnegative components")
         xt = np.maximum(X, EPSILON)
         yt = np.maximum(Y, EPSILON)
         total = row_sum(xt * np.log(xt / yt) - xt + yt)

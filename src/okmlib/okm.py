@@ -25,11 +25,11 @@ in the seed: initial prototypes are k distinct data rows sampled
 uniformly without replacement.
 
 Batched design: memberships are an (n, k) bool matrix and every phase
-works on all points at once through `dissim_rows`.  Assignment grows
-every point's set together in at most k steps; a set is always a prefix
-of the point's cluster order, so one size per point describes it.  The
-update does one vectorized step per cluster, and the objective is one
-call.  Python loops run only over clusters, and memory is O(n * k * p)
+works on all points at once through the batched dissimilarity core.
+Assignment grows every point's set together in at most k steps; a set
+is always a prefix of the point's cluster order, so one size per point
+describes it.  The update does one vectorized step per cluster, and the
+objective is one call.  Python loops run only over clusters, and memory is O(n * k * p)
 per iteration.
 
 The data are points-innermost (`DataMatrix`): each feature is one
@@ -45,31 +45,41 @@ Images and the update's "other prototypes" are subset sums.  When
 2^k <= n, one (p, 2^k) table holds the sums of all 2^k cluster subsets
 (at most one (n, p) temporary), and a membership row reads its sum at
 its integer code, the sum of 1 << c over its clusters c; an assignment
-step's candidate is the running sum of `1 << order`.  For larger k the
-sums are masked adds over the points, one cluster at a time.
-`_uses_table` alone chooses, and both paths give the same bits.  Sums
-keep the per-point reference order (prototypes in cluster-id order from
-+0.0, update members in index order), so coverings are the same as a
-point-by-point evaluation gives.  `assign_point`, `image`,
+step's candidate is the running sum of `1 << order`.  A run builds one
+table per prototype set, and only its first from scratch: the update
+starts from the current prototypes' table and, after cluster c moves,
+recomputes the columns from bit c up in place, so it ends holding the
+new prototypes' table, which the objective and the next assignment
+read.  The codes are computed once per iteration, and the subset sizes
+once per k.  For larger k the sums are masked adds over the points, one
+cluster at a time.  `_uses_table` alone chooses, and both paths give
+the same bits.  Sums keep the per-point reference order (prototypes in
+cluster-id order from +0.0, update members in index order), so
+coverings are the same as a point-by-point evaluation gives.  `assign_point`, `image`,
 `update_prototypes` and `objective` are one-point or `Covering`
 wrappers over the same functions.
 
 The per-point values of an iteration's objective serve the next
 assignment as the previous sets' dissimilarities, so they are not
-computed twice.  A `Covering` holds the final matrix (`memberships`),
-which `update_prototypes`, `objective` and `evaluation.pair_metrics`
-read; its cluster-id sets (`assignments`) are built on first read by
-`linalg.membership_sets`, the one matrix-to-sets reader.  Only `image`
-and `assign_point` take sets, validated by `_cluster_matrix`.
+computed twice.  The i-divergence's sign is checked once per run, on
+the data: the prototypes start as data rows and the update clamps them
+at 0, so the internal distance calls use `unchecked_dissim_rows`, while
+the public wrappers check what they are given.  A `Covering` holds the
+final matrix (`memberships`), which `update_prototypes`, `objective` and
+`evaluation.pair_metrics` read; its cluster-id sets (`assignments`) are
+built on first read by `linalg.membership_sets`, the one matrix-to-sets
+reader.  Only `image` and `assign_point` take sets, validated by
+`_cluster_matrix`.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
 from .dataio import data_values
-from .divergences import Dissimilarity, DissimilarityKind, dissim_rows
+from .divergences import (Dissimilarity, DissimilarityKind, check_domain, dissim_rows,
+                          unchecked_dissim_rows)
 from .errors import DimensionMismatch, DomainError, EmptyAssignment, InsufficientData, InvalidSpec
 from .linalg import membership_matrix, membership_sets, sequential_sum
 
@@ -160,18 +170,42 @@ def _uses_table(n, k) -> bool:
     return 1 << k <= n
 
 
-def _subset_sums(prototypes) -> np.ndarray:
+def _subset_sums(prototypes, sums=None, first=0) -> np.ndarray:
     """The sums of all 2^k subsets of the prototypes, column s for code s: (p, 2^k).
 
     Column s adds the prototypes whose bit is set in s in cluster-id
     order, from +0.0: the additions `_masked_sums` makes, so both give
     the same bits.  A membership row reads its sum at its code (`_codes`).
+    Given `sums`, the table of prototypes that differ from these only in
+    clusters `first` and up, it recomputes the columns from bit `first`
+    up in place, with the same additions, and returns it: the columns
+    below 1 << first hold none of those clusters.
     """
     k, p = prototypes.shape
-    sums = np.zeros((p, 1 << k))
-    for c, prototype in enumerate(prototypes[:, :, None]):
-        np.add(sums[:, :1 << c], prototype, out=sums[:, 1 << c:2 << c])
+    if sums is None:
+        sums = np.zeros((p, 1 << k))
+    for c in range(first, k):
+        np.add(sums[:, :1 << c], prototypes[c, :, None], out=sums[:, 1 << c:2 << c])
     return sums
+
+
+def _table(n, prototypes, sums=None):
+    """`sums` if given; else the prototypes' subset table if n rows use one, else None."""
+    if sums is None and _uses_table(n, len(prototypes)):
+        return _subset_sums(prototypes)
+    return sums
+
+
+@cache
+def _subset_sizes(k) -> np.ndarray:
+    """|A| of every subset code below 2^k, read-only.
+
+    The empty set, which no membership row is, reads 1.
+    """
+    sizes = _subset_sums(np.ones((k, 1)))[0]
+    sizes[0] = 1.0
+    sizes.flags.writeable = False
+    return sizes
 
 
 def _codes(memberships) -> np.ndarray:
@@ -190,13 +224,19 @@ def _masked_sums(clusters, prototypes) -> np.ndarray:
     return total
 
 
-def _images(memberships, prototypes) -> np.ndarray:
-    """Each row's image, points-innermost: its prototypes added in cluster-id order, over |A|."""
-    if not _uses_table(*memberships.shape):
+def _images(memberships, prototypes, sums=None, codes=None) -> np.ndarray:
+    """Each row's image, points-innermost: its prototypes added in cluster-id order, over |A|.
+
+    `sums` and `codes`, if given, are the prototypes' `_subset_sums` table
+    and the rows' `_codes`.
+    """
+    n, k = memberships.shape
+    sums = _table(n, prototypes, sums)
+    if sums is None:
         return (_masked_sums(memberships.T, prototypes) / memberships.sum(axis=1)).T
-    sizes = _subset_sums(np.ones((len(prototypes), 1)))  # |A| of every subset
-    sizes[0, 0] = 1.0  # the empty set, which no membership row is
-    return (_subset_sums(prototypes) / sizes).take(_codes(memberships), axis=1).T
+    if codes is None:
+        codes = _codes(memberships)
+    return (sums / _subset_sizes(k)).take(codes, axis=1).T
 
 
 def image(assigned, prototypes) -> np.ndarray:
@@ -205,48 +245,49 @@ def image(assigned, prototypes) -> np.ndarray:
     return _images(_cluster_matrix([assigned], len(prototypes)), prototypes)[0]
 
 
-def _assign(values, prototypes, d: Dissimilarity, previous=None, previous_dists=None) -> np.ndarray:
+def _assign(values, prototypes, d: Dissimilarity, previous=None, previous_dists=None,
+            sums=None) -> np.ndarray:
     """Greedy cluster sets of all points at once, as an (n, k) bool matrix.
 
     Step t offers every still-growing point its (t+1)-th nearest cluster
     (ties by id); a point keeps growing while the image dissimilarity
     strictly improves.  Rows of `previous` that strictly beat the greedy
     result are kept instead.  `previous_dists`, if given, are the points'
-    dissimilarities to the images of `previous` at these prototypes.
+    dissimilarities to the images of `previous` at these prototypes, and
+    `sums` their `_subset_sums` table.  The caller has checked the signs.
     """
     n, k = len(values), len(prototypes)
     points = values.T  # (p, n), gathered along the point axis
     # Per-point state is (k, n): one row per rank or cluster.
-    dists = dissim_rows(d, values[:, None, :], prototypes[None, :, :]).T
+    dists = unchecked_dissim_rows(d, values[:, None, :], prototypes[None, :, :]).T
     order = dists.argsort(axis=0, kind="stable")
     growing = np.arange(n)
     best = dists[order[0], growing]  # a 1-set's image is its prototype
     # A point's set is always the first `size` clusters of its order.
     size = np.ones(n, dtype=np.intp)
-    table = _uses_table(n, k)
-    if table:
-        sums = _subset_sums(prototypes)
+    sums = _table(n, prototypes, sums)
+    if sums is not None:
         prefix_codes = (1 << order).cumsum(axis=0)
     for step in range(1, k):
         if not growing.size:
             break
-        if table:
+        if sums is not None:
             images = sums.take(prefix_codes[step, growing], axis=1)
         else:
             candidate = np.zeros((k, growing.size), dtype=bool)
             np.put_along_axis(candidate, order[:step + 1, growing], True, axis=0)
             images = _masked_sums(candidate, prototypes)
         images /= step + 1
-        dist = dissim_rows(d, points.take(growing, axis=1).T, images.T)
+        dist = unchecked_dissim_rows(d, points.take(growing, axis=1).T, images.T)
         improved = dist < best[growing]
         growing = growing[improved]
         size[growing] = step + 1
         best[growing] = dist[improved]
     chosen = np.zeros((k, n), dtype=bool)
-    np.put_along_axis(chosen, order, np.arange(k)[:, None] < size, axis=0)
+    chosen[order, np.arange(n)] = np.arange(k)[:, None] < size
     if previous is not None:
         if previous_dists is None:
-            previous_dists = dissim_rows(d, values, _images(previous, prototypes))
+            previous_dists = unchecked_dissim_rows(d, values, _images(previous, prototypes, sums))
         kept = previous_dists < best
         chosen[:, kept] = previous.T[:, kept]
     return chosen.T
@@ -266,15 +307,22 @@ def assign_point(x, prototypes, d: Dissimilarity, previous=None) -> frozenset:
         raise DimensionMismatch(f"incompatible shapes: point {x.shape}, prototypes {prototypes.shape}")
     if previous is not None:
         previous = _cluster_matrix([previous], len(prototypes))
+    check_domain(d, x, prototypes)  # the images are means of the prototypes
     chosen = _assign(x[None, :], prototypes, d, previous)[0]
     return frozenset(np.flatnonzero(chosen).tolist())
 
 
-def _update_prototypes(memberships, prototypes, values, nonneg=False):
+def _update_prototypes(memberships, prototypes, values, nonneg=False, sums=None, codes=None):
+    """The prototypes after one pass over the clusters in id order, freshest values first.
+
+    `sums`, if given, is the `_subset_sums` table of `prototypes` and
+    `codes` the rows' `_codes`.  The table is kept current in place, so
+    on return it is the table of the returned prototypes.
+    """
     new = prototypes.copy()
     sizes = memberships.sum(axis=1)
-    table = _uses_table(*memberships.shape)
-    if table:
+    sums = _table(len(memberships), prototypes, sums)
+    if sums is not None and codes is None:
         codes = _codes(memberships)
     points = values.T  # (p, n): members are gathered and summed along the point axis
     for c, cluster in enumerate(memberships.T):
@@ -283,8 +331,8 @@ def _update_prototypes(memberships, prototypes, values, nonneg=False):
             continue
         a = sizes[members]
         # Each member's other prototypes, freshest values, in cluster-id order: (p, m).
-        if table:
-            others = _subset_sums(new).take(codes[members] & ~(1 << c), axis=1)
+        if sums is not None:
+            others = sums.take(codes[members] & ~(1 << c), axis=1)
         else:
             others = memberships[members].T
             others[c] = False
@@ -296,6 +344,8 @@ def _update_prototypes(memberships, prototypes, values, nonneg=False):
         if nonneg:
             moved = np.maximum(moved, 0.0)
         new[c] = moved
+        if sums is not None:
+            _subset_sums(new, sums, first=c)
     return new
 
 
@@ -305,16 +355,19 @@ def update_prototypes(cov: Covering, data) -> np.ndarray:
     return _update_prototypes(cov.memberships, cov.prototypes, values)
 
 
-def _objective(memberships, prototypes, values, d):
-    """J and the per-point values it adds up."""
-    point_values = dissim_rows(d, values, _images(memberships, prototypes))
+def _objective(memberships, prototypes, values, d, sums=None, codes=None):
+    """J and the per-point values it adds up, for data whose signs are checked.
+
+    `sums` and `codes`, if given, are as for `_images`.
+    """
+    point_values = unchecked_dissim_rows(d, values, _images(memberships, prototypes, sums, codes))
     return sequential_sum(point_values), point_values  # as the reference adds them
 
 
 def objective(cov: Covering, d: Dissimilarity, data) -> float:
     """Recompute J for a covering from scratch."""
     values = data_values(data)
-    return _objective(cov.memberships, cov.prototypes, values, d)[0]
+    return sequential_sum(dissim_rows(d, values, _images(cov.memberships, cov.prototypes)))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is caught as a non-finite J
@@ -333,19 +386,25 @@ def run_okm(data, config: OkmConfig, on_iteration=None) -> Covering:
         raise InsufficientData(f"{n} points cannot seed {config.k} clusters")
     d = config.dissimilarity
     nonneg = d.kind == DissimilarityKind.I_DIVERGENCE
+    # Once per run: the prototypes start as data rows and the update clamps them at 0.
+    check_domain(d, values)
 
     rng = np.random.default_rng(config.seed)
     idx = rng.choice(n, size=config.k, replace=False)
     prototypes = values[idx]  # C rows: each (n, k, p) distance temporary is points-innermost
+    # The one table built from scratch: each update keeps it current.
+    sums = _table(n, prototypes)
 
     memberships = point_values = None
     current_j = None
     iterations = 0
     for _ in range(config.max_iter):
         # The last objective's per-point values are the previous sets' dissimilarities.
-        new_memberships = _assign(values, prototypes, d, memberships, point_values)
-        new_prototypes = _update_prototypes(new_memberships, prototypes, values, nonneg)
-        new_j, new_point_values = _objective(new_memberships, new_prototypes, values, d)
+        new_memberships = _assign(values, prototypes, d, memberships, point_values, sums)
+        codes = None if sums is None else _codes(new_memberships)
+        # From here on `sums` is the table of the new prototypes; a reverted round ends the run.
+        new_prototypes = _update_prototypes(new_memberships, prototypes, values, nonneg, sums, codes)
+        new_j, new_point_values = _objective(new_memberships, new_prototypes, values, d, sums, codes)
         if not np.isfinite(new_j):
             raise DomainError(f"J is {new_j}: the data overflow this measure")
         if current_j is not None and new_j > current_j:

@@ -25,7 +25,7 @@ from okmlib import (
     update_prototypes,
 )
 from okmlib import divergences, kernels, okm
-from okmlib.errors import DomainError, InvalidSpec
+from okmlib.errors import DomainError, InvalidSpec, NegativeInput
 from okmlib.linalg import row_sum
 from okmlib.okm import _assign, _cluster_matrix, _objective, _update_prototypes
 
@@ -368,6 +368,106 @@ def test_update_is_the_same_on_both_image_paths(image_paths, monkeypatch):
             forced.setattr(okm, "_uses_table", lambda n, k: False)
             masked = _update_prototypes(rows, protos, x, nonneg)
         assert np.array_equal(table, masked), (d.kind, x.shape, len(protos))
+
+
+# ------------------------------------------------- one table per prototype set
+#
+# The update keeps the subset table current in place as each cluster
+# moves; it must hold the bits a table built from scratch holds.
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_subset_table_refreshed_in_place_is_the_table_built_from_scratch():
+    rng = np.random.default_rng(81)
+    for sign in (-1.0, 1.0):
+        for p in (1, 8):
+            for k in range(1, 9):
+                spread = lambda shape: sign * 10.0 ** rng.uniform(-3, 3, shape)
+                new = spread((k, p))
+                sums = okm._subset_sums(new)
+                for c in range(k):
+                    new[c] = spread(p)
+                    okm._subset_sums(new, sums, first=c)
+                    assert _same_bits(sums, okm._subset_sums(new)), (sign, p, k, c)
+
+
+def test_update_leaves_the_table_of_the_prototypes_it_returns():
+    for d, values, protos, memberships, tile in _path_cases():
+        x, rows = values[tile], memberships[tile]
+        sums = okm._subset_sums(protos)
+        codes = okm._codes(rows)
+        new = _update_prototypes(rows, protos, x, d is IDIV, sums, codes)
+        assert np.array_equal(new, _update_prototypes(rows, protos, x, d is IDIV))
+        assert _same_bits(sums, okm._subset_sums(new)), (d.kind, x.shape, len(protos))
+
+
+def test_run_okm_builds_one_table_and_codes_once_per_round(iris, monkeypatch):
+    # The sizes table is cached per k; build it before counting.
+    okm._subset_sizes(3)
+    counts = {"from scratch": 0, "codes": 0, "rounds": 0}
+    subset_sums, codes, assign = okm._subset_sums, okm._codes, okm._assign
+
+    def counted_subset_sums(prototypes, sums=None, first=0):
+        counts["from scratch"] += sums is None
+        return subset_sums(prototypes, sums, first)
+
+    def counted_codes(memberships):
+        counts["codes"] += 1
+        return codes(memberships)
+
+    def counted_assign(*args):
+        counts["rounds"] += 1
+        return assign(*args)
+
+    monkeypatch.setattr(okm, "_subset_sums", counted_subset_sums)
+    monkeypatch.setattr(okm, "_codes", counted_codes)
+    monkeypatch.setattr(okm, "_assign", counted_assign)
+    iterations = set()
+    for d in (SQ, IDIV):
+        for max_iter in (1, 2, 100):
+            for key in counts:
+                counts[key] = 0
+            cov = run_okm(iris, OkmConfig(k=3, dissimilarity=d, max_iter=max_iter, seed=650))
+            iterations.add(cov.n_iter)
+            assert counts["from scratch"] == 1, (d.kind, max_iter, counts)
+            assert counts["codes"] == counts["rounds"] >= cov.n_iter, (d.kind, max_iter, counts)
+    assert len(iterations) >= 4, iterations
+
+
+def test_run_okm_checks_the_i_divergence_sign_once(iris, monkeypatch):
+    calls = {"okm": 0, "divergences": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(okm, "check_domain", counted("okm", okm.check_domain))
+    monkeypatch.setattr(divergences, "check_domain", counted("divergences", divergences.check_domain))
+    cov = run_okm(iris, OkmConfig(k=3, dissimilarity=IDIV, seed=650))
+    assert cov.n_iter > 1
+    assert calls == {"okm": 1, "divergences": 0}
+
+
+def test_negative_data_still_raise_negative_input_at_every_entry():
+    message = "^i-divergence requires nonnegative components$"
+    data = np.array([[1.0, 2.0], [3.0, -0.5], [2.0, 2.0]])
+    with pytest.raises(NegativeInput, match=message):
+        run_okm(data, OkmConfig(k=2, dissimilarity=IDIV, seed=0))
+    with pytest.raises(NegativeInput, match=message):
+        assign_point([1.0, -1.0], [[1.0, 1.0], [2.0, 2.0]], IDIV)
+    with pytest.raises(NegativeInput, match=message):
+        assign_point([1.0, 1.0], [[1.0, 1.0], [-2.0, 2.0]], IDIV)
+    cov = make_covering([{0, 1}, {0, 1}, {0}], [[-1.0, 1.0], [3.0, 1.0]])
+    with pytest.raises(NegativeInput, match=message):
+        objective(cov, IDIV, np.abs(data))  # the third point's image is negative
+    # A negative prototype whose images are all nonnegative is not an error.
+    both = make_covering([{0, 1}] * 3, [[-1.0, 1.0], [3.0, 1.0]])
+    assert objective(both, IDIV, np.abs(data)) >= 0.0
 
 
 # ----------------------------------------------------------- update_prototypes
