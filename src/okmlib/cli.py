@@ -17,9 +17,11 @@ fixed, and files are written atomically (temp + rename).
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
+import shutil
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -301,7 +303,9 @@ def cmd_experiment(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(prog="okm",
+    # argparse would query the terminal for every formatter it builds, one per argument.
+    formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    parser = argparse.ArgumentParser(prog="okm", formatter_class=formatter,
                                      description="Overlapping k-means experiment harness")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -332,13 +336,15 @@ def build_parser():
         p.add_argument("--tau", type=float, default=0.05,
                        help="significance threshold for the ratio policy")
 
-    p_est = sub.add_parser("estimate-k", help="estimate the cluster count from the Gram spectrum")
+    p_est = sub.add_parser("estimate-k", formatter_class=formatter,
+                           help="estimate the cluster count from the Gram spectrum")
     add_data_args(p_est, "NONE")
     add_kernel_args(p_est)
     add_policy_args(p_est)
     p_est.set_defaults(func=cmd_estimate_k)
 
-    p_clu = sub.add_parser("cluster", help="run one overlapping clustering")
+    p_clu = sub.add_parser("cluster", formatter_class=formatter,
+                           help="run one overlapping clustering")
     add_data_args(p_clu, "NONE")
     add_measure_args(p_clu)
     p_clu.add_argument("--k", type=int, required=True)
@@ -347,7 +353,8 @@ def build_parser():
     p_clu.add_argument("--out", default="covering.csv", help="covering CSV path")
     p_clu.set_defaults(func=cmd_cluster)
 
-    p_exp = sub.add_parser("experiment", help="restart protocol with pair metrics")
+    p_exp = sub.add_parser("experiment", formatter_class=formatter,
+                           help="restart protocol with pair metrics")
     add_data_args(p_exp, "last")
     add_measure_args(p_exp)
     p_exp.add_argument("--k", type=int, default=None,

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidSpec, NegativeInput
-from .kernels import KernelSpec, kernel_distance_rows, kernel_distance_sq
+from .kernels import KernelSpec, kernel_distance_sq, unchecked_kernel_distance_rows
 from .linalg import row_sum
 
 EPSILON = 1e-10  # the i-divergence's lower clamp
@@ -71,12 +71,13 @@ def dissim_rows(d: Dissimilarity, X, Y) -> np.ndarray:
     return unchecked_dissim_rows(d, X, Y)
 
 
-def unchecked_dissim_rows(d: Dissimilarity, X, Y) -> np.ndarray:
+def unchecked_dissim_rows(d: Dissimilarity, X, Y, x_self=None, finite=None) -> np.ndarray:
     """`dissim_rows` of float arrays whose sign `check_domain` has passed.
 
     For callers that check their inputs once, at their boundary: OKM
     checks the data once per run, and its prototypes and images stay
-    nonnegative under the i-divergence.
+    nonnegative under the i-divergence.  A kernel measure also takes
+    `x_self` and `finite` (`kernels.unchecked_kernel_distance_rows`).
     """
     if d.kind == DissimilarityKind.SQUARED_EUCLIDEAN:
         return row_sum((X - Y) ** 2)
@@ -87,7 +88,7 @@ def unchecked_dissim_rows(d: Dissimilarity, X, Y) -> np.ndarray:
         total = row_sum(xt * np.log(xt / yt) - xt + yt)
         return np.maximum(total, 0.0)
 
-    return kernel_distance_rows(d.kernel, X, Y)
+    return unchecked_kernel_distance_rows(d.kernel, X, Y, x_self, finite)
 
 
 def dissim(d: Dissimilarity, x, y) -> float:

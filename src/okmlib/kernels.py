@@ -17,13 +17,13 @@ rows rounds differently.
 
 The induced squared distance K(x,x) + K(y,y) - 2 K(x,y) is clamped below
 at zero: fractional polynomial degrees are not Mercer kernels, so tiny
-negative values can occur and would otherwise poison downstream
-comparisons and square roots.  A NaN (inf - inf, when K(x, x)
-overflows) stays NaN, so an overflow cannot pass for a zero distance.
-For the rbf kernel K(x, x) is exactly 1.0 when x is finite, so the
-distance is (1.0 + 1.0) - 2 K(x,y), the same bits without evaluating
-K(x, x) and K(y, y).  A call whose X or Y has a non-finite entry takes
-the full formula, so such a row still reads NaN.
+negative values can occur.  A NaN (inf - inf, when K(x, x) overflows)
+stays NaN, so an overflow cannot pass for a zero distance.  For the rbf
+kernel K(x, x) is exactly 1.0 when x is finite, so on finite operands
+the distance is (1.0 + 1.0) - 2 K(x,y), the same bits; with a non-finite
+entry it takes the full formula and reads NaN.  `kernel_distance_rows`
+checks finiteness on every call; `unchecked_kernel_distance_rows` is
+told it, and given K(x, x) of X's rows, by a caller that knows them.
 
 The squared euclidean distance inside the rbf kernel is summed with
 `linalg.row_sum`, in numpy's own C-order `sum(axis=-1)` order whatever
@@ -113,16 +113,26 @@ def kernel_rows(spec: KernelSpec, X, Y) -> np.ndarray:
 
 def kernel_distance_rows(spec: KernelSpec, X, Y) -> np.ndarray:
     """Kernel-induced squared distances of X against Y, row by row, clamped at 0."""
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if spec.kind == KernelKind.RBF and np.isfinite(X).all() and np.isfinite(Y).all():
+    return unchecked_kernel_distance_rows(spec, np.asarray(X, dtype=float), np.asarray(Y, dtype=float))
+
+
+def unchecked_kernel_distance_rows(spec: KernelSpec, X, Y, x_self=None, finite=None) -> np.ndarray:
+    """`kernel_distance_rows` of float arrays, given what the caller computed or checked once.
+
+    `x_self`, if given, is K(x, x) of X's rows, shaped to broadcast as X
+    does.  `finite` says whether X and Y are all finite; None checks here.
+    """
+    if spec.kind == KernelKind.RBF and (
+            np.isfinite(X).all() and np.isfinite(Y).all() if finite is None else finite):
         # K(x, x) = exp(-0.0) = 1.0 exactly for a finite x.
         d2 = (1.0 + 1.0) - 2.0 * kernel_rows(spec, X, Y)
     else:
         # Copied once here, the C rows the inner products need (`kernel_rows`).
         X = np.ascontiguousarray(X)
         Y = np.ascontiguousarray(Y)
-        d2 = kernel_rows(spec, X, X) + kernel_rows(spec, Y, Y) - 2.0 * kernel_rows(spec, X, Y)
+        if x_self is None:
+            x_self = kernel_rows(spec, X, X)
+        d2 = x_self + kernel_rows(spec, Y, Y) - 2.0 * kernel_rows(spec, X, Y)
     return np.maximum(d2, 0.0)  # keeps NaN: an overflow must not read as distance 0
 
 

@@ -25,51 +25,42 @@ in the seed: initial prototypes are k distinct data rows sampled
 uniformly without replacement.
 
 Batched design: memberships are an (n, k) bool matrix and every phase
-works on all points at once through the batched dissimilarity core.
-Assignment grows every point's set together in at most k steps; a set
-is always a prefix of the point's cluster order, so one size per point
-describes it.  The update does one vectorized step per cluster, and the
-objective is one call.  Python loops run only over clusters, and memory is O(n * k * p)
-per iteration.
-
-The data are points-innermost (`DataMatrix`): each feature is one
-contiguous row of n values, and every (n, k, p) distance temporary,
-(n, p) image and gathered (p, m) subset keeps the point axis innermost,
-so numpy's loops run over runs of points, not over p features.  Points
-and images are gathered along that axis (`values.T.take(idx, axis=1)`),
-the assignment's per-point state (distances, order, prefix codes, chosen
-sets) is held as (k, n) rows, and the update adds its members with
-`cumsum` along the point axis.
+works on all points at once; Python loops run only over clusters, and
+memory is O(n * k * p) per iteration.  A greedy set is always a prefix
+of the point's cluster order, so one size per point describes it.  The
+data are points-innermost (`DataMatrix`): every distance temporary,
+image and gathered subset keeps the point axis innermost, and the
+assignment's per-point state is held as (k, n) rows.
 
 Images and the update's "other prototypes" are subset sums.  When
-2^k <= n, one (p, 2^k) table holds the sums of all 2^k cluster subsets
-(at most one (n, p) temporary), and a membership row reads its sum at
-its integer code, the sum of 1 << c over its clusters c; an assignment
-step's candidate is the running sum of `1 << order`.  A run builds one
-table per prototype set, and only its first from scratch: the update
-starts from the current prototypes' table and, after cluster c moves,
-recomputes the columns from bit c up in place, so it ends holding the
-new prototypes' table, which the objective and the next assignment
-read.  The codes are computed once per iteration, and the subset sizes
-once per k.  For larger k the sums are masked adds over the points, one
-cluster at a time.  `_uses_table` alone chooses, and both paths give
-the same bits.  Sums keep the per-point reference order (prototypes in
-cluster-id order from +0.0, update members in index order), so
-coverings are the same as a point-by-point evaluation gives.  `assign_point`, `image`,
-`update_prototypes` and `objective` are one-point or `Covering`
-wrappers over the same functions.
+2^k <= n (`_uses_table` alone chooses), one (p, 2^k) table holds the
+sums of all cluster subsets, read at a row's code, the sum of 1 << c
+over its clusters c.  A run builds it from scratch once; the update
+recomputes its columns from bit c up after cluster c moves, so it ends
+holding the new prototypes' table for the objective and the next
+assignment.  Otherwise the sums are masked adds, one cluster at a time.
+Both paths add in the per-point reference order (prototypes in
+cluster-id order from +0.0, update members in index order), so they
+give the same bits and the coverings a point-by-point evaluation gives.
 
-The per-point values of an iteration's objective serve the next
-assignment as the previous sets' dissimilarities, so they are not
-computed twice.  The i-divergence's sign is checked once per run, on
-the data: the prototypes start as data rows and the update clamps them
-at 0, so the internal distance calls use `unchecked_dissim_rows`, while
-the public wrappers check what they are given.  A `Covering` holds the
-final matrix (`memberships`), which `update_prototypes`, `objective` and
-`evaluation.pair_metrics` read; its cluster-id sets (`assignments`) are
-built on first read by `linalg.membership_sets`, the one matrix-to-sets
-reader.  Only `image` and `assign_point` take sets, validated by
-`_cluster_matrix`.
+Computed or checked once in `run_okm`, for the internal distance calls
+(`unchecked_dissim_rows`): per run, the i-divergence's sign on the data
+(the prototypes start as data rows and the update clamps them at 0) and
+the data's K(x, x) under a polynomial or linear kernel; for the rbf
+kernel, whose distance skips K(x, x) and K(y, y) on finite operands, the
+data are finite (`DataMatrix`) and each subset table is checked after
+its build or update, since every prototype and image is a column of it
+over a size >= 1.  Masked sums can overflow, so on that path each rbf
+call checks its operands.  Per iteration: the membership codes, and the
+update's |A_i| x_i and |A_i|^2.  The objective's per-point values serve
+the next assignment as the previous sets' dissimilarities.
+
+`assign_point`, `image`, `update_prototypes` and `objective` are
+one-point or `Covering` wrappers over the same functions, and check
+what they are given.  A `Covering` holds the final matrix
+(`memberships`); its cluster-id sets (`assignments`) are built on first
+read by `linalg.membership_sets`.  Only `image` and `assign_point` take
+sets, validated by `_cluster_matrix`.
 """
 
 from dataclasses import dataclass
@@ -81,6 +72,7 @@ from .dataio import data_values
 from .divergences import (Dissimilarity, DissimilarityKind, check_domain, dissim_rows,
                           unchecked_dissim_rows)
 from .errors import DimensionMismatch, DomainError, EmptyAssignment, InsufficientData, InvalidSpec
+from .kernels import KernelKind, kernel_rows
 from .linalg import membership_matrix, membership_sets, sequential_sum
 
 _REL_TOL_GUARD = 1e-12
@@ -246,7 +238,7 @@ def image(assigned, prototypes) -> np.ndarray:
 
 
 def _assign(values, prototypes, d: Dissimilarity, previous=None, previous_dists=None,
-            sums=None) -> np.ndarray:
+            sums=None, x_self=None, finite=None) -> np.ndarray:
     """Greedy cluster sets of all points at once, as an (n, k) bool matrix.
 
     Step t offers every still-growing point its (t+1)-th nearest cluster
@@ -254,12 +246,16 @@ def _assign(values, prototypes, d: Dissimilarity, previous=None, previous_dists=
     strictly improves.  Rows of `previous` that strictly beat the greedy
     result are kept instead.  `previous_dists`, if given, are the points'
     dissimilarities to the images of `previous` at these prototypes, and
-    `sums` their `_subset_sums` table.  The caller has checked the signs.
+    `sums` their `_subset_sums` table.  The caller has checked the signs;
+    `x_self` and `finite` are as for `unchecked_dissim_rows`, `x_self`
+    over all of `values`.
     """
     n, k = len(values), len(prototypes)
     points = values.T  # (p, n), gathered along the point axis
+    x_self_at = lambda rows: None if x_self is None else x_self[rows]
     # Per-point state is (k, n): one row per rank or cluster.
-    dists = unchecked_dissim_rows(d, values[:, None, :], prototypes[None, :, :]).T
+    dists = unchecked_dissim_rows(d, values[:, None, :], prototypes[None, :, :],
+                                  x_self_at(np.s_[:, None]), finite).T
     order = dists.argsort(axis=0, kind="stable")
     growing = np.arange(n)
     best = dists[order[0], growing]  # a 1-set's image is its prototype
@@ -278,7 +274,8 @@ def _assign(values, prototypes, d: Dissimilarity, previous=None, previous_dists=
             np.put_along_axis(candidate, order[:step + 1, growing], True, axis=0)
             images = _masked_sums(candidate, prototypes)
         images /= step + 1
-        dist = unchecked_dissim_rows(d, points.take(growing, axis=1).T, images.T)
+        dist = unchecked_dissim_rows(d, points.take(growing, axis=1).T, images.T,
+                                     x_self_at(growing), finite)
         improved = dist < best[growing]
         growing = growing[improved]
         size[growing] = step + 1
@@ -287,9 +284,9 @@ def _assign(values, prototypes, d: Dissimilarity, previous=None, previous_dists=
     chosen[order, np.arange(n)] = np.arange(k)[:, None] < size
     if previous is not None:
         if previous_dists is None:
-            previous_dists = unchecked_dissim_rows(d, values, _images(previous, prototypes, sums))
-        kept = previous_dists < best
-        chosen[:, kept] = previous.T[:, kept]
+            previous_dists = unchecked_dissim_rows(d, values, _images(previous, prototypes, sums),
+                                                   x_self, finite)
+        chosen = np.where(previous_dists < best, previous.T, chosen)
     return chosen.T
 
 
@@ -320,16 +317,18 @@ def _update_prototypes(memberships, prototypes, values, nonneg=False, sums=None,
     on return it is the table of the returned prototypes.
     """
     new = prototypes.copy()
-    sizes = memberships.sum(axis=1)
     sums = _table(len(memberships), prototypes, sums)
     if sums is not None and codes is None:
         codes = _codes(memberships)
-    points = values.T  # (p, n): members are gathered and summed along the point axis
+    # Once for all clusters: |A_i| x_i as (p, n), members gathered and summed along the
+    # point axis, and |A_i|^2.
+    sizes = memberships.sum(axis=1)
+    scaled = sizes * values.T
+    squares = sizes * sizes
     for c, cluster in enumerate(memberships.T):
         members = cluster.nonzero()[0]
         if not members.size:
             continue
-        a = sizes[members]
         # Each member's other prototypes, freshest values, in cluster-id order: (p, m).
         if sums is not None:
             others = sums.take(codes[members] & ~(1 << c), axis=1)
@@ -338,9 +337,9 @@ def _update_prototypes(memberships, prototypes, values, nonneg=False, sums=None,
             others[c] = False
             others = _masked_sums(others, new)
         # Members are added one after another, in index order, as the reference does.
-        num = ((a * points.take(members, axis=1) - others) / (a * a)).cumsum(axis=1)[:, -1]
-        den = sequential_sum(1.0 / (a * a))
-        moved = num / den
+        square = squares.take(members)
+        num = ((scaled.take(members, axis=1) - others) / square).cumsum(axis=1)[:, -1]
+        moved = num / (1.0 / square).cumsum()[-1]
         if nonneg:
             moved = np.maximum(moved, 0.0)
         new[c] = moved
@@ -355,13 +354,35 @@ def update_prototypes(cov: Covering, data) -> np.ndarray:
     return _update_prototypes(cov.memberships, cov.prototypes, values)
 
 
-def _objective(memberships, prototypes, values, d, sums=None, codes=None):
+def _objective(memberships, prototypes, values, d, sums=None, codes=None, x_self=None, finite=None):
     """J and the per-point values it adds up, for data whose signs are checked.
 
-    `sums` and `codes`, if given, are as for `_images`.
+    `sums` and `codes`, if given, are as for `_images`; `x_self` and
+    `finite` as for `unchecked_dissim_rows`.
     """
-    point_values = unchecked_dissim_rows(d, values, _images(memberships, prototypes, sums, codes))
+    point_values = unchecked_dissim_rows(d, values, _images(memberships, prototypes, sums, codes),
+                                         x_self, finite)
     return sequential_sum(point_values), point_values  # as the reference adds them
+
+
+def _self_kernel(d: Dissimilarity, values):
+    """K(x_i, x_i) of each data row for a polynomial or linear kernel measure, else None."""
+    if d.kind != DissimilarityKind.KERNEL_INDUCED or d.kernel.kind == KernelKind.RBF:
+        return None
+    rows = np.ascontiguousarray(values)  # C rows, as every inner product (`kernel_rows`)
+    return kernel_rows(d.kernel, rows, rows)
+
+
+def _finite(d: Dissimilarity, sums):
+    """For an rbf measure, whether the prototypes and images read from table `sums` are finite.
+
+    Column 1 << c is prototype c and an image is a column over its size,
+    so the table alone decides.  None (checked per call) without a table
+    or for another measure.
+    """
+    if sums is None or d.kind != DissimilarityKind.KERNEL_INDUCED or d.kernel.kind != KernelKind.RBF:
+        return None
+    return bool(np.isfinite(sums).all())
 
 
 def objective(cov: Covering, d: Dissimilarity, data) -> float:
@@ -394,17 +415,23 @@ def run_okm(data, config: OkmConfig, on_iteration=None) -> Covering:
     prototypes = values[idx]  # C rows: each (n, k, p) distance temporary is points-innermost
     # The one table built from scratch: each update keeps it current.
     sums = _table(n, prototypes)
+    # The data are finite (`DataMatrix`), so the rbf distance needs only the table checked.
+    finite = _finite(d, sums)
+    x_self = _self_kernel(d, values)
 
     memberships = point_values = None
     current_j = None
     iterations = 0
     for _ in range(config.max_iter):
         # The last objective's per-point values are the previous sets' dissimilarities.
-        new_memberships = _assign(values, prototypes, d, memberships, point_values, sums)
+        new_memberships = _assign(values, prototypes, d, memberships, point_values, sums,
+                                  x_self, finite)
         codes = None if sums is None else _codes(new_memberships)
         # From here on `sums` is the table of the new prototypes; a reverted round ends the run.
         new_prototypes = _update_prototypes(new_memberships, prototypes, values, nonneg, sums, codes)
-        new_j, new_point_values = _objective(new_memberships, new_prototypes, values, d, sums, codes)
+        finite = _finite(d, sums)
+        new_j, new_point_values = _objective(new_memberships, new_prototypes, values, d, sums, codes,
+                                             x_self, finite)
         if not np.isfinite(new_j):
             raise DomainError(f"J is {new_j}: the data overflow this measure")
         if current_j is not None and new_j > current_j:

@@ -1,3 +1,5 @@
+import shutil
+
 import numpy as np
 import pytest
 
@@ -598,3 +600,25 @@ def test_experiment_report_file_bytes(pairs_csv, tmp_path, capsys, fmt):
                  "--out", str(out_path)]) == 0
     assert capsys.readouterr().out == f"report written to {out_path}\n"
     assert out_path.read_bytes() == REPORTS[fmt].encode("utf-8")
+
+
+@pytest.mark.parametrize("columns", [70, 200])
+def test_parser_queries_the_terminal_once_and_wraps_help_at_columns_minus_2(monkeypatch, capsys, columns):
+    queries = []
+    get_terminal_size = shutil.get_terminal_size
+
+    def counted(*args, **kwargs):
+        queries.append(args)
+        return get_terminal_size(*args, **kwargs)
+
+    monkeypatch.setattr(shutil, "get_terminal_size", counted)
+    monkeypatch.setenv("COLUMNS", str(columns))
+    for command in ([], ["estimate-k"], ["cluster"], ["experiment"]):
+        queries.clear()
+        with pytest.raises(SystemExit):
+            main([*command, "--help"])
+        assert len(queries) == 1, command
+        longest = max(map(len, capsys.readouterr().out.splitlines()))
+        assert longest <= columns - 2, command
+    # The longest help lines fill the width, so it is not a narrower one.
+    assert longest > columns - 10

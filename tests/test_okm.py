@@ -453,6 +453,51 @@ def test_run_okm_checks_the_i_divergence_sign_once(iris, monkeypatch):
     assert calls == {"okm": 1, "divergences": 0}
 
 
+LINEAR = Dissimilarity(DissimilarityKind.KERNEL_INDUCED, kernel=KernelSpec(KernelKind.LINEAR))
+RBF150 = Dissimilarity(DissimilarityKind.KERNEL_INDUCED, kernel=KernelSpec(KernelKind.RBF, sigma=150.0))
+
+
+def test_run_okm_evaluates_the_self_kernel_of_the_data_once_per_run(iris, monkeypatch):
+    # A K(x, x) call over data rows, told apart from one over the (1, k, p)
+    # prototypes (data rows in the first round) and over images.
+    data_rows = {row.tobytes() for row in iris.values}
+    calls = []
+    kernel_rows = kernels.kernel_rows
+
+    def counted(spec, X, Y):
+        if X is Y and not (X.ndim == 3 and X.shape[0] == 1):
+            rows = np.reshape(X, (-1, X.shape[-1]))
+            if all(row.tobytes() in data_rows for row in rows):
+                calls.append(len(rows))
+        return kernel_rows(spec, X, Y)
+
+    monkeypatch.setattr(kernels, "kernel_rows", counted)
+    monkeypatch.setattr(okm, "kernel_rows", counted)
+    iterations = set()
+    for d, expected in ((POLY025, [150]), (LINEAR, [150]), (RBF150, [])):
+        for max_iter in (1, 3, 100):
+            calls.clear()
+            cov = run_okm(iris, OkmConfig(k=3, dissimilarity=d, max_iter=max_iter, seed=650))
+            iterations.add(cov.n_iter)
+            assert calls == expected, (d.kernel.kind, max_iter, calls)
+    assert max(iterations) > 3, iterations
+
+
+@pytest.mark.parametrize("path", ["table", "masked"])
+def test_rbf_run_whose_subset_sums_overflow_raises_domain_error(monkeypatch, path):
+    # Finite data whose sums overflow: the images and the moved prototypes
+    # are inf, where the rbf distance without K(x, x) and K(y, y) would read
+    # a finite 2 - 2 exp(-inf) = 2 and hide the overflow.
+    data = np.array([[1.5e308, 0.0], [1.7e308, 1.0], [1.6e308, 0.5], [1.4e308, 2.0],
+                     [-1.5e308, 0.0], [-1.7e308, 1.0], [-1.6e308, 2.0], [-1.4e308, 0.5]])
+    if path == "masked":
+        monkeypatch.setattr(okm, "_uses_table", lambda n, k: False)
+    for k in (2, 3):
+        assert okm._uses_table(len(data), k) == (path == "table")
+        with pytest.raises(DomainError, match="^J is nan: the data overflow this measure$"):
+            run_okm(data, OkmConfig(k=k, dissimilarity=RBF1, seed=0))
+
+
 def test_negative_data_still_raise_negative_input_at_every_entry():
     message = "^i-divergence requires nonnegative components$"
     data = np.array([[1.0, 2.0], [3.0, -0.5], [2.0, 2.0]])
