@@ -2,12 +2,11 @@
 
 The pieces: kernel functions and Gram matrices (`kernels`), symmetric
 spectra and a reference Jacobi eigensolver (`linalg`), spectrum-based
-cluster-count estimation
-(`model_selection`), the unified dissimilarity interface
-(`divergences`), the overlapping clustering algorithm itself (`okm`),
-pair-based validation (`evaluation`), and dataset IO plus a synthetic
-overlap generator (`dataio`).  The `okm` console script wires them into
-an experiment harness.
+cluster-count estimation (`model_selection`), the unified dissimilarity
+interface (`divergences`), the overlapping clustering algorithm itself
+(`okm`), pair-based validation (`evaluation`), and dataset IO plus a
+synthetic overlap generator (`dataio`).  The `okm` console script
+(`cli`) wires them into an experiment harness.
 """
 
 from .dataio import DataMatrix, SyntheticSpec, generate_synthetic, load_csv, save_covering_csv, save_csv

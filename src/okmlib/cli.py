@@ -53,9 +53,8 @@ class MissingLabels(Exception):
 
 @np.errstate(over="ignore")  # an overflowing distance is inf, and an inf median is rejected
 def _median_heuristic_sigma(values):
-    # Median of the nonzero pairwise distances; a serviceable default bandwidth.
-    # Row blocks bound the (rows, n, p) difference temporary; the n(n-1)/2
-    # distances themselves are kept.
+    # Median of the nonzero pairwise distances, a serviceable default bandwidth.  Row
+    # blocks bound the (rows, n, p) difference temporary; the n(n-1)/2 distances are kept.
     n, p = values.shape
     if n < 2:
         return 1.0

@@ -2,13 +2,7 @@
 
 CSV conventions: UTF-8, comma-delimited, optional header (detected by a
 non-numeric first row), numeric feature columns, and optionally one
-label column holding '|'-separated label tokens.  Coverings are written
-as `index,cluster_ids` rows with 1-based '|'-joined cluster ids.
-
-The generator lays out k cluster centers (a regular simplex when the
-dimension allows, an axis lattice otherwise), draws Gaussian points per
-cluster, and adds doubly-labeled points around the midpoint of each
-requested overlap pair.
+label column holding '|'-separated label tokens.
 """
 
 import csv
@@ -40,6 +34,8 @@ class DataMatrix:
         a = np.asarray(self.values, dtype=float)
         if a.ndim != 2:
             raise ValueError(f"expected a 2-D data array, got shape {a.shape}")
+        if a.shape[1] < 1:
+            raise ValueError(f"expected at least one feature column, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise ValueError("data values must be finite")
         if self.labels is not None and self.labels.n != a.shape[0]:
@@ -121,9 +117,7 @@ def _is_float(token):
 def load_csv(path, label_column=None, label_separator="|") -> DataMatrix:
     """Load a delimited dataset, optionally with a multi-label column.
 
-    `label_column` is None (no labels), 'last', or a 0-based column
-    index.  A header row is skipped automatically when any feature cell
-    in the first row fails to parse as a number.
+    `label_column` is None (no labels), 'last', or a 0-based column index.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         rows = [row for row in csv.reader(handle) if row]
@@ -216,7 +210,7 @@ def save_csv(data: DataMatrix, path, label_separator="|"):
 
 
 def save_covering_csv(covering, path):
-    """Write a covering as `index,cluster_ids` with 1-based cluster ids."""
+    """Write a covering as `index,cluster_ids` rows with 1-based '|'-joined cluster ids."""
 
     def write(handle):
         writer = csv.writer(handle)
@@ -246,11 +240,12 @@ def _lattice_centers(k, dim, sep):
 
 
 def generate_synthetic(spec: SyntheticSpec) -> DataMatrix:
-    """Draw a labeled sample with the requested overlap structure.
+    """Draw a labeled sample with the requested overlap structure, deterministic in the spec's seed.
 
-    Overlap points are drawn around the midpoint of the two cluster
-    centers and carry exactly those two labels.  Deterministic in the
-    spec's seed.
+    The k cluster centers form a regular simplex when the dimension allows
+    and an axis lattice otherwise.  Each cluster draws Gaussian points
+    around its center; each overlap pair draws them around the midpoint of
+    its two centers, and they carry exactly those two labels.
     """
     rng = np.random.default_rng(spec.seed)
     if spec.k == 1:

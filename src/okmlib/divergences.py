@@ -8,21 +8,13 @@ The I-divergence is the generalized (Bregman) form whose centroid is the
 arithmetic mean, so the clustering prototype update stays valid for it.
 Both arguments are clamped below at `EPSILON` componentwise before
 evaluation, which makes zeros safe; genuinely negative components are an
-error.  Note the I-divergence is not symmetric in (x, y): callers pass
-the data point first and the model point second.
+error.  It is not symmetric: callers pass the data point first.
 
-`dissim_rows` is the batched core: it broadcasts two stacks of
-p-vectors against each other and returns one value per row.  It sums
-each row's components with `linalg.row_sum`, in numpy's own order for a
-C-ordered `sum(axis=-1)` (pairwise in eight lanes for 8 <= p <= 128,
-left to right below), so a row's value depends neither on the batch it
-is in nor on the memory layout of its inputs.  Data from a `DataMatrix`
-is points-innermost, and numpy keeps the point axis innermost in the
-(..., p) temporaries built from it, so the subtract, the square and the
-row sum's column adds run over contiguous runs of points.  `dissim` is
-its one-row case and the place where vector shapes are checked.
-`unchecked_dissim_rows` is the same core without the i-divergence's sign
-check (`check_domain`), for callers that check their inputs once.
+`dissim_rows` is the batched core, summing each row with
+`linalg.row_sum`, so a row's value depends neither on its batch nor on
+the memory layout.  `dissim` is its checked one-pair wrapper, and
+`unchecked_dissim_rows` the core without the i-divergence's sign check,
+for callers that check their inputs once.
 """
 
 import enum
@@ -30,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidSpec, NegativeInput
-from .kernels import KernelSpec, kernel_distance_sq, unchecked_kernel_distance_rows
+from .errors import InvalidSpec, NegativeInput
+from .kernels import KernelSpec, check_pair, kernel_distance_rows
 from .linalg import row_sum
 
 EPSILON = 1e-10  # the i-divergence's lower clamp
@@ -60,24 +52,17 @@ def check_domain(d: Dissimilarity, *arrays) -> None:
 
 
 def dissim_rows(d: Dissimilarity, X, Y) -> np.ndarray:
-    """Dissimilarities of X (..., p) against Y (..., p), broadcast row by row.
-
-    Returns one value >= 0 per broadcast row, shape
-    `broadcast(X, Y).shape[:-1]`.
-    """
+    """Dissimilarities of X (..., p) against Y (..., p): one value >= 0 per broadcast row."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     check_domain(d, X, Y)
     return unchecked_dissim_rows(d, X, Y)
 
 
-def unchecked_dissim_rows(d: Dissimilarity, X, Y, x_self=None, finite=None) -> np.ndarray:
+def unchecked_dissim_rows(d: Dissimilarity, X, Y, x_self=None, finite=False) -> np.ndarray:
     """`dissim_rows` of float arrays whose sign `check_domain` has passed.
 
-    For callers that check their inputs once, at their boundary: OKM
-    checks the data once per run, and its prototypes and images stay
-    nonnegative under the i-divergence.  A kernel measure also takes
-    `x_self` and `finite` (`kernels.unchecked_kernel_distance_rows`).
+    A kernel measure also takes `x_self` and `finite` (`kernels.kernel_distance_rows`).
     """
     if d.kind == DissimilarityKind.SQUARED_EUCLIDEAN:
         return row_sum((X - Y) ** 2)
@@ -88,15 +73,10 @@ def unchecked_dissim_rows(d: Dissimilarity, X, Y, x_self=None, finite=None) -> n
         total = row_sum(xt * np.log(xt / yt) - xt + yt)
         return np.maximum(total, 0.0)
 
-    return unchecked_kernel_distance_rows(d.kernel, X, Y, x_self, finite)
+    return kernel_distance_rows(d.kernel, X, Y, x_self, finite)
 
 
 def dissim(d: Dissimilarity, x, y) -> float:
     """Dissimilarity between two vectors; always >= 0."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise DimensionMismatch(f"incompatible vector shapes: {x.shape} vs {y.shape}")
-    if d.kind == DissimilarityKind.KERNEL_INDUCED:
-        return kernel_distance_sq(d.kernel, x, y)  # also rejects empty vectors
+    x, y = check_pair(x, y)
     return float(dissim_rows(d, x, y))

@@ -12,18 +12,12 @@ Degenerate denominators: an empty predicted pair set scores precision 1
 against an empty true pair set (perfect agreement) and 0 otherwise, and
 symmetrically for recall, so the metrics are total.
 
-`pair_metrics` counts linked pairs from bool membership matrices, which
-`_memberships` reads: a `Covering` and a `LabeledCovering` carry theirs,
-a 2-D bool array is one, and a plain sequence of sets goes through
-`linalg.membership_matrix`.  Points with the same (predicted, true)
-membership pattern link alike, so it counts between
-the G distinct patterns, each weighted by its number of points: pattern
-a and b link when (P P^T)_ab > 0, for w_a * w_b pairs across two
-patterns and w_a (w_a - 1) / 2 within one.  That takes O(n + G^2) time
-and, in row blocks over the patterns, O(n + block * G) memory, with
-exact int64 counts; G is at most n and usually tiny.  `linked_pairs`
-enumerates the pairs themselves, over the sets of `linalg.membership_sets`
-(the one matrix-to-sets reader), and is the reference for those counts.
+`pair_metrics` counts pairs between the G distinct (predicted, true)
+membership patterns, each weighted by its number of points: O(n + G^2)
+time and, in row blocks, O(n + block * G) memory, with exact int64
+counts.  `linked_pairs` enumerates the pairs themselves and is the
+reference for those counts.  Each side of either is a Covering, a
+LabeledCovering, an (n, k) bool membership matrix or a sequence of sets.
 """
 
 from dataclasses import dataclass
@@ -67,7 +61,7 @@ class PairMetrics:
 
 
 def _memberships(c) -> np.ndarray:
-    """The bool membership matrix of a pair-metric input (see the module docstring)."""
+    """The bool membership matrix of a pair-metric input; any other ndarray raises ValueError."""
     if hasattr(c, "memberships"):
         return c.memberships
     if isinstance(c, np.ndarray):
@@ -79,11 +73,7 @@ def _memberships(c) -> np.ndarray:
 
 
 def linked_pairs(c) -> set:
-    """All unordered index pairs (i, j), i < j, sharing a cluster.
-
-    Accepts a Covering, a LabeledCovering, an (n, k) bool membership
-    matrix, or any sequence of sets.
-    """
+    """All unordered index pairs (i, j), i < j, sharing a cluster."""
     sets = membership_sets(_memberships(c))
     n = len(sets)
     pairs = set()
@@ -118,12 +108,7 @@ def _linked_pair_counts(pred, true):
 
 
 def pair_metrics(predicted, truth) -> PairMetrics:
-    """Precision / recall / F over linked pairs of `predicted` vs `truth`.
-
-    Each side is a Covering, a LabeledCovering, an (n, k) bool
-    membership matrix or a sequence of sets; any other ndarray raises
-    ValueError.
-    """
+    """Precision / recall / F over linked pairs of `predicted` vs `truth`."""
     pred = _memberships(predicted)
     true = _memberships(truth)
     if len(pred) != len(true):

@@ -1,38 +1,13 @@
 """Kernel functions, Gram matrices, and the kernel-induced squared distance.
 
-Supported kernels:
-
     rbf         exp(-||x - y||^2 / sigma^2)
     polynomial  (<x, y> + 1)^degree     (degree may be fractional)
     linear      <x, y>
 
-Everything is computed by one row-batched core, `kernel_rows`, which
-broadcasts two stacks of p-vectors against each other and returns one
-kernel value per row; `kernel_eval` and `kernel_distance_sq` are its
-one-row cases.  Inner products are stacked 1 x p by p x 1 matmuls over
-C-contiguous rows, so each row rounds exactly like `np.dot` on that
-pair; a points-innermost input (`DataMatrix`) is copied to C rows first,
-once per `kernel_distance_rows` call, because a matmul over strided
-rows rounds differently.
-
-The induced squared distance K(x,x) + K(y,y) - 2 K(x,y) is clamped below
-at zero: fractional polynomial degrees are not Mercer kernels, so tiny
-negative values can occur.  A NaN (inf - inf, when K(x, x) overflows)
-stays NaN, so an overflow cannot pass for a zero distance.  For the rbf
-kernel K(x, x) is exactly 1.0 when x is finite, so on finite operands
-the distance is (1.0 + 1.0) - 2 K(x,y), the same bits; with a non-finite
-entry it takes the full formula and reads NaN.  `kernel_distance_rows`
-checks finiteness on every call; `unchecked_kernel_distance_rows` is
-told it, and given K(x, x) of X's rows, by a caller that knows them.
-
-The squared euclidean distance inside the rbf kernel is summed with
-`linalg.row_sum`, in numpy's own C-order `sum(axis=-1)` order whatever
-the layout; on points-innermost data the Gram's row blocks run over
-contiguous runs of points.
-
-Memory: `gram` holds the dense n x n result, 8 n^2 bytes (about 3.2 GB
-at n = 20 000), and builds it in row blocks whose temporaries stay at
-O(block * n * p) elements; `SymMatrix` validates it in row blocks too.
+`kernel_rows` is the one batched core and `kernel_distance_rows` the one
+distance; `kernel_eval` and `kernel_distance_sq` are their checked
+one-pair wrappers.  Each inner product rounds like `np.dot` on its pair,
+whatever the layout of the inputs.
 """
 
 import enum
@@ -53,10 +28,7 @@ class KernelKind(enum.Enum):
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel choice plus its parameter (sigma for rbf, degree for poly).
-
-    Fields not used by the chosen kind are ignored.
-    """
+    """Kernel choice plus its parameter (sigma for rbf, degree for poly); unused fields are ignored."""
 
     kind: KernelKind
     sigma: float = 1.0
@@ -65,15 +37,18 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind == KernelKind.RBF and not (np.isfinite(self.sigma) and self.sigma > 0):
             raise InvalidSpec(f"rbf kernel needs sigma > 0, got {self.sigma}")
+        if self.kind == KernelKind.RBF and not self.sigma * self.sigma > 0:
+            raise InvalidSpec(f"rbf kernel sigma {self.sigma} is too small: sigma^2 underflows to 0")
         if self.kind == KernelKind.POLYNOMIAL and not (np.isfinite(self.degree) and self.degree > 0):
             raise InvalidSpec(f"polynomial kernel needs degree > 0, got {self.degree}")
 
 
-def _check_pair(x, y):
+def check_pair(x, y):
+    """x and y as float vectors: 1-D, of equal length, with at least one component."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 1 or y.ndim != 1:
-        raise DimensionMismatch("kernel arguments must be 1-D vectors")
+        raise DimensionMismatch("arguments must be 1-D vectors")
     if x.shape[0] != y.shape[0]:
         raise DimensionMismatch(f"vector lengths differ: {x.shape[0]} vs {y.shape[0]}")
     if x.shape[0] < 1:
@@ -111,44 +86,44 @@ def kernel_rows(spec: KernelSpec, X, Y) -> np.ndarray:
     return np.power(base, spec.degree)
 
 
-def kernel_distance_rows(spec: KernelSpec, X, Y) -> np.ndarray:
-    """Kernel-induced squared distances of X against Y, row by row, clamped at 0."""
-    return unchecked_kernel_distance_rows(spec, np.asarray(X, dtype=float), np.asarray(Y, dtype=float))
+def kernel_distance_rows(spec: KernelSpec, X, Y, x_self=None, finite=False) -> np.ndarray:
+    """Kernel-induced squared distances of X against Y, row by row.
 
-
-def unchecked_kernel_distance_rows(spec: KernelSpec, X, Y, x_self=None, finite=None) -> np.ndarray:
-    """`kernel_distance_rows` of float arrays, given what the caller computed or checked once.
-
+    Clamped below at 0, since a fractional degree is not a Mercer kernel.
     `x_self`, if given, is K(x, x) of X's rows, shaped to broadcast as X
-    does.  `finite` says whether X and Y are all finite; None checks here.
+    does.  `finite` says the caller has shown X and Y finite; otherwise
+    the rbf kernel checks them here.  The rbf K(x, x) of a finite x is
+    exactly 1.0, so there (1.0 + 1.0) - 2 K(x, y) gives the full
+    formula's bits; a non-finite operand takes the full formula and reads
+    NaN, so an overflow never reads as distance 0.
     """
-    if spec.kind == KernelKind.RBF and (
-            np.isfinite(X).all() and np.isfinite(Y).all() if finite is None else finite):
-        # K(x, x) = exp(-0.0) = 1.0 exactly for a finite x.
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    if spec.kind == KernelKind.RBF and (finite or np.isfinite(X).all() and np.isfinite(Y).all()):
         d2 = (1.0 + 1.0) - 2.0 * kernel_rows(spec, X, Y)
     else:
-        # Copied once here, the C rows the inner products need (`kernel_rows`).
+        # The C rows every inner product needs, copied once here rather than per `kernel_rows`.
         X = np.ascontiguousarray(X)
         Y = np.ascontiguousarray(Y)
         if x_self is None:
             x_self = kernel_rows(spec, X, X)
         d2 = x_self + kernel_rows(spec, Y, Y) - 2.0 * kernel_rows(spec, X, Y)
-    return np.maximum(d2, 0.0)  # keeps NaN: an overflow must not read as distance 0
+    return np.maximum(d2, 0.0)
 
 
 def kernel_eval(spec: KernelSpec, x, y) -> float:
     """Evaluate the kernel on a pair of vectors."""
-    x, y = _check_pair(x, y)
+    x, y = check_pair(x, y)
     return float(kernel_rows(spec, x, y))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is caught as a non-finite entry
 def gram(spec: KernelSpec, data) -> SymMatrix:
-    """Build the n x n Gram matrix K(i, j) = K(x_i, x_j) for a dataset.
+    """The n x n Gram matrix K(i, j) = K(x_i, x_j) of a DataMatrix or an (n, p) array.
 
-    Row blocks of the upper triangle are evaluated with `kernel_rows`;
-    the lower triangle is mirrored, so the result is symmetric by
-    construction.  `data` may be a DataMatrix or a plain (n, p) array.
+    Row blocks of the upper triangle are evaluated and mirrored, so the
+    result is symmetric by construction.  Memory: the dense result, 8 n^2
+    bytes, plus row-block temporaries of O(block * n * p) elements.
     Raises DomainError when an entry overflows.
     """
     values = data_values(data)
@@ -170,5 +145,5 @@ def gram(spec: KernelSpec, data) -> SymMatrix:
 
 def kernel_distance_sq(spec: KernelSpec, x, y) -> float:
     """Squared distance induced by the kernel, clamped below at 0."""
-    x, y = _check_pair(x, y)
+    x, y = check_pair(x, y)
     return float(kernel_distance_rows(spec, x, y))

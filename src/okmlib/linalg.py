@@ -1,29 +1,9 @@
-"""Dense symmetric matrices, their spectrum, and a cyclic Jacobi eigensolver.
+"""Dense symmetric matrices and their spectrum, summation orders, and membership matrices.
 
-`sorted_eigenvalues` is the spectrum the model-selection step uses: the
-whole descending spectrum from LAPACK (`numpy.linalg.eigvalsh`).
-
-`jacobi_eigen` is the reference solver.  It rotates away off-diagonal
-mass sweep by sweep until the off-diagonal Frobenius norm drops below a
-tolerance, and also returns the eigenvectors.  It is pure Python per
-pivot, so it takes 0.4-1.8 s on a 150-row Iris Gram matrix where LAPACK
-takes under a millisecond; there the two spectra agree to within 1.5e-11
-of the largest eigenvalue.
-
-`sequential_sum` adds left to right, so a sum does not depend on the
-Python version (the builtin `sum()` is compensated from 3.12 on).
-`row_sum` is numpy's `sum(axis=-1)` of a C-ordered array bit for bit,
-whatever the memory layout: numpy sums a C row of 8 to 128 values
-pairwise, in eight lanes, and `row_sum` makes those same additions as
-whole-column adds in the caller's temporary.  On a points-innermost
-temporary (the layout `DataMatrix` gives) each column is a contiguous
-run of points, so these adds are long vector loops.
-`row_blocks` splits the rows of an n x n quantity (a Gram matrix, the
-linked-pair counts, pairwise distances) into blocks whose temporaries
-stay near `BLOCK_ELEMENTS` elements.  `membership_matrix` is the one
-set-to-matrix builder (cluster-id sets, label sets), `membership_sets`
-the one matrix-to-sets reader, and `distinct_rows` groups the equal rows
-of such a matrix (membership patterns).
+`sorted_eigenvalues` is the spectrum model selection uses and
+`jacobi_eigen` its pure-Python reference.  `membership_matrix` is the
+one set-to-matrix builder (cluster-id sets, label sets) and
+`membership_sets` the one matrix-to-sets reader.
 """
 
 from dataclasses import dataclass
@@ -34,13 +14,14 @@ import numpy as np
 from .errors import DomainError, NoConvergence
 
 SYMMETRY_TOL = 1e-12
-# Elements in one row block's temporary when an n x n quantity is
-# built or reduced block by block (`row_blocks`).
 BLOCK_ELEMENTS = 1 << 20
 
 
 def sequential_sum(values) -> float:
-    """values[0] + values[1] + ..., added left to right; 0.0 when empty."""
+    """values[0] + values[1] + ..., added left to right on every Python version; 0.0 when empty.
+
+    The builtin `sum()` is compensated from Python 3.12 on.
+    """
     values = np.asarray(values, dtype=float)
     return float(np.cumsum(values)[-1]) if values.size else 0.0
 
@@ -51,12 +32,11 @@ def row_sum(a) -> np.ndarray:
     On a C-ordered row of 8 <= p <= 128 values numpy adds in eight lanes,
     lane j holding a[j] + a[j + 8] + ..., combines the lanes as
     ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), adds the p mod 8
-    tail columns left to right and adds the result to +0.0.  Done here
-    with column adds over all rows at once, in place, this is faster than
-    numpy's per-row loop on short rows, and it does not depend on the
-    layout of `a`.  Below 8 numpy adds left to right in every layout, so
-    `a.sum` is used as it is; above 128 numpy halves a C row first, so a
-    contiguous copy is summed.
+    tail columns left to right and adds the result to +0.0.  Here these
+    are column adds over all rows at once, in place, so the result does
+    not depend on the layout of `a`.  Below 8 numpy adds left to right in
+    every layout, so `a.sum` is used as it is; above 128 numpy halves a C
+    row first, so a contiguous copy is summed.
     """
     p = a.shape[-1]
     if p < 8:
@@ -111,8 +91,7 @@ def distinct_rows(matrix):
     """Group the equal rows of an (n, m) bool matrix, m >= 1.
 
     Returns the index of the first row of each of the G groups, the group
-    of every row, and the group sizes.  Rows are keyed by their packed
-    bits (ceil(m / 8) bytes), so any number of columns works.
+    of every row, and the group sizes.
     """
     keys = np.ascontiguousarray(np.packbits(matrix, axis=1))
     keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()

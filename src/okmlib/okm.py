@@ -24,43 +24,31 @@ Empty clusters keep their previous prototype.  Runs are deterministic
 in the seed: initial prototypes are k distinct data rows sampled
 uniformly without replacement.
 
-Batched design: memberships are an (n, k) bool matrix and every phase
-works on all points at once; Python loops run only over clusters, and
-memory is O(n * k * p) per iteration.  A greedy set is always a prefix
-of the point's cluster order, so one size per point describes it.  The
-data are points-innermost (`DataMatrix`): every distance temporary,
-image and gathered subset keeps the point axis innermost, and the
-assignment's per-point state is held as (k, n) rows.
+Every phase works on all points at once, with Python loops only over
+clusters; memory is O(n * k * p) per iteration.
 
 Images and the update's "other prototypes" are subset sums.  When
-2^k <= n (`_uses_table` alone chooses), one (p, 2^k) table holds the
-sums of all cluster subsets, read at a row's code, the sum of 1 << c
-over its clusters c.  A run builds it from scratch once; the update
-recomputes its columns from bit c up after cluster c moves, so it ends
-holding the new prototypes' table for the objective and the next
-assignment.  Otherwise the sums are masked adds, one cluster at a time.
-Both paths add in the per-point reference order (prototypes in
-cluster-id order from +0.0, update members in index order), so they
-give the same bits and the coverings a point-by-point evaluation gives.
+2^k <= n (`_uses_table`), one (p, 2^k) table holds the sums of all
+cluster subsets, read at a membership row's code (`_codes`).  A run
+builds it once; the update recomputes its columns from bit c up after
+cluster c moves, so the objective and the next assignment read the new
+prototypes' table (a reverted round ends the run).  Otherwise the sums
+are masked adds, one cluster at a time.  Both paths add in the
+per-point reference order, so they give the same bits as a
+point-by-point evaluation.
 
-Computed or checked once in `run_okm`, for the internal distance calls
-(`unchecked_dissim_rows`): per run, the i-divergence's sign on the data
-(the prototypes start as data rows and the update clamps them at 0) and
-the data's K(x, x) under a polynomial or linear kernel; for the rbf
-kernel, whose distance skips K(x, x) and K(y, y) on finite operands, the
-data are finite (`DataMatrix`) and each subset table is checked after
-its build or update, since every prototype and image is a column of it
-over a size >= 1.  Masked sums can overflow, so on that path each rbf
-call checks its operands.  Per iteration: the membership codes, and the
-update's |A_i| x_i and |A_i|^2.  The objective's per-point values serve
-the next assignment as the previous sets' dissimilarities.
+Checked or computed once per run in `run_okm`, for the internal
+`unchecked_dissim_rows` calls: the i-divergence's sign on the data
+(prototypes start as data rows and the update clamps them at 0), the
+data's K(x, x) under a polynomial or linear kernel, and rbf finiteness:
+the data are finite (`DataMatrix`) and each table is checked after its
+build or update (`_finite`); without a table each rbf call checks.  Per
+iteration: the membership codes, and the update's |A_i| x_i and
+|A_i|^2.  The objective's per-point values serve the next assignment as
+the previous sets' dissimilarities.
 
-`assign_point`, `image`, `update_prototypes` and `objective` are
-one-point or `Covering` wrappers over the same functions, and check
-what they are given.  A `Covering` holds the final matrix
-(`memberships`); its cluster-id sets (`assignments`) are built on first
-read by `linalg.membership_sets`.  Only `image` and `assign_point` take
-sets, validated by `_cluster_matrix`.
+`assign_point`, `image`, `update_prototypes` and `objective` are the
+public, checked one-point or `Covering` wrappers over the same functions.
 """
 
 from dataclasses import dataclass
@@ -155,9 +143,8 @@ def _cluster_matrix(sets, k) -> np.ndarray:
 def _uses_table(n, k) -> bool:
     """Whether n membership rows read their sums from a `_subset_sums` table.
 
-    The table has 2^k rows, so with 2^k <= n it is never bigger than one
-    (n, p) temporary; for larger k the masked adds (`_masked_sums`) are
-    the only path.  This is the one place that chooses between the two.
+    The table has 2^k columns, so with 2^k <= n it is never bigger than
+    one (p, n) temporary.
     """
     return 1 << k <= n
 
@@ -166,12 +153,9 @@ def _subset_sums(prototypes, sums=None, first=0) -> np.ndarray:
     """The sums of all 2^k subsets of the prototypes, column s for code s: (p, 2^k).
 
     Column s adds the prototypes whose bit is set in s in cluster-id
-    order, from +0.0: the additions `_masked_sums` makes, so both give
-    the same bits.  A membership row reads its sum at its code (`_codes`).
-    Given `sums`, the table of prototypes that differ from these only in
-    clusters `first` and up, it recomputes the columns from bit `first`
-    up in place, with the same additions, and returns it: the columns
-    below 1 << first hold none of those clusters.
+    order, from +0.0, as `_masked_sums` does.  Given `sums`, the table of
+    prototypes that differ from these only in clusters `first` and up,
+    it recomputes the columns from bit `first` up in place and returns it.
     """
     k, p = prototypes.shape
     if sums is None:
@@ -190,10 +174,7 @@ def _table(n, prototypes, sums=None):
 
 @cache
 def _subset_sizes(k) -> np.ndarray:
-    """|A| of every subset code below 2^k, read-only.
-
-    The empty set, which no membership row is, reads 1.
-    """
+    """|A| of every subset code below 2^k, read-only; the empty set, which no row is, reads 1."""
     sizes = _subset_sums(np.ones((k, 1)))[0]
     sizes[0] = 1.0
     sizes.flags.writeable = False
@@ -217,7 +198,7 @@ def _masked_sums(clusters, prototypes) -> np.ndarray:
 
 
 def _images(memberships, prototypes, sums=None, codes=None) -> np.ndarray:
-    """Each row's image, points-innermost: its prototypes added in cluster-id order, over |A|.
+    """Each row's image: its prototypes added in cluster-id order, over |A|.
 
     `sums` and `codes`, if given, are the prototypes' `_subset_sums` table
     and the rows' `_codes`.
@@ -238,7 +219,7 @@ def image(assigned, prototypes) -> np.ndarray:
 
 
 def _assign(values, prototypes, d: Dissimilarity, previous=None, previous_dists=None,
-            sums=None, x_self=None, finite=None) -> np.ndarray:
+            sums=None, x_self=None, finite=False) -> np.ndarray:
     """Greedy cluster sets of all points at once, as an (n, k) bool matrix.
 
     Step t offers every still-growing point its (t+1)-th nearest cluster
@@ -247,8 +228,7 @@ def _assign(values, prototypes, d: Dissimilarity, previous=None, previous_dists=
     result are kept instead.  `previous_dists`, if given, are the points'
     dissimilarities to the images of `previous` at these prototypes, and
     `sums` their `_subset_sums` table.  The caller has checked the signs;
-    `x_self` and `finite` are as for `unchecked_dissim_rows`, `x_self`
-    over all of `values`.
+    `x_self` (over all of `values`) and `finite` are as for `unchecked_dissim_rows`.
     """
     n, k = len(values), len(prototypes)
     points = values.T  # (p, n), gathered along the point axis
@@ -312,16 +292,13 @@ def assign_point(x, prototypes, d: Dissimilarity, previous=None) -> frozenset:
 def _update_prototypes(memberships, prototypes, values, nonneg=False, sums=None, codes=None):
     """The prototypes after one pass over the clusters in id order, freshest values first.
 
-    `sums`, if given, is the `_subset_sums` table of `prototypes` and
-    `codes` the rows' `_codes`.  The table is kept current in place, so
-    on return it is the table of the returned prototypes.
+    `sums` and `codes` are as for `_images`; `sums` is updated in place
+    to the returned prototypes' table.
     """
     new = prototypes.copy()
     sums = _table(len(memberships), prototypes, sums)
     if sums is not None and codes is None:
         codes = _codes(memberships)
-    # Once for all clusters: |A_i| x_i as (p, n), members gathered and summed along the
-    # point axis, and |A_i|^2.
     sizes = memberships.sum(axis=1)
     scaled = sizes * values.T
     squares = sizes * sizes
@@ -354,11 +331,11 @@ def update_prototypes(cov: Covering, data) -> np.ndarray:
     return _update_prototypes(cov.memberships, cov.prototypes, values)
 
 
-def _objective(memberships, prototypes, values, d, sums=None, codes=None, x_self=None, finite=None):
+def _objective(memberships, prototypes, values, d, sums=None, codes=None, x_self=None, finite=False):
     """J and the per-point values it adds up, for data whose signs are checked.
 
-    `sums` and `codes`, if given, are as for `_images`; `x_self` and
-    `finite` as for `unchecked_dissim_rows`.
+    `sums` and `codes` are as for `_images`; `x_self` and `finite` as for
+    `unchecked_dissim_rows`.
     """
     point_values = unchecked_dissim_rows(d, values, _images(memberships, prototypes, sums, codes),
                                          x_self, finite)
@@ -377,11 +354,11 @@ def _finite(d: Dissimilarity, sums):
     """For an rbf measure, whether the prototypes and images read from table `sums` are finite.
 
     Column 1 << c is prototype c and an image is a column over its size,
-    so the table alone decides.  None (checked per call) without a table
+    so the table alone decides.  False (checked per call) without a table
     or for another measure.
     """
     if sums is None or d.kind != DissimilarityKind.KERNEL_INDUCED or d.kernel.kind != KernelKind.RBF:
-        return None
+        return False
     return bool(np.isfinite(sums).all())
 
 
@@ -407,15 +384,12 @@ def run_okm(data, config: OkmConfig, on_iteration=None) -> Covering:
         raise InsufficientData(f"{n} points cannot seed {config.k} clusters")
     d = config.dissimilarity
     nonneg = d.kind == DissimilarityKind.I_DIVERGENCE
-    # Once per run: the prototypes start as data rows and the update clamps them at 0.
     check_domain(d, values)
 
     rng = np.random.default_rng(config.seed)
     idx = rng.choice(n, size=config.k, replace=False)
-    prototypes = values[idx]  # C rows: each (n, k, p) distance temporary is points-innermost
-    # The one table built from scratch: each update keeps it current.
+    prototypes = values[idx]
     sums = _table(n, prototypes)
-    # The data are finite (`DataMatrix`), so the rbf distance needs only the table checked.
     finite = _finite(d, sums)
     x_self = _self_kernel(d, values)
 
@@ -423,11 +397,9 @@ def run_okm(data, config: OkmConfig, on_iteration=None) -> Covering:
     current_j = None
     iterations = 0
     for _ in range(config.max_iter):
-        # The last objective's per-point values are the previous sets' dissimilarities.
         new_memberships = _assign(values, prototypes, d, memberships, point_values, sums,
                                   x_self, finite)
         codes = None if sums is None else _codes(new_memberships)
-        # From here on `sums` is the table of the new prototypes; a reverted round ends the run.
         new_prototypes = _update_prototypes(new_memberships, prototypes, values, nonneg, sums, codes)
         finite = _finite(d, sums)
         new_j, new_point_values = _objective(new_memberships, new_prototypes, values, d, sums, codes,

@@ -350,6 +350,7 @@ POLY_HALF = ["--measure", "kernel", "--kernel", "poly", "--degree", "0.5"]
 LINEAR = ["--measure", "kernel", "--kernel", "linear"]
 GRAM_OVERFLOW = "error: Gram matrix is not finite: the data overflow this kernel"
 MEDIAN_SIGMA_OVERFLOW = "error: median sigma is inf: the pairwise distances overflow"
+SIGMA_UNDERFLOW = "error: rbf kernel sigma 1e-200 is too small: sigma^2 underflows to 0"
 
 # (argv, setup, exit code, the one stderr line); "{dir}" is the inputs' directory.
 EXIT_PATHS = [
@@ -438,6 +439,10 @@ EXIT_PATHS = [
                  id="median-sigma-overflow-cluster"),
     pytest.param(["experiment", "--data", "{dir}/overflow.csv"], None, 2, MEDIAN_SIGMA_OVERFLOW,
                  id="median-sigma-overflow-experiment"),
+    pytest.param(["experiment", "--data", "{dir}/pairs.csv", "--k", "2", "--measure", "kernel",
+                  "--sigma", "1e-200"], None, 2, SIGMA_UNDERFLOW, id="sigma-underflow-experiment"),
+    pytest.param(["estimate-k", "--data", "{dir}/pairs.csv", "--label-col", "last", "--sigma", "1e-200"],
+                 None, 2, SIGMA_UNDERFLOW, id="sigma-underflow-estimate-k"),
     pytest.param(["estimate-k", "--data", "{dir}/one.csv", "--label-col", "last"], None, 2,
                  "error: need at least 2 points to estimate k", id="estimate-k-one-point"),
     pytest.param(["estimate-k", "--data", "{dir}/pairs.csv", "--label-col", "last"],

@@ -111,6 +111,8 @@ def test_save_covering_csv(tmp_path):
 def test_datamatrix_validation():
     with pytest.raises(ValueError):
         DataMatrix(values=np.array([[np.inf]]))
+    with pytest.raises(ValueError, match="at least one feature column"):
+        DataMatrix(values=np.zeros((3, 0)))
     with pytest.raises(ValueError):
         DataMatrix(values=np.zeros((2, 2)), labels=LabeledCovering(({"a"},)))
 

@@ -82,11 +82,19 @@ def test_symmetry_except_i_divergence():
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         dissim(SQ, [1.0], [1.0, 2.0])
+    rbf = Dissimilarity(DissimilarityKind.KERNEL_INDUCED, kernel=KernelSpec(KernelKind.RBF))
+    poly = Dissimilarity(DissimilarityKind.KERNEL_INDUCED, kernel=KernelSpec(KernelKind.POLYNOMIAL))
+    for d in (SQ, IDIV, KLIN, rbf, poly):
+        with pytest.raises(DimensionMismatch, match="at least one component"):
+            dissim(d, [], [])
 
 
 def test_config_validation():
     with pytest.raises(InvalidSpec):
         Dissimilarity(DissimilarityKind.KERNEL_INDUCED)  # kernel missing
+    with pytest.raises(InvalidSpec, match="sigma 1e-200 is too small"):
+        KernelSpec(KernelKind.RBF, sigma=1e-200)  # sigma * sigma underflows to 0.0
+    KernelSpec(KernelKind.RBF, sigma=1e-160)  # a subnormal sigma * sigma is still > 0
 
 
 def test_rows_are_the_scalar_form_row_by_row():

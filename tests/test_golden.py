@@ -1,13 +1,14 @@
-"""Replay the recorded golden coverings (tests/data/golden_coverings.json).
+"""Replay the recorded golden coverings and CLI output (tests/data/golden_*.json).
 
-The fixture holds 43 runs recorded with the per-point reference
+The coverings fixture holds 43 runs recorded with the per-point reference
 implementation of OKM: Iris under four measures x seeds 650-659, and
 three restarts on the synthetic overlap sample.  The batched
 implementation must give identical assignments (as sets and as the rows
 of `Covering.memberships`) and iteration counts, and J within 1e-9
 relative; J recomputed by `objective` from that matrix must equal the
 run's J exactly.  `tests/data/make_golden_coverings.py`
-defines the cases and wrote the file.
+defines the cases and wrote the file.  The CLI fixture,
+`tests/data/make_golden_cli.py`, is described in its own docstring.
 """
 
 import importlib.util
@@ -21,16 +22,15 @@ from okmlib import OkmConfig, objective, run_okm
 DATA = Path(__file__).resolve().parent / "data"
 
 
-def _recorder():
-    spec = importlib.util.spec_from_file_location("make_golden_coverings",
-                                                  DATA / "make_golden_coverings.py")
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, DATA / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_batched_okm_reproduces_golden_coverings():
-    recorder = _recorder()
+    recorder = _load("make_golden_coverings")
     recorded = json.loads(recorder.GOLDEN_PATH.read_text())["runs"]
     cases = list(recorder.cases())
     assert len(recorded) == len(cases) == 43
@@ -50,3 +50,31 @@ def test_batched_okm_reproduces_golden_coverings():
     assert not mismatches, mismatches
     assert sum(run["n_iter"] for run in recorded if run["dataset"] == "iris") == 469
     assert sum(run["n_iter"] for run in recorded if run["dataset"] == "synthetic") == 42
+
+
+def test_cli_reproduces_golden_output(tmp_path):
+    """Every case of `make_golden_cli.py` gives the recorded exit code, stdout, stderr and file.
+
+    Spectrum values may differ by SPECTRUM_BOUND times their spectrum's
+    largest value, since LAPACK builds round differently; every other
+    byte, `estimated_k` included, must be identical.
+    """
+    recorder = _load("make_golden_cli")
+    recorded = json.loads(recorder.GOLDEN_PATH.read_text(encoding="utf-8"))
+    cases = list(recorder.cases())
+    assert [name for name, _, _ in cases] == list(recorded)
+    recorder.write_inputs(tmp_path)
+    for name, argv, written in cases:
+        got, want = recorder.run_case(argv, written, tmp_path), recorded[name]
+        for stream in ("stdout", "stderr", "file"):
+            if want[stream] is None:
+                assert got[stream] is None, (name, stream)
+                continue
+            got_text, got_spectra = recorder.split_spectrum(got[stream])
+            want_text, want_spectra = recorder.split_spectrum(want[stream])
+            assert got_text == want_text, (name, stream)
+            assert [len(s) for s in got_spectra] == [len(s) for s in want_spectra], name
+            for got_values, want_values in zip(got_spectra, want_spectra):
+                bound = recorder.SPECTRUM_BOUND * abs(want_values[0])
+                assert np.all(np.abs(np.subtract(got_values, want_values)) <= bound), name
+        assert got["code"] == want["code"], name

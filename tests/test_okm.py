@@ -830,6 +830,7 @@ RAW_ARRAY_CASES = {
     "nan-cell": (np.array([[0.0, 1.0], [np.nan, 2.0], [3.0, 4.0]]), "data values must be finite"),
     "one-d": (np.arange(20.0), r"expected a 2-D data array, got shape \(20,\)"),
     "three-d": (np.zeros((1, 20, 2)), r"expected a 2-D data array, got shape \(1, 20, 2\)"),
+    "no-features": (np.zeros((3, 0)), r"expected at least one feature column, got shape \(3, 0\)"),
 }
 
 
