@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpec, NegativeInput
+from .errors import DimensionMismatch, InvalidSpec, NegativeInput
 from .kernels import KernelSpec, check_pair, kernel_distance_rows
 from .linalg import row_sum
 
@@ -55,6 +55,8 @@ def dissim_rows(d: Dissimilarity, X, Y) -> np.ndarray:
     """Dissimilarities of X (..., p) against Y (..., p): one value >= 0 per broadcast row."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
+    if 0 in X.shape[-1:] + Y.shape[-1:]:
+        raise DimensionMismatch("rows must have at least one component")
     check_domain(d, X, Y)
     return unchecked_dissim_rows(d, X, Y)
 

@@ -39,6 +39,8 @@ class KernelSpec:
             raise InvalidSpec(f"rbf kernel needs sigma > 0, got {self.sigma}")
         if self.kind == KernelKind.RBF and not self.sigma * self.sigma > 0:
             raise InvalidSpec(f"rbf kernel sigma {self.sigma} is too small: sigma^2 underflows to 0")
+        if self.kind == KernelKind.RBF and self.sigma * self.sigma == np.inf:
+            raise InvalidSpec(f"rbf kernel sigma {self.sigma} is too large: sigma^2 overflows to inf")
         if self.kind == KernelKind.POLYNOMIAL and not (np.isfinite(self.degree) and self.degree > 0):
             raise InvalidSpec(f"polynomial kernel needs degree > 0, got {self.degree}")
 
@@ -60,11 +62,13 @@ def kernel_rows(spec: KernelSpec, X, Y) -> np.ndarray:
     """Kernel values of X (..., p) against Y (..., p), broadcast row by row.
 
     Returns one value per broadcast row, shape `broadcast(X, Y).shape[:-1]`.
-    Raises DomainError if a fractional polynomial degree meets a negative
-    base on any row.
+    Raises DimensionMismatch on rows with no components, and DomainError
+    if a fractional polynomial degree meets a negative base on any row.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
+    if 0 in X.shape[-1:] + Y.shape[-1:]:
+        raise DimensionMismatch("rows must have at least one component")
     if spec.kind == KernelKind.RBF:
         d2 = row_sum((X - Y) ** 2)
         return np.exp(-d2 / (spec.sigma * spec.sigma))

@@ -29,12 +29,13 @@ clusters; memory is O(n * k * p) per iteration.
 
 Images and the update's "other prototypes" are subset sums.  When
 2^k <= n (`_uses_table`), one (p, 2^k) table holds the sums of all
-cluster subsets, read at a membership row's code (`_codes`).  A run
-builds it once; the update recomputes its columns from bit c up after
-cluster c moves, so the objective and the next assignment read the new
-prototypes' table (a reverted round ends the run).  Otherwise the sums
-are masked adds, one cluster at a time.  Both paths add in the
-per-point reference order, so they give the same bits as a
+cluster subsets, read at a membership row's code (`_codes`).  Only
+`run_okm` decides this: it builds the table once and passes it, with
+the codes, to each step.  The update recomputes its columns from bit c
+up after cluster c moves, so the objective and the next assignment read
+the new prototypes' table (a reverted round ends the run).  A step
+given no table adds masked sums, one cluster at a time.  Both paths add
+in the per-point reference order, so they give the same bits as a
 point-by-point evaluation.
 
 Checked or computed once per run in `run_okm`, for the internal
@@ -48,7 +49,7 @@ iteration: the membership codes, and the update's |A_i| x_i and
 the previous sets' dissimilarities.
 
 `assign_point`, `image`, `update_prototypes` and `objective` are the
-public, checked one-point or `Covering` wrappers over the same functions.
+public, checked wrappers over the same functions; they pass no table.
 """
 
 from dataclasses import dataclass
@@ -165,13 +166,6 @@ def _subset_sums(prototypes, sums=None, first=0) -> np.ndarray:
     return sums
 
 
-def _table(n, prototypes, sums=None):
-    """`sums` if given; else the prototypes' subset table if n rows use one, else None."""
-    if sums is None and _uses_table(n, len(prototypes)):
-        return _subset_sums(prototypes)
-    return sums
-
-
 @cache
 def _subset_sizes(k) -> np.ndarray:
     """|A| of every subset code below 2^k, read-only; the empty set, which no row is, reads 1."""
@@ -203,13 +197,9 @@ def _images(memberships, prototypes, sums=None, codes=None) -> np.ndarray:
     `sums` and `codes`, if given, are the prototypes' `_subset_sums` table
     and the rows' `_codes`.
     """
-    n, k = memberships.shape
-    sums = _table(n, prototypes, sums)
     if sums is None:
         return (_masked_sums(memberships.T, prototypes) / memberships.sum(axis=1)).T
-    if codes is None:
-        codes = _codes(memberships)
-    return (sums / _subset_sizes(k)).take(codes, axis=1).T
+    return (sums / _subset_sizes(len(prototypes))).take(codes, axis=1).T
 
 
 def image(assigned, prototypes) -> np.ndarray:
@@ -225,9 +215,9 @@ def _assign(values, prototypes, d: Dissimilarity, previous=None, previous_dists=
     Step t offers every still-growing point its (t+1)-th nearest cluster
     (ties by id); a point keeps growing while the image dissimilarity
     strictly improves.  Rows of `previous` that strictly beat the greedy
-    result are kept instead.  `previous_dists`, if given, are the points'
-    dissimilarities to the images of `previous` at these prototypes, and
-    `sums` their `_subset_sums` table.  The caller has checked the signs;
+    result are kept instead, given `previous_dists`, their dissimilarities
+    to the images of `previous` at these prototypes.  `sums`, if given, is
+    the prototypes' `_subset_sums` table.  The caller has checked the signs;
     `x_self` (over all of `values`) and `finite` are as for `unchecked_dissim_rows`.
     """
     n, k = len(values), len(prototypes)
@@ -241,7 +231,6 @@ def _assign(values, prototypes, d: Dissimilarity, previous=None, previous_dists=
     best = dists[order[0], growing]  # a 1-set's image is its prototype
     # A point's set is always the first `size` clusters of its order.
     size = np.ones(n, dtype=np.intp)
-    sums = _table(n, prototypes, sums)
     if sums is not None:
         prefix_codes = (1 << order).cumsum(axis=0)
     for step in range(1, k):
@@ -263,9 +252,6 @@ def _assign(values, prototypes, d: Dissimilarity, previous=None, previous_dists=
     chosen = np.zeros((k, n), dtype=bool)
     chosen[order, np.arange(n)] = np.arange(k)[:, None] < size
     if previous is not None:
-        if previous_dists is None:
-            previous_dists = unchecked_dissim_rows(d, values, _images(previous, prototypes, sums),
-                                                   x_self, finite)
         chosen = np.where(previous_dists < best, previous.T, chosen)
     return chosen.T
 
@@ -285,7 +271,8 @@ def assign_point(x, prototypes, d: Dissimilarity, previous=None) -> frozenset:
     if previous is not None:
         previous = _cluster_matrix([previous], len(prototypes))
     check_domain(d, x, prototypes)  # the images are means of the prototypes
-    chosen = _assign(x[None, :], prototypes, d, previous)[0]
+    previous_dists = None if previous is None else _objective(previous, prototypes, x[None, :], d)[1]
+    chosen = _assign(x[None, :], prototypes, d, previous, previous_dists)[0]
     return frozenset(np.flatnonzero(chosen).tolist())
 
 
@@ -296,9 +283,6 @@ def _update_prototypes(memberships, prototypes, values, nonneg=False, sums=None,
     to the returned prototypes' table.
     """
     new = prototypes.copy()
-    sums = _table(len(memberships), prototypes, sums)
-    if sums is not None and codes is None:
-        codes = _codes(memberships)
     sizes = memberships.sum(axis=1)
     scaled = sizes * values.T
     squares = sizes * sizes
@@ -325,9 +309,18 @@ def _update_prototypes(memberships, prototypes, values, nonneg=False, sums=None,
     return new
 
 
+def _covering_values(cov: Covering, data) -> np.ndarray:
+    """The values of `data`, whose points and features must be those of `cov`."""
+    values = data_values(data)
+    if values.shape != (len(cov.memberships), cov.prototypes.shape[1]):
+        raise DimensionMismatch(f"covering with memberships {cov.memberships.shape} and prototypes "
+                                f"{cov.prototypes.shape} does not fit data of shape {values.shape}")
+    return values
+
+
 def update_prototypes(cov: Covering, data) -> np.ndarray:
     """Recompute all k prototypes for fixed assignments."""
-    values = data_values(data)
+    values = _covering_values(cov, data)
     return _update_prototypes(cov.memberships, cov.prototypes, values)
 
 
@@ -364,7 +357,7 @@ def _finite(d: Dissimilarity, sums):
 
 def objective(cov: Covering, d: Dissimilarity, data) -> float:
     """Recompute J for a covering from scratch."""
-    values = data_values(data)
+    values = _covering_values(cov, data)
     return sequential_sum(dissim_rows(d, values, _images(cov.memberships, cov.prototypes)))
 
 
@@ -389,7 +382,7 @@ def run_okm(data, config: OkmConfig, on_iteration=None) -> Covering:
     rng = np.random.default_rng(config.seed)
     idx = rng.choice(n, size=config.k, replace=False)
     prototypes = values[idx]
-    sums = _table(n, prototypes)
+    sums = _subset_sums(prototypes) if _uses_table(n, config.k) else None
     finite = _finite(d, sums)
     x_self = _self_kernel(d, values)
 

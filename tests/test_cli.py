@@ -142,6 +142,16 @@ def test_experiment_estimates_k_when_omitted(labeled_blobs_csv, capsys):
     assert len(doc["spectrum"]) == 36
 
 
+def test_experiment_csv_without_k_reports_the_estimate_on_stderr(labeled_blobs_csv, capsys):
+    # The CSV report has no field for it, so the estimated k goes to stderr.
+    code = main(["experiment", "--data", str(labeled_blobs_csv), "--label-col", "last",
+                 "--restarts", "2", "--format", "csv"])
+    assert code == 0
+    captured = capsys.readouterr()
+    assert captured.err == "estimated_k = 3\n"
+    assert captured.out.startswith("kind,seed,objective,")
+
+
 def test_experiment_table_format_shows_aggregates(pairs_csv, capsys):
     code = main(["experiment", "--data", str(pairs_csv), "--k", "2", "--restarts", "2"])
     assert code == 0
@@ -335,6 +345,7 @@ def bad_inputs(tmp_path):
         "negative.csv": "-2.0,a\n-1.0,a\n2.0,b\n3.0,b\n",
         "unlabeled.csv": "0.0,5.0\n1.0,5.0\n10.0,5.0\n11.0,5.0\n",
         "one.csv": "1.0,2.0,a\n",
+        "labels.csv": "a\nb\n",
         "huge.csv": "1e200,a\n-1e200,a\n3e200,b\n0.0,b\n",
         # K(x, x) overflows under the linear and polynomial kernels.
         "overflow.csv": "1e200,2e200,a\n3e200,1e200,a\n-2e200,5e199,b\n1e199,-3e200,b\n",
@@ -351,6 +362,7 @@ LINEAR = ["--measure", "kernel", "--kernel", "linear"]
 GRAM_OVERFLOW = "error: Gram matrix is not finite: the data overflow this kernel"
 MEDIAN_SIGMA_OVERFLOW = "error: median sigma is inf: the pairwise distances overflow"
 SIGMA_UNDERFLOW = "error: rbf kernel sigma 1e-200 is too small: sigma^2 underflows to 0"
+SIGMA_OVERFLOW = "error: rbf kernel sigma 1e+200 is too large: sigma^2 overflows to inf"
 
 # (argv, setup, exit code, the one stderr line); "{dir}" is the inputs' directory.
 EXIT_PATHS = [
@@ -372,6 +384,9 @@ EXIT_PATHS = [
                  None, 2,
                  "error: cannot load {dir}/pairs.csv: invalid literal for int() with base 10: "
                  "'foo'", id="load-label-column-not-integer"),
+    pytest.param(["estimate-k", "--data", "{dir}/labels.csv", "--label-col", "last"], None, 2,
+                 "error: cannot load {dir}/labels.csv: no feature columns left after removing the "
+                 "label column", id="load-no-feature-columns"),
     pytest.param(["cluster", "--data", "{dir}/pairs.csv", "--label-col", "last", "--k", "2",
                   "--out", "{dir}/c.csv"], _disk_full, 2,
                  "error: cannot write {dir}/c.csv: [Errno 28] No space left on device",
@@ -443,6 +458,10 @@ EXIT_PATHS = [
                   "--sigma", "1e-200"], None, 2, SIGMA_UNDERFLOW, id="sigma-underflow-experiment"),
     pytest.param(["estimate-k", "--data", "{dir}/pairs.csv", "--label-col", "last", "--sigma", "1e-200"],
                  None, 2, SIGMA_UNDERFLOW, id="sigma-underflow-estimate-k"),
+    pytest.param(["experiment", "--data", "{dir}/pairs.csv", "--k", "2", "--measure", "kernel",
+                  "--sigma", "1e200"], None, 2, SIGMA_OVERFLOW, id="sigma-overflow-experiment"),
+    pytest.param(["estimate-k", "--data", "{dir}/pairs.csv", "--label-col", "last", "--sigma", "1e200"],
+                 None, 2, SIGMA_OVERFLOW, id="sigma-overflow-estimate-k"),
     pytest.param(["estimate-k", "--data", "{dir}/one.csv", "--label-col", "last"], None, 2,
                  "error: need at least 2 points to estimate k", id="estimate-k-one-point"),
     pytest.param(["estimate-k", "--data", "{dir}/pairs.csv", "--label-col", "last"],

@@ -144,6 +144,15 @@ def test_synthetic_centers_equidistant_when_dimension_allows():
     assert np.allclose(gaps, 100.0, rtol=0.01)
 
 
+def test_synthetic_centers_on_the_first_axis_when_the_dimension_is_too_small():
+    # A simplex of k centers needs k - 1 dimensions; with fewer they sit at c * separation.
+    spec = SyntheticSpec(k=4, points_per_cluster=200, center_separation=100.0,
+                         noise_scale=0.01, dimension=2, seed=1)
+    data = generate_synthetic(spec)
+    centers = [data.values[i * 200:(i + 1) * 200].mean(axis=0) for i in range(4)]
+    assert np.allclose(centers, [[100.0 * c, 0.0] for c in range(4)], atol=0.01)
+
+
 def test_synthetic_deterministic():
     spec = SyntheticSpec(k=2, points_per_cluster=7, overlap_pairs=((0, 1, 3),), seed=123)
     a = generate_synthetic(spec)
@@ -163,6 +172,13 @@ def test_synthetic_validation():
         SyntheticSpec(k=0, points_per_cluster=5)
     with pytest.raises(InvalidSpec, match="^seed must be >= 0, got -1$"):
         SyntheticSpec(k=2, points_per_cluster=5, seed=-1)
+    with pytest.raises(InvalidSpec, match="^points_per_cluster must be >= 1$"):
+        SyntheticSpec(k=2, points_per_cluster=0)
+    with pytest.raises(InvalidSpec, match="^dimension must be >= 1$"):
+        SyntheticSpec(k=2, points_per_cluster=5, dimension=0)
+    for separation in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(InvalidSpec, match="^center_separation must be positive for k > 1$"):
+            SyntheticSpec(k=2, points_per_cluster=5, center_separation=separation)
 
 
 def _grid(rows):

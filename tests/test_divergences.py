@@ -87,6 +87,9 @@ def test_dimension_mismatch():
     for d in (SQ, IDIV, KLIN, rbf, poly):
         with pytest.raises(DimensionMismatch, match="at least one component"):
             dissim(d, [], [])
+        for x, y in ((np.zeros((3, 0)), np.zeros((3, 0))), (np.zeros((3, 0)), np.zeros(0))):
+            with pytest.raises(DimensionMismatch, match="^rows must have at least one component$"):
+                dissim_rows(d, x, y)
 
 
 def test_config_validation():
@@ -95,6 +98,9 @@ def test_config_validation():
     with pytest.raises(InvalidSpec, match="sigma 1e-200 is too small"):
         KernelSpec(KernelKind.RBF, sigma=1e-200)  # sigma * sigma underflows to 0.0
     KernelSpec(KernelKind.RBF, sigma=1e-160)  # a subnormal sigma * sigma is still > 0
+    with pytest.raises(InvalidSpec, match="^rbf kernel sigma 1e\\+200 is too large: sigma\\^2 overflows to inf$"):
+        KernelSpec(KernelKind.RBF, sigma=1e200)  # sigma * sigma overflows to inf
+    KernelSpec(KernelKind.RBF, sigma=1e154)  # sigma * sigma = 1e308 is still finite
 
 
 def test_rows_are_the_scalar_form_row_by_row():

@@ -53,6 +53,12 @@ def test_invalid_specs():
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         kernel_eval(LIN, [1.0, 2.0], [1.0])
+    with pytest.raises(DimensionMismatch, match="^arguments must be 1-D vectors$"):
+        kernel_eval(LIN, [[1.0, 2.0]], [1.0, 2.0])
+    for spec in (RBF2, POLY2, LIN):
+        for x, y in ((np.zeros((3, 0)), np.zeros((3, 0))), (np.zeros((3, 0)), np.zeros(0))):
+            with pytest.raises(DimensionMismatch, match="^rows must have at least one component$"):
+                kernel_rows(spec, x, y)
 
 
 def test_fractional_degree_negative_base():

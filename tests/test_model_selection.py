@@ -47,6 +47,7 @@ def test_count_ignores_nonpositive_eigenvalues():
 
 def test_eigengap_count_on_block_spectrum():
     assert significant_count([4.0, 3.0, 3.0, 0.0, 0.0], GAP) == 3
+    assert significant_count([4.0], GAP) == 1  # no gap to take
 
 
 def test_block_diagonal_spec_example():

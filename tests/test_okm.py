@@ -8,6 +8,7 @@ import pytest
 
 from okmlib import (
     Covering,
+    DimensionMismatch,
     Dissimilarity,
     DissimilarityKind,
     EmptyAssignment,
@@ -108,6 +109,8 @@ def test_invalid_cluster_ids_raise_alike_wherever_they_enter():
     entries = (
         lambda ids: image(ids, protos),
         lambda ids: assign_point(x, protos, SQ, previous=ids),
+        # The cluster ids are checked before the sign of the point.
+        lambda ids: assign_point(-x, protos, IDIV, previous=ids),
     )
     for enter in entries:
         with pytest.raises(EmptyAssignment, match="has no cluster"):
@@ -116,6 +119,22 @@ def test_invalid_cluster_ids_raise_alike_wherever_they_enter():
             with pytest.raises(ValueError, match=r"references a cluster outside 0\.\.2") as exc:
                 enter(ids)
             assert not isinstance(exc.value, EmptyAssignment)
+
+
+# Coverings that do not fit 6 x 4 data: too few points, too many, too few features.
+MISFITS = {"one-point": ([{0, 1}], np.zeros((2, 4))), "five-points": ([{0}] * 5, np.zeros((2, 4))),
+           "three-features": ([{0}] * 6, np.zeros((2, 3)))}
+
+
+@pytest.mark.parametrize("misfit", sorted(MISFITS))
+@pytest.mark.parametrize("step", [update_prototypes, lambda cov, data: objective(cov, SQ, data)],
+                         ids=["update_prototypes", "objective"])
+def test_a_covering_that_does_not_fit_the_data_is_rejected(step, misfit):
+    cov = make_covering(*MISFITS[misfit])
+    message = (f"covering with memberships {cov.memberships.shape} and prototypes "
+               f"{cov.prototypes.shape} does not fit data of shape (6, 4)")
+    with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+        step(cov, np.arange(24.0).reshape(6, 4))
 
 
 def test_covering_memberships_and_assignment_sets_round_trip():
@@ -186,6 +205,13 @@ def test_objective_adds_the_points_left_to_right():
 
 
 # ---------------------------------------------------------------- assign_point
+
+
+def test_assign_point_rejects_a_point_that_does_not_fit_the_prototypes():
+    protos = np.zeros((2, 4))
+    for x, prototypes in ((np.zeros(3), protos), (np.zeros((1, 4)), protos), (np.zeros(4), np.zeros(4))):
+        with pytest.raises(DimensionMismatch, match="^incompatible shapes: point "):
+            assign_point(x, prototypes, SQ)
 
 
 def test_assign_single_cluster_forced():
@@ -274,17 +300,23 @@ def test_batched_assignment_matches_per_point_reference():
                 protos = rng.uniform(0.0, 3.0, (k, p))
             previous = [frozenset(rng.choice(k, size=int(rng.integers(1, k + 1)),
                                              replace=False).tolist()) for _ in range(n)]
+            sums = okm._subset_sums(protos)
             for prev in (None, previous):
-                prev_matrix = None if prev is None else _cluster_matrix(prev, k)
-                batched = _assign(data, protos, d, prev_matrix)
                 expected = [reference_assign_point(data[i], protos, d,
                                                    None if prev is None else prev[i])
                             for i in range(n)]
-                assert np.array_equal(batched, _cluster_matrix(expected, k)), (d, trial, prev is None)
-            # The objective's per-point values stand in for the previous sets' distances.
-            prev_dists = _objective(prev_matrix, protos, data, d)[1]
-            reused = _assign(data, protos, d, prev_matrix, prev_dists)
-            assert np.array_equal(reused, batched), (d, trial)
+                expected = _cluster_matrix(expected, k)
+                prev_matrix = masked_dists = table_dists = None
+                if prev is not None:
+                    # The objective's per-point values are the previous sets' distances.
+                    prev_matrix = _cluster_matrix(prev, k)
+                    masked_dists = _objective(prev_matrix, protos, data, d)[1]
+                    table_dists = _objective(prev_matrix, protos, data, d, sums,
+                                             okm._codes(prev_matrix))[1]
+                masked = _assign(data, protos, d, prev_matrix, masked_dists)
+                table = _assign(data, protos, d, prev_matrix, table_dists, sums)
+                assert np.array_equal(masked, expected), (d, trial, prev is None)
+                assert np.array_equal(table, expected), (d, trial, prev is None)
 
 
 def test_assign_point_is_one_row_of_the_batched_assignment():
@@ -299,28 +331,28 @@ def test_assign_point_is_one_row_of_the_batched_assignment():
 # ------------------------------------------------------- the two image paths
 #
 # Images and "other prototypes" come from a table of all 2^k subset sums
-# when 2^k <= n and from masked adds otherwise; both must give the same bits.
+# when a step is given one and from masked adds otherwise; both must give
+# the same bits.
 
 RBF_WIDE = Dissimilarity(DissimilarityKind.KERNEL_INDUCED, kernel=KernelSpec(KernelKind.RBF, sigma=1e3))
 
 
 @pytest.fixture()
-def image_paths(monkeypatch):
-    """The path each choice in `_uses_table` took ("table" or "masked"), in order."""
-    taken = []
-    uses_table = okm._uses_table
+def masked_adds(monkeypatch):
+    """One entry per `_masked_sums` call, so a test can tell which path a step took."""
+    calls = []
+    masked_sums = okm._masked_sums
 
-    def recording(n, k):
-        table = uses_table(n, k)
-        taken.append("table" if table else "masked")
-        return table
+    def recording(clusters, prototypes):
+        calls.append(len(clusters))
+        return masked_sums(clusters, prototypes)
 
-    monkeypatch.setattr(okm, "_uses_table", recording)
-    return taken
+    monkeypatch.setattr(okm, "_masked_sums", recording)
+    return calls
 
 
 def _path_cases():
-    """Rows X with 2^k - 1 points and X tiled to exactly 2^k, for each case.
+    """Rows X of 2^k - 1 points with their prototypes and memberships, for each case.
 
     Magnitudes run from 1e-3 to 1e3; euclidean and rbf get both signs, the
     measures that need nonnegative input (idiv, fractional poly) do not.
@@ -336,37 +368,34 @@ def _path_cases():
                 memberships = np.zeros((n, k), dtype=bool)
                 for i in range(n):
                     memberships[i, rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False)] = True
-                yield d, values, protos, memberships, np.arange(2 ** k) % n
+                yield d, values, protos, memberships
 
 
-def test_assign_and_objective_are_the_same_on_both_image_paths(image_paths):
-    for d, values, protos, memberships, tile in _path_cases():
-        case = (d.kind, values.shape, len(protos))
+def test_assign_and_objective_are_the_same_on_both_image_paths(masked_adds):
+    for d, x, protos, previous in _path_cases():
+        case = (d.kind, x.shape, len(protos))
         results = {}
-        for path, rows in (("masked", slice(None)), ("table", tile)):
-            image_paths.clear()
-            x, previous = values[rows], memberships[rows]
-            j, point_values = _objective(previous, protos, x, d)
+        for path, sums, codes in (("masked", None, None),
+                                  ("table", okm._subset_sums(protos), okm._codes(previous))):
+            masked_adds.clear()
+            j, point_values = _objective(previous, protos, x, d, sums, codes)
             results[path] = (point_values,
-                             _assign(x, protos, d),
-                             _assign(x, protos, d, previous),
-                             _assign(x, protos, d, previous, point_values))
-            assert set(image_paths) == {path}, (case, image_paths)
+                             _assign(x, protos, d, sums=sums),
+                             _assign(x, protos, d, previous, point_values, sums))
+            assert bool(masked_adds) == (path == "masked"), (case, path)
             assert j == np.cumsum(point_values)[-1]
         for masked, table in zip(results["masked"], results["table"]):
-            assert np.array_equal(table, masked[tile]), case
+            assert np.array_equal(table, masked), case
 
 
-def test_update_is_the_same_on_both_image_paths(image_paths, monkeypatch):
-    for d, values, protos, memberships, tile in _path_cases():
-        x, rows = values[tile], memberships[tile]
+def test_update_is_the_same_on_both_image_paths(masked_adds):
+    for d, x, protos, rows in _path_cases():
         nonneg = d is IDIV
-        image_paths.clear()
-        table = _update_prototypes(rows, protos, x, nonneg)
-        assert set(image_paths) == {"table"}
-        with monkeypatch.context() as forced:
-            forced.setattr(okm, "_uses_table", lambda n, k: False)
-            masked = _update_prototypes(rows, protos, x, nonneg)
+        masked_adds.clear()
+        table = _update_prototypes(rows, protos, x, nonneg, okm._subset_sums(protos), okm._codes(rows))
+        assert not masked_adds
+        masked = _update_prototypes(rows, protos, x, nonneg)
+        assert masked_adds
         assert np.array_equal(table, masked), (d.kind, x.shape, len(protos))
 
 
@@ -395,8 +424,7 @@ def test_subset_table_refreshed_in_place_is_the_table_built_from_scratch():
 
 
 def test_update_leaves_the_table_of_the_prototypes_it_returns():
-    for d, values, protos, memberships, tile in _path_cases():
-        x, rows = values[tile], memberships[tile]
+    for d, x, protos, rows in _path_cases():
         sums = okm._subset_sums(protos)
         codes = okm._codes(rows)
         new = _update_prototypes(rows, protos, x, d is IDIV, sums, codes)
@@ -435,6 +463,29 @@ def test_run_okm_builds_one_table_and_codes_once_per_round(iris, monkeypatch):
             assert counts["from scratch"] == 1, (d.kind, max_iter, counts)
             assert counts["codes"] == counts["rounds"] >= cov.n_iter, (d.kind, max_iter, counts)
     assert len(iterations) >= 4, iterations
+
+
+def test_run_okm_is_the_same_run_without_the_subset_table(iris, monkeypatch):
+    # With `_uses_table` forced off every step adds masked sums; the run
+    # must still give the table path's memberships, prototype bits, J and n_iter.
+    synthetic = generate_synthetic(SyntheticSpec(
+        k=5, points_per_cluster=400, overlap_pairs=tuple((c, (c + 1) % 5, 40) for c in range(5)),
+        dimension=8, seed=0))
+    rbf3 = Dissimilarity(DissimilarityKind.KERNEL_INDUCED, kernel=KernelSpec(KernelKind.RBF, sigma=3.0))
+    cases = [(iris.values, 3, d) for d in (SQ, IDIV, RBF150, POLY025)]
+    # The synthetic sample made nonnegative, as the i-divergence and poly 0.25 need.
+    cases += [(np.abs(synthetic.values), 5, d) for d in (SQ, IDIV, rbf3, POLY025)]
+    for (values, k, d), seed in itertools.product(cases, range(650, 654)):
+        assert okm._uses_table(len(values), k)
+        config = OkmConfig(k=k, dissimilarity=d, seed=seed)
+        table = run_okm(values, config)
+        with monkeypatch.context() as forced:
+            forced.setattr(okm, "_uses_table", lambda n, k: False)
+            masked = run_okm(values, config)
+        case = (len(values), k, d.kind, seed)
+        assert np.array_equal(masked.memberships, table.memberships), case
+        assert _same_bits(masked.prototypes, table.prototypes), case
+        assert (masked.objective, masked.n_iter) == (table.objective, table.n_iter), case
 
 
 def test_run_okm_checks_the_i_divergence_sign_once(iris, monkeypatch):
