@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidSpec, NegativeInput
-from .kernels import KernelSpec, check_pair, kernel_distance_rows
+from .errors import InvalidSpec, NegativeInput
+from .kernels import KernelSpec, check_pair, check_rows, kernel_distance_rows
 from .linalg import row_sum
 
 EPSILON = 1e-10  # the i-divergence's lower clamp
@@ -52,11 +52,8 @@ def check_domain(d: Dissimilarity, *arrays) -> None:
 
 
 def dissim_rows(d: Dissimilarity, X, Y) -> np.ndarray:
-    """Dissimilarities of X (..., p) against Y (..., p): one value >= 0 per broadcast row."""
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if 0 in X.shape[-1:] + Y.shape[-1:]:
-        raise DimensionMismatch("rows must have at least one component")
+    """Dissimilarities of X (..., p) against Y (..., p) (`check_rows`): one value >= 0 per row."""
+    X, Y = check_rows(X, Y)
     check_domain(d, X, Y)
     return unchecked_dissim_rows(d, X, Y)
 

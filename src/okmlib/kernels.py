@@ -46,29 +46,31 @@ class KernelSpec:
 
 
 def check_pair(x, y):
-    """x and y as float vectors: 1-D, of equal length, with at least one component."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 1 or y.ndim != 1:
+    """x and y as float vectors: 1-D, and rows that `check_rows` passes."""
+    if np.ndim(x) != 1 or np.ndim(y) != 1:
         raise DimensionMismatch("arguments must be 1-D vectors")
-    if x.shape[0] != y.shape[0]:
-        raise DimensionMismatch(f"vector lengths differ: {x.shape[0]} vs {y.shape[0]}")
-    if x.shape[0] < 1:
-        raise DimensionMismatch("vectors must have at least one component")
-    return x, y
+    return check_rows(x, y)
+
+
+def check_rows(X, Y):
+    """X and Y as float arrays of rows: last axes of one length, at least 1."""
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    if X.shape[-1:] != Y.shape[-1:]:
+        raise DimensionMismatch(f"row lengths differ: shapes {X.shape} and {Y.shape}")
+    if X.shape[-1:] in ((), (0,)):
+        raise DimensionMismatch("rows must have at least one component")
+    return X, Y
 
 
 def kernel_rows(spec: KernelSpec, X, Y) -> np.ndarray:
     """Kernel values of X (..., p) against Y (..., p), broadcast row by row.
 
     Returns one value per broadcast row, shape `broadcast(X, Y).shape[:-1]`.
-    Raises DimensionMismatch on rows with no components, and DomainError
+    Raises DimensionMismatch unless `check_rows` passes, and DomainError
     if a fractional polynomial degree meets a negative base on any row.
     """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if 0 in X.shape[-1:] + Y.shape[-1:]:
-        raise DimensionMismatch("rows must have at least one component")
+    X, Y = check_rows(X, Y)
     if spec.kind == KernelKind.RBF:
         d2 = row_sum((X - Y) ** 2)
         return np.exp(-d2 / (spec.sigma * spec.sigma))

@@ -29,14 +29,16 @@ clusters; memory is O(n * k * p) per iteration.
 
 Images and the update's "other prototypes" are subset sums.  When
 2^k <= n (`_uses_table`), one (p, 2^k) table holds the sums of all
-cluster subsets, read at a membership row's code (`_codes`).  Only
-`run_okm` decides this: it builds the table once and passes it, with
-the codes, to each step.  The update recomputes its columns from bit c
-up after cluster c moves, so the objective and the next assignment read
-the new prototypes' table (a reverted round ends the run).  A step
-given no table adds masked sums, one cluster at a time.  Both paths add
-in the per-point reference order, so they give the same bits as a
-point-by-point evaluation.
+cluster subsets, and each point's set is its code, bit c set for
+cluster c, the column it reads.  Only `run_okm` decides this: it builds
+the table once, passes it to each step, and builds the (n, k) bool
+matrix once, for the `Covering`.  The update recomputes the table from
+bit c up after cluster c moves, so the objective and the next
+assignment read the new prototypes' table (a reverted round ends the
+run).  Given no table, a step takes an (n, k) bool matrix and adds
+masked sums, one cluster at a time.  Both paths add in the per-point
+reference order, so they give the same bits as a point-by-point
+evaluation.
 
 Checked or computed once per run in `run_okm`, for the internal
 `unchecked_dissim_rows` calls: the i-divergence's sign on the data
@@ -44,9 +46,9 @@ Checked or computed once per run in `run_okm`, for the internal
 data's K(x, x) under a polynomial or linear kernel, and rbf finiteness:
 the data are finite (`DataMatrix`) and each table is checked after its
 build or update (`_finite`); without a table each rbf call checks.  Per
-iteration: the membership codes, and the update's |A_i| x_i and
-|A_i|^2.  The objective's per-point values serve the next assignment as
-the previous sets' dissimilarities.
+iteration: the update's |A_i| x_i and |A_i|^2.  The objective's
+per-point values serve the next assignment as the previous sets'
+dissimilarities.
 
 `assign_point`, `image`, `update_prototypes` and `objective` are the
 public, checked wrappers over the same functions; they pass no table.
@@ -142,7 +144,7 @@ def _cluster_matrix(sets, k) -> np.ndarray:
 
 
 def _uses_table(n, k) -> bool:
-    """Whether n membership rows read their sums from a `_subset_sums` table.
+    """Whether the sets of n points are codes that read their sums from a `_subset_sums` table.
 
     The table has 2^k columns, so with 2^k <= n it is never bigger than
     one (p, n) temporary.
@@ -175,11 +177,6 @@ def _subset_sizes(k) -> np.ndarray:
     return sizes
 
 
-def _codes(memberships) -> np.ndarray:
-    """Each membership row as an integer, with bit c set for cluster c."""
-    return (1 << np.arange(memberships.shape[1])) @ memberships.T
-
-
 def _masked_sums(clusters, prototypes) -> np.ndarray:
     """Each point's prototypes added in cluster-id order, from +0.0: (p, n).
 
@@ -191,15 +188,15 @@ def _masked_sums(clusters, prototypes) -> np.ndarray:
     return total
 
 
-def _images(memberships, prototypes, sums=None, codes=None) -> np.ndarray:
-    """Each row's image: its prototypes added in cluster-id order, over |A|.
+def _images(sets, prototypes, sums=None) -> np.ndarray:
+    """Each point's image: its prototypes added in cluster-id order, over |A|.
 
-    `sums` and `codes`, if given, are the prototypes' `_subset_sums` table
-    and the rows' `_codes`.
+    `sets` are the points' codes given `sums`, the prototypes'
+    `_subset_sums` table, and otherwise their (n, k) bool matrix.
     """
     if sums is None:
-        return (_masked_sums(memberships.T, prototypes) / memberships.sum(axis=1)).T
-    return (sums / _subset_sizes(len(prototypes))).take(codes, axis=1).T
+        return (_masked_sums(sets.T, prototypes) / sets.sum(axis=1)).T
+    return (sums / _subset_sizes(len(prototypes))).take(sets, axis=1).T
 
 
 def image(assigned, prototypes) -> np.ndarray:
@@ -210,15 +207,15 @@ def image(assigned, prototypes) -> np.ndarray:
 
 def _assign(values, prototypes, d: Dissimilarity, previous=None, previous_dists=None,
             sums=None, x_self=None, finite=False) -> np.ndarray:
-    """Greedy cluster sets of all points at once, as an (n, k) bool matrix.
+    """Greedy cluster sets of all points at once, as `_images` takes them.
 
     Step t offers every still-growing point its (t+1)-th nearest cluster
     (ties by id); a point keeps growing while the image dissimilarity
-    strictly improves.  Rows of `previous` that strictly beat the greedy
+    strictly improves.  Sets of `previous` that strictly beat the greedy
     result are kept instead, given `previous_dists`, their dissimilarities
-    to the images of `previous` at these prototypes.  `sums`, if given, is
-    the prototypes' `_subset_sums` table.  The caller has checked the signs;
-    `x_self` (over all of `values`) and `finite` are as for `unchecked_dissim_rows`.
+    to the images of `previous` at these prototypes.  `sums` is as for
+    `_images`.  The caller has checked the signs; `x_self` (over all of
+    `values`) and `finite` are as for `unchecked_dissim_rows`.
     """
     n, k = len(values), len(prototypes)
     points = values.T  # (p, n), gathered along the point axis
@@ -229,15 +226,15 @@ def _assign(values, prototypes, d: Dissimilarity, previous=None, previous_dists=
     order = dists.argsort(axis=0, kind="stable")
     growing = np.arange(n)
     best = dists[order[0], growing]  # a 1-set's image is its prototype
-    # A point's set is always the first `size` clusters of its order.
+    # A point's set is always the first `size` clusters of its order; with a table, `code` is its bits.
     size = np.ones(n, dtype=np.intp)
-    if sums is not None:
-        prefix_codes = (1 << order).cumsum(axis=0)
+    code = None if sums is None else 1 << order[0]
     for step in range(1, k):
         if not growing.size:
             break
         if sums is not None:
-            images = sums.take(prefix_codes[step, growing], axis=1)
+            candidate = code[growing] | 1 << order[step, growing]
+            images = sums.take(candidate, axis=1)
         else:
             candidate = np.zeros((k, growing.size), dtype=bool)
             np.put_along_axis(candidate, order[:step + 1, growing], True, axis=0)
@@ -247,8 +244,13 @@ def _assign(values, prototypes, d: Dissimilarity, previous=None, previous_dists=
                                      x_self_at(growing), finite)
         improved = dist < best[growing]
         growing = growing[improved]
-        size[growing] = step + 1
+        if sums is not None:
+            code[growing] = candidate[improved]
+        else:
+            size[growing] = step + 1
         best[growing] = dist[improved]
+    if sums is not None:
+        return code if previous is None else np.where(previous_dists < best, previous, code)
     chosen = np.zeros((k, n), dtype=bool)
     chosen[order, np.arange(n)] = np.arange(k)[:, None] < size
     if previous is not None:
@@ -276,25 +278,25 @@ def assign_point(x, prototypes, d: Dissimilarity, previous=None) -> frozenset:
     return frozenset(np.flatnonzero(chosen).tolist())
 
 
-def _update_prototypes(memberships, prototypes, values, nonneg=False, sums=None, codes=None):
+def _update_prototypes(sets, prototypes, values, nonneg=False, sums=None):
     """The prototypes after one pass over the clusters in id order, freshest values first.
 
-    `sums` and `codes` are as for `_images`; `sums` is updated in place
-    to the returned prototypes' table.
+    `sets` and `sums` are as for `_images`; `sums` is updated in place to
+    the returned prototypes' table.
     """
     new = prototypes.copy()
-    sizes = memberships.sum(axis=1)
+    sizes = sets.sum(axis=1, dtype=float) if sums is None else _subset_sizes(len(new)).take(sets)
     scaled = sizes * values.T
     squares = sizes * sizes
-    for c, cluster in enumerate(memberships.T):
-        members = cluster.nonzero()[0]
+    for c in range(len(new)):
+        members = (sets[:, c] if sums is None else sets & 1 << c).nonzero()[0]
         if not members.size:
             continue
         # Each member's other prototypes, freshest values, in cluster-id order: (p, m).
         if sums is not None:
-            others = sums.take(codes[members] & ~(1 << c), axis=1)
+            others = sums.take(sets[members] & ~(1 << c), axis=1)
         else:
-            others = memberships[members].T
+            others = sets[members].T
             others[c] = False
             others = _masked_sums(others, new)
         # Members are added one after another, in index order, as the reference does.
@@ -324,14 +326,13 @@ def update_prototypes(cov: Covering, data) -> np.ndarray:
     return _update_prototypes(cov.memberships, cov.prototypes, values)
 
 
-def _objective(memberships, prototypes, values, d, sums=None, codes=None, x_self=None, finite=False):
+def _objective(sets, prototypes, values, d, sums=None, x_self=None, finite=False):
     """J and the per-point values it adds up, for data whose signs are checked.
 
-    `sums` and `codes` are as for `_images`; `x_self` and `finite` as for
+    `sets` and `sums` are as for `_images`; `x_self` and `finite` as for
     `unchecked_dissim_rows`.
     """
-    point_values = unchecked_dissim_rows(d, values, _images(memberships, prototypes, sums, codes),
-                                         x_self, finite)
+    point_values = unchecked_dissim_rows(d, values, _images(sets, prototypes, sums), x_self, finite)
     return sequential_sum(point_values), point_values  # as the reference adds them
 
 
@@ -386,24 +387,21 @@ def run_okm(data, config: OkmConfig, on_iteration=None) -> Covering:
     finite = _finite(d, sums)
     x_self = _self_kernel(d, values)
 
-    memberships = point_values = None
+    sets = point_values = None
     current_j = None
     iterations = 0
     for _ in range(config.max_iter):
-        new_memberships = _assign(values, prototypes, d, memberships, point_values, sums,
-                                  x_self, finite)
-        codes = None if sums is None else _codes(new_memberships)
-        new_prototypes = _update_prototypes(new_memberships, prototypes, values, nonneg, sums, codes)
+        new_sets = _assign(values, prototypes, d, sets, point_values, sums, x_self, finite)
+        new_prototypes = _update_prototypes(new_sets, prototypes, values, nonneg, sums)
         finite = _finite(d, sums)
-        new_j, new_point_values = _objective(new_memberships, new_prototypes, values, d, sums, codes,
-                                             x_self, finite)
+        new_j, new_point_values = _objective(new_sets, new_prototypes, values, d, sums, x_self, finite)
         if not np.isfinite(new_j):
             raise DomainError(f"J is {new_j}: the data overflow this measure")
         if current_j is not None and new_j > current_j:
             break  # safeguard: keep the previous (better) state
-        unchanged = memberships is not None and np.array_equal(new_memberships, memberships)
+        unchanged = sets is not None and np.array_equal(new_sets, sets)
         improvement = None if current_j is None else (current_j - new_j) / max(current_j, _REL_TOL_GUARD)
-        memberships, prototypes, current_j = new_memberships, new_prototypes, new_j
+        sets, prototypes, current_j = new_sets, new_prototypes, new_j
         point_values = new_point_values
         iterations += 1
         if on_iteration is not None:
@@ -411,5 +409,6 @@ def run_okm(data, config: OkmConfig, on_iteration=None) -> Covering:
         if unchanged or (improvement is not None and improvement < config.rel_tol):
             break
 
-    return Covering(memberships=memberships, prototypes=prototypes, objective=current_j,
-                    n_iter=iterations)
+    if sums is not None:
+        sets = (sets[:, None] & 1 << np.arange(config.k)) != 0
+    return Covering(memberships=sets, prototypes=prototypes, objective=current_j, n_iter=iterations)

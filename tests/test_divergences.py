@@ -87,9 +87,17 @@ def test_dimension_mismatch():
     for d in (SQ, IDIV, KLIN, rbf, poly):
         with pytest.raises(DimensionMismatch, match="at least one component"):
             dissim(d, [], [])
-        for x, y in ((np.zeros((3, 0)), np.zeros((3, 0))), (np.zeros((3, 0)), np.zeros(0))):
+        for x, y in ((np.zeros((3, 0)), np.zeros((3, 0))), (np.zeros((3, 0)), np.zeros(0)),
+                     (np.float64(1.0), np.float64(2.0))):
             with pytest.raises(DimensionMismatch, match="^rows must have at least one component$"):
                 dissim_rows(d, x, y)
+        # Rows of different lengths, a length-1 side included, never broadcast.
+        for x, y in ((np.zeros((3, 1)), np.ones((3, 4))), (np.zeros((3, 2)), np.ones((3, 4))),
+                     (np.zeros(1), np.ones((3, 4))), (np.zeros((3, 0)), np.ones((3, 1))),
+                     (np.float64(1.0), np.ones(2))):
+            for args in ((x, y), (y, x)):
+                with pytest.raises(DimensionMismatch, match="^row lengths differ: shapes "):
+                    dissim_rows(d, *args)
 
 
 def test_config_validation():

@@ -56,9 +56,17 @@ def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch, match="^arguments must be 1-D vectors$"):
         kernel_eval(LIN, [[1.0, 2.0]], [1.0, 2.0])
     for spec in (RBF2, POLY2, LIN):
-        for x, y in ((np.zeros((3, 0)), np.zeros((3, 0))), (np.zeros((3, 0)), np.zeros(0))):
+        for x, y in ((np.zeros((3, 0)), np.zeros((3, 0))), (np.zeros((3, 0)), np.zeros(0)),
+                     (np.float64(1.0), np.float64(2.0))):
             with pytest.raises(DimensionMismatch, match="^rows must have at least one component$"):
                 kernel_rows(spec, x, y)
+        # Rows of different lengths, a length-1 side included, never broadcast.
+        for x, y in ((np.zeros((3, 1)), np.ones((3, 4))), (np.zeros((3, 2)), np.ones((3, 4))),
+                     (np.zeros(1), np.ones((3, 4))), (np.zeros((3, 0)), np.ones((3, 1))),
+                     (np.float64(1.0), np.ones(2))):
+            for args in ((x, y), (y, x)):
+                with pytest.raises(DimensionMismatch, match="^row lengths differ: shapes "):
+                    kernel_rows(spec, *args)
 
 
 def test_fractional_degree_negative_base():

@@ -37,6 +37,11 @@ POLY025 = Dissimilarity(DissimilarityKind.KERNEL_INDUCED,
                         kernel=KernelSpec(KernelKind.POLYNOMIAL, degree=0.25))
 
 
+def codes_of(memberships):
+    """Each row of an (n, k) bool matrix as its subset code, bit c set for cluster c."""
+    return memberships @ (1 << np.arange(memberships.shape[1]))
+
+
 def make_covering(assignments, prototypes):
     prototypes = np.asarray(prototypes, dtype=float)
     return Covering(memberships=_cluster_matrix(assignments, len(prototypes)),
@@ -306,17 +311,17 @@ def test_batched_assignment_matches_per_point_reference():
                                                    None if prev is None else prev[i])
                             for i in range(n)]
                 expected = _cluster_matrix(expected, k)
-                prev_matrix = masked_dists = table_dists = None
+                prev_matrix = prev_codes = masked_dists = table_dists = None
                 if prev is not None:
                     # The objective's per-point values are the previous sets' distances.
                     prev_matrix = _cluster_matrix(prev, k)
+                    prev_codes = codes_of(prev_matrix)
                     masked_dists = _objective(prev_matrix, protos, data, d)[1]
-                    table_dists = _objective(prev_matrix, protos, data, d, sums,
-                                             okm._codes(prev_matrix))[1]
+                    table_dists = _objective(prev_codes, protos, data, d, sums)[1]
                 masked = _assign(data, protos, d, prev_matrix, masked_dists)
-                table = _assign(data, protos, d, prev_matrix, table_dists, sums)
+                table = _assign(data, protos, d, prev_codes, table_dists, sums)
                 assert np.array_equal(masked, expected), (d, trial, prev is None)
-                assert np.array_equal(table, expected), (d, trial, prev is None)
+                assert np.array_equal(table, codes_of(expected)), (d, trial, prev is None)
 
 
 def test_assign_point_is_one_row_of_the_batched_assignment():
@@ -330,9 +335,9 @@ def test_assign_point_is_one_row_of_the_batched_assignment():
 
 # ------------------------------------------------------- the two image paths
 #
-# Images and "other prototypes" come from a table of all 2^k subset sums
-# when a step is given one and from masked adds otherwise; both must give
-# the same bits.
+# Images and "other prototypes" come from a table of all 2^k subset sums,
+# read at the points' codes, when a step is given one, and from masked
+# adds over an (n, k) bool matrix otherwise; both must give the same bits.
 
 RBF_WIDE = Dissimilarity(DissimilarityKind.KERNEL_INDUCED, kernel=KernelSpec(KernelKind.RBF, sigma=1e3))
 
@@ -375,24 +380,28 @@ def test_assign_and_objective_are_the_same_on_both_image_paths(masked_adds):
     for d, x, protos, previous in _path_cases():
         case = (d.kind, x.shape, len(protos))
         results = {}
-        for path, sums, codes in (("masked", None, None),
-                                  ("table", okm._subset_sums(protos), okm._codes(previous))):
+        for path, sums, sets in (("masked", None, previous),
+                                 ("table", okm._subset_sums(protos), codes_of(previous))):
             masked_adds.clear()
-            j, point_values = _objective(previous, protos, x, d, sums, codes)
+            j, point_values = _objective(sets, protos, x, d, sums)
             results[path] = (point_values,
                              _assign(x, protos, d, sums=sums),
-                             _assign(x, protos, d, previous, point_values, sums))
+                             _assign(x, protos, d, sets, point_values, sums))
             assert bool(masked_adds) == (path == "masked"), (case, path)
             assert j == np.cumsum(point_values)[-1]
-        for masked, table in zip(results["masked"], results["table"]):
-            assert np.array_equal(table, masked), case
+        masked, table = results["masked"], results["table"]
+        assert np.array_equal(table[0], masked[0]), case
+        # The table path's codes are the masked path's matrix, bit c for column c.
+        for codes, matrix in zip(table[1:], masked[1:]):
+            assert codes.shape == (len(x),) and matrix.shape == (len(x), len(protos)), case
+            assert np.array_equal(codes, codes_of(matrix)), case
 
 
 def test_update_is_the_same_on_both_image_paths(masked_adds):
     for d, x, protos, rows in _path_cases():
         nonneg = d is IDIV
         masked_adds.clear()
-        table = _update_prototypes(rows, protos, x, nonneg, okm._subset_sums(protos), okm._codes(rows))
+        table = _update_prototypes(codes_of(rows), protos, x, nonneg, okm._subset_sums(protos))
         assert not masked_adds
         masked = _update_prototypes(rows, protos, x, nonneg)
         assert masked_adds
@@ -426,42 +435,59 @@ def test_subset_table_refreshed_in_place_is_the_table_built_from_scratch():
 def test_update_leaves_the_table_of_the_prototypes_it_returns():
     for d, x, protos, rows in _path_cases():
         sums = okm._subset_sums(protos)
-        codes = okm._codes(rows)
-        new = _update_prototypes(rows, protos, x, d is IDIV, sums, codes)
+        new = _update_prototypes(codes_of(rows), protos, x, d is IDIV, sums)
         assert np.array_equal(new, _update_prototypes(rows, protos, x, d is IDIV))
         assert _same_bits(sums, okm._subset_sums(new)), (d.kind, x.shape, len(protos))
 
 
-def test_run_okm_builds_one_table_and_codes_once_per_round(iris, monkeypatch):
-    # The sizes table is cached per k; build it before counting.
+def test_run_okm_builds_one_table_and_no_per_round_matrix(iris, monkeypatch, masked_adds):
+    # On the table path a round's sets are (n,) codes from the assignment
+    # through the update and the objective; the (n, k) matrix is built
+    # once, for the returned Covering.  The sizes table is cached per k;
+    # build it before counting.
     okm._subset_sizes(3)
-    counts = {"from scratch": 0, "codes": 0, "rounds": 0}
-    subset_sums, codes, assign = okm._subset_sums, okm._codes, okm._assign
+    counts = {"from scratch": 0, "rounds": 0, "coverings": 0}
+    sets = []
+    subset_sums, assign, covering = okm._subset_sums, okm._assign, okm.Covering
 
     def counted_subset_sums(prototypes, sums=None, first=0):
         counts["from scratch"] += sums is None
         return subset_sums(prototypes, sums, first)
 
-    def counted_codes(memberships):
-        counts["codes"] += 1
-        return codes(memberships)
-
     def counted_assign(*args):
         counts["rounds"] += 1
-        return assign(*args)
+        sets.append(assign(*args))
+        return sets[-1]
+
+    def recorded(step):
+        def wrapper(*args):
+            sets.append(args[0])
+            return step(*args)
+        return wrapper
+
+    def counted_covering(**fields):
+        counts["coverings"] += 1
+        return covering(**fields)
 
     monkeypatch.setattr(okm, "_subset_sums", counted_subset_sums)
-    monkeypatch.setattr(okm, "_codes", counted_codes)
     monkeypatch.setattr(okm, "_assign", counted_assign)
+    monkeypatch.setattr(okm, "_update_prototypes", recorded(okm._update_prototypes))
+    monkeypatch.setattr(okm, "_objective", recorded(okm._objective))
+    monkeypatch.setattr(okm, "Covering", counted_covering)
     iterations = set()
     for d in (SQ, IDIV):
         for max_iter in (1, 2, 100):
             for key in counts:
                 counts[key] = 0
+            sets.clear()
             cov = run_okm(iris, OkmConfig(k=3, dissimilarity=d, max_iter=max_iter, seed=650))
             iterations.add(cov.n_iter)
-            assert counts["from scratch"] == 1, (d.kind, max_iter, counts)
-            assert counts["codes"] == counts["rounds"] >= cov.n_iter, (d.kind, max_iter, counts)
+            case = (d.kind, max_iter, counts)
+            assert counts == {"from scratch": 1, "rounds": counts["rounds"], "coverings": 1}, case
+            assert counts["rounds"] >= cov.n_iter and len(sets) == 3 * counts["rounds"], case
+            assert all(s.shape == (150,) and np.issubdtype(s.dtype, np.integer) for s in sets), case
+            assert not masked_adds, case
+            assert cov.memberships.shape == (150, 3)
     assert len(iterations) >= 4, iterations
 
 
@@ -472,17 +498,26 @@ def test_run_okm_is_the_same_run_without_the_subset_table(iris, monkeypatch):
         k=5, points_per_cluster=400, overlap_pairs=tuple((c, (c + 1) % 5, 40) for c in range(5)),
         dimension=8, seed=0))
     rbf3 = Dissimilarity(DissimilarityKind.KERNEL_INDUCED, kernel=KernelSpec(KernelKind.RBF, sigma=3.0))
-    cases = [(iris.values, 3, d) for d in (SQ, IDIV, RBF150, POLY025)]
     # The synthetic sample made nonnegative, as the i-divergence and poly 0.25 need.
-    cases += [(np.abs(synthetic.values), 5, d) for d in (SQ, IDIV, rbf3, POLY025)]
-    for (values, k, d), seed in itertools.product(cases, range(650, 654)):
+    positive = np.abs(synthetic.values)
+    cases = [(iris.values, 3, d, 100) for d in (SQ, IDIV, RBF150, POLY025)]
+    cases += [(positive, 5, d, 100) for d in (SQ, IDIV, rbf3, POLY025)]
+    # The edges of the code path: one-bit codes (k = 1), the smallest n that
+    # reads a table (n = 2^k) and a run of one round.
+    for d in (SQ, IDIV):
+        cases += [(iris.values, 1, d, 100), (positive, 1, d, 100),
+                  (iris.values[::19], 3, d, 100), (positive[::69], 5, d, 100),
+                  (iris.values, 3, d, 1), (positive, 5, d, 1)]
+    for (values, k, d, max_iter), seed in itertools.product(cases, range(650, 654)):
         assert okm._uses_table(len(values), k)
-        config = OkmConfig(k=k, dissimilarity=d, seed=seed)
+        if len(values) < 40:
+            assert len(values) == 1 << k and not okm._uses_table(len(values) - 1, k)
+        config = OkmConfig(k=k, dissimilarity=d, max_iter=max_iter, seed=seed)
         table = run_okm(values, config)
         with monkeypatch.context() as forced:
             forced.setattr(okm, "_uses_table", lambda n, k: False)
             masked = run_okm(values, config)
-        case = (len(values), k, d.kind, seed)
+        case = (len(values), k, d.kind, max_iter, seed)
         assert np.array_equal(masked.memberships, table.memberships), case
         assert _same_bits(masked.prototypes, table.prototypes), case
         assert (masked.objective, masked.n_iter) == (table.objective, table.n_iter), case
