@@ -23,7 +23,6 @@ import json
 import os
 import shutil
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import replace
 
@@ -209,6 +208,8 @@ def run_experiment(data, config: OkmConfig, restarts, jobs=1):
     payloads = [(data, replace(config, seed=config.seed + i)) for i in range(restarts)]
     workers = _worker_count(jobs, restarts)
     if workers > 1:
+        # Imported here: a serial run never loads the process pool and multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_experiment_worker, payloads))
     return [_experiment_worker(p) for p in payloads]

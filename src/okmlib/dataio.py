@@ -6,6 +6,7 @@ label column holding '|'-separated label tokens.
 """
 
 import csv
+import io
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -172,6 +173,7 @@ def _parse_rows(rows, first_row, feature_idx, label_idx, label_separator):
     """
     values = []
     label_sets = []
+    parsed_cells = {}  # each distinct label cell is split once
     for r, row in enumerate(rows, first_row):
         parsed = []
         for c in feature_idx:
@@ -184,27 +186,45 @@ def _parse_rows(rows, first_row, feature_idx, label_idx, label_separator):
             parsed.append(value)
         values.append(parsed)
         if label_idx is not None:
-            tokens = [t for t in row[label_idx].split(label_separator) if t != ""]
-            if not tokens:
-                raise ParseError("empty label cell", row=r, column=label_idx)
-            label_sets.append(frozenset(tokens))
+            cell = row[label_idx]
+            if cell not in parsed_cells:
+                tokens = [t for t in cell.split(label_separator) if t != ""]
+                if not tokens:
+                    raise ParseError("empty label cell", row=r, column=label_idx)
+                parsed_cells[cell] = frozenset(tokens)
+            label_sets.append(parsed_cells[cell])
     return values, label_sets
 
 
 def save_csv(data: DataMatrix, path, label_separator="|"):
-    """Write a DataMatrix back out (round-trips through load_csv exactly)."""
+    """Write a DataMatrix that load_csv reads back exactly (labels from the last column).
+
+    Each value is written as its float repr, each label set as its sorted
+    labels joined by `label_separator`.  A label that is empty or contains
+    the separator would not read back as written: ValueError names it, and
+    no file is written.
+    """
+    label_sets = data.labels.label_sets if data.labels is not None else None
+    ends = {}  # each distinct label set's cell, quoted by csv.writer once, and the line's end
+    for labels in dict.fromkeys(label_sets or ()):
+        ordered = sorted(labels)
+        for label in ordered:
+            if label == "" or label_separator in label:
+                raise ValueError(f"label {label!r} is empty or contains the separator "
+                                 f"{label_separator!r}, so it cannot be saved")
+        quoted = io.StringIO()
+        csv.writer(quoted).writerow([label_separator.join(ordered)])
+        ends[labels] = "," + quoted.getvalue()
 
     def write(handle):
-        writer = csv.writer(handle)
         header = [f"f{c}" for c in range(data.p)]
-        if data.labels is not None:
+        if label_sets is not None:
             header.append("label")
-        writer.writerow(header)
-        for i in range(data.n):
-            row = [repr(float(v)) for v in data.values[i]]
-            if data.labels is not None:
-                row.append(label_separator.join(sorted(data.labels.label_sets[i])))
-            writer.writerow(row)
+        csv.writer(handle).writerow(header)
+        # A finite float's repr never needs quoting, so the feature cells are joined here.
+        line_ends = ["\r\n"] * data.n if label_sets is None else [ends[s] for s in label_sets]
+        for row, end in zip(data.values.tolist(), line_ends):
+            handle.write(",".join(map(repr, row)) + end)
 
     _atomic_write(path, write)
 

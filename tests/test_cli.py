@@ -1,8 +1,13 @@
+import os
+import pathlib
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import okmlib
 from okmlib import SyntheticSpec, generate_synthetic, load_csv, save_csv
 from okmlib.cli import main
 from okmlib.linalg import membership_sets
@@ -169,8 +174,26 @@ def test_experiment_jobs_flag_gives_identical_report(pairs_csv, capsys):
     assert serial == parallel
 
 
+def test_a_serial_experiment_never_imports_the_process_pool(pairs_csv):
+    # A fresh interpreter, since this one may have loaded the pool already.
+    script = (
+        "import sys\n"
+        "from okmlib.cli import main\n"
+        f"code = main(['experiment', '--data', {str(pairs_csv)!r}, '--k', '2', '--restarts', '4',\n"
+        "             '--format', 'csv', '--jobs', '1'])\n"
+        "print(code, *sorted(m for m in sys.modules\n"
+        "                    if m.partition('.')[0] in ('concurrent', 'multiprocessing')))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(pathlib.Path(okmlib.__file__).parent.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines()[0] == "kind,seed,objective,precision,recall,f_measure"
+    assert done.stdout.splitlines()[-1] == "0"
+
+
 def test_no_partial_file_when_out_is_unwritable(pairs_csv, capsys):
-    import os
     target = "/nonexistent-dir/covering.csv"
     code = main(["cluster", "--data", str(pairs_csv), "--label-col", "last",
                  "--k", "2", "--out", target])
@@ -319,7 +342,6 @@ def _no_convergence(monkeypatch):
 
 def _disk_full(monkeypatch):
     import errno
-    import os
 
     def fail(src, dst):
         raise OSError(errno.ENOSPC, "No space left on device")
@@ -500,8 +522,6 @@ def test_experiment_estimating_k_from_one_row_exits_2(bad_inputs, capsys):
 
 
 def test_worker_count_is_clamped_to_restarts_and_cpus(monkeypatch):
-    import os
-
     import okmlib.cli as cli
 
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
@@ -520,7 +540,7 @@ def test_experiment_runs_serially_when_one_worker_is_enough(pairs_csv, monkeypat
         def __init__(self, *args, **kwargs):
             raise AssertionError("a process pool was started for a single restart")
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", NoPool)
     assert main(["experiment", "--data", str(pairs_csv), "--k", "2", "--restarts", "1",
                  "--jobs", "100000"]) == 0
 

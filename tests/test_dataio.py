@@ -1,3 +1,6 @@
+import csv
+import re
+
 import numpy as np
 import pytest
 
@@ -231,3 +234,78 @@ def test_labels_in_the_last_column_load_unchanged(tmp_path):
     with pytest.raises(ParseError) as exc:
         load_csv(write(tmp_path, _grid(rows), name="nolabel.csv"))
     assert (exc.value.row, exc.value.column) == (1, 2)
+
+
+@pytest.mark.parametrize("cell", ["", "||"])
+def test_a_repeated_empty_label_cell_is_reported_at_its_first_row(tmp_path, cell):
+    rows = [[str(r), ["x", "x|y"][r % 2]] for r in range(20)]
+    rows[6][1] = rows[11][1] = rows[17][1] = cell
+    with pytest.raises(ParseError) as exc:
+        load_csv(write(tmp_path, _grid(rows)), label_column="last")
+    assert (exc.value.row, exc.value.column) == (6, 1)
+    rows[3][0] = "nan"  # a bad feature cell before them is reported instead
+    with pytest.raises(ParseError) as exc:
+        load_csv(write(tmp_path, _grid(rows), name="second.csv"), label_column="last")
+    assert (exc.value.row, exc.value.column) == (3, 0)
+
+
+def _save_csv_row_by_row(data, path, label_separator="|"):
+    # The oracle for save_csv's bytes: every row through csv.writer.
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        header = [f"f{c}" for c in range(data.p)]
+        if data.labels is not None:
+            header.append("label")
+        writer.writerow(header)
+        for i in range(data.n):
+            row = [repr(float(v)) for v in data.values[i]]
+            if data.labels is not None:
+                row.append(label_separator.join(sorted(data.labels.label_sets[i])))
+            writer.writerow(row)
+
+
+EXTREMES = [-0.0, 5e-324, 1e-300, 1.7976931348623157e308, -1.7976931348623157e308, 0.1, -2.5]
+AWKWARD_LABELS = [{"a,b"}, {'say "hi"'}, {"  leading"}, {"x", "y"}, {"a,b", 'q"', " s", "plain"},
+                  {"plain"}, {"x", "y"}]
+
+
+def _saved_samples(iris):
+    default = generate_synthetic(SyntheticSpec(
+        k=5, points_per_cluster=400,
+        overlap_pairs=((0, 1, 40), (1, 2, 40), (2, 3, 40), (3, 4, 40), (4, 0, 40)),
+        dimension=8, seed=0))
+    one_column = np.array(EXTREMES)[:, None]
+    return {
+        "iris": iris,
+        "iris without labels": DataMatrix(values=iris.values),
+        "default synthetic": default,
+        "p = 1": DataMatrix(values=one_column, labels=LabeledCovering(tuple(AWKWARD_LABELS))),
+        "p = 1 without labels": DataMatrix(values=one_column),
+        "extremes": DataMatrix(values=np.array([EXTREMES, EXTREMES[::-1]]),
+                               labels=LabeledCovering(({"a,b", "c"}, {'"'}))),
+    }
+
+
+def test_save_csv_writes_the_bytes_of_the_row_by_row_writer(tmp_path, iris):
+    for name, data in _saved_samples(iris).items():
+        expected, saved = tmp_path / "expected.csv", tmp_path / "saved.csv"
+        _save_csv_row_by_row(data, expected)
+        save_csv(data, saved)
+        assert saved.read_bytes() == expected.read_bytes(), name
+        reloaded = load_csv(saved, label_column=None if data.labels is None else "last")
+        assert reloaded.values.tobytes() == data.values.tobytes(), name  # -0.0 and 5e-324 too
+        if data.labels is not None:
+            assert reloaded.labels.label_sets == data.labels.label_sets, name
+
+
+@pytest.mark.parametrize("label", ["a|b", "|", ""])
+def test_save_csv_rejects_a_label_that_cannot_round_trip(tmp_path, label):
+    data = DataMatrix(values=np.zeros((3, 2)),
+                      labels=LabeledCovering(({"ok"}, {"ok", label}, {"ok"})))
+    with pytest.raises(ValueError, match=re.escape(f"label {label!r}")):
+        save_csv(data, tmp_path / "out.csv")
+    assert list(tmp_path.iterdir()) == []  # neither the file nor a temporary one
+    with pytest.raises(ValueError, match="label 'a;b'"):
+        save_csv(DataMatrix(values=np.zeros((1, 1)), labels=LabeledCovering(({"a;b"},))),
+                 tmp_path / "out.csv", label_separator=";")
+    assert list(tmp_path.iterdir()) == []
