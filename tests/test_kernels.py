@@ -197,6 +197,27 @@ def test_inner_product_kernels_round_alike_on_points_innermost_rows():
                                           rows(spec, *c_args).view(np.int64)), (spec, p, rows.__name__)
 
 
+def test_a_pair_in_a_broadcast_batch_rounds_as_in_a_gathered_batch():
+    # OKM's all-subset distances take every point against every image in
+    # one (n, m, p) batch, and the greedy steps and the objective read a
+    # pair from it where they would evaluate that pair in a gathered (g, p)
+    # batch; both must give the same bits, for the points-innermost data
+    # and for C rows.
+    rng = np.random.default_rng(29)
+    for p in (1, 4, 8, 9, 17):
+        points = rng.uniform(0.0, 3.0, (60, p)) * 10.0 ** rng.uniform(-3.0, 3.0, (60, 1))
+        images = rng.uniform(0.0, 3.0, (16, p)) * 10.0 ** rng.uniform(-3.0, 3.0, (16, 1))
+        rows, columns = rng.integers(0, 60, 200), rng.integers(0, 16, 200)
+        for data in (points, np.asfortranarray(points)):
+            for spec in (RBF2, KernelSpec(KernelKind.RBF, sigma=150.0), POLY2, LIN,
+                         KernelSpec(KernelKind.POLYNOMIAL, degree=0.25)):
+                for distance in (kernel_rows, kernel_distance_rows):
+                    batch = distance(spec, data[:, None, :], images[None, :, :])
+                    gathered = distance(spec, data[rows], images[columns])
+                    assert np.array_equal(batch[rows, columns].view(np.int64), gathered.view(np.int64)), \
+                        (p, spec, distance.__name__, data.flags.f_contiguous)
+
+
 def test_kernel_rows_broadcast_and_domain_check():
     rng = np.random.default_rng(20)
     x = rng.uniform(0.0, 2.0, (6, 1, 3))

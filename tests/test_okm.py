@@ -443,16 +443,22 @@ def test_update_leaves_the_table_of_the_prototypes_it_returns():
 def test_run_okm_builds_one_table_and_no_per_round_matrix(iris, monkeypatch, masked_adds):
     # On the table path a round's sets are (n,) codes from the assignment
     # through the update and the objective; the (n, k) matrix is built
-    # once, for the returned Covering.  The sizes table is cached per k;
-    # build it before counting.
+    # once, for the returned Covering.  With the all-subset distances the
+    # objective is a gather from the distance table of the new prototypes,
+    # built after the first table and after each update, and `_objective`
+    # is not called.  The sizes table is cached per k; build it before counting.
     okm._subset_sizes(3)
-    counts = {"from scratch": 0, "rounds": 0, "coverings": 0}
+    counts = {}
     sets = []
-    subset_sums, assign, covering = okm._subset_sums, okm._assign, okm.Covering
+    subset_sums, subset_dists, assign, covering = okm._subset_sums, okm._subset_dists, okm._assign, okm.Covering
 
     def counted_subset_sums(prototypes, sums=None, first=0):
         counts["from scratch"] += sums is None
         return subset_sums(prototypes, sums, first)
+
+    def counted_subset_dists(*args):
+        counts["distance tables"] += 1
+        return subset_dists(*args)
 
     def counted_assign(*args):
         counts["rounds"] += 1
@@ -470,25 +476,76 @@ def test_run_okm_builds_one_table_and_no_per_round_matrix(iris, monkeypatch, mas
         return covering(**fields)
 
     monkeypatch.setattr(okm, "_subset_sums", counted_subset_sums)
+    monkeypatch.setattr(okm, "_subset_dists", counted_subset_dists)
     monkeypatch.setattr(okm, "_assign", counted_assign)
     monkeypatch.setattr(okm, "_update_prototypes", recorded(okm._update_prototypes))
     monkeypatch.setattr(okm, "_objective", recorded(okm._objective))
     monkeypatch.setattr(okm, "Covering", counted_covering)
     iterations = set()
-    for d in (SQ, IDIV):
-        for max_iter in (1, 2, 100):
-            for key in counts:
-                counts[key] = 0
-            sets.clear()
-            cov = run_okm(iris, OkmConfig(k=3, dissimilarity=d, max_iter=max_iter, seed=650))
-            iterations.add(cov.n_iter)
-            case = (d.kind, max_iter, counts)
-            assert counts == {"from scratch": 1, "rounds": counts["rounds"], "coverings": 1}, case
-            assert counts["rounds"] >= cov.n_iter and len(sets) == 3 * counts["rounds"], case
-            assert all(s.shape == (150,) and np.issubdtype(s.dtype, np.integer) for s in sets), case
-            assert not masked_adds, case
-            assert cov.memberships.shape == (150, 3)
+    for all_subsets in (True, False):
+        monkeypatch.setattr(okm, "_uses_subset_dists", lambda n, k, p: all_subsets)
+        for d in (SQ, IDIV):
+            for max_iter in (1, 2, 100):
+                counts.update({"from scratch": 0, "distance tables": 0, "rounds": 0, "coverings": 0})
+                sets.clear()
+                cov = run_okm(iris, OkmConfig(k=3, dissimilarity=d, max_iter=max_iter, seed=650))
+                iterations.add(cov.n_iter)
+                case = (all_subsets, d.kind, max_iter, counts)
+                rounds = counts["rounds"]
+                assert counts == {"from scratch": 1, "rounds": rounds, "coverings": 1,
+                                  "distance tables": rounds + 1 if all_subsets else 0}, case
+                # Per round: the assignment's sets, the update's, and without the distances the objective's.
+                assert rounds >= cov.n_iter and len(sets) == (2 if all_subsets else 3) * rounds, case
+                assert all(s.shape == (150,) and np.issubdtype(s.dtype, np.integer) for s in sets), case
+                assert not masked_adds, case
+                assert cov.memberships.shape == (150, 3)
     assert len(iterations) >= 4, iterations
+
+
+def _run_or_error(values, config):
+    """A run's memberships, prototype bits, J and n_iter, or the message of the DomainError it raised."""
+    try:
+        cov = run_okm(values, config)
+    except DomainError as exc:
+        return (str(exc),)
+    return cov.memberships.tobytes(), cov.prototypes.tobytes(), cov.objective, cov.n_iter
+
+
+def test_run_okm_is_the_same_run_with_and_without_the_subset_distances(iris, monkeypatch):
+    # With `_uses_subset_dists` forced on, every step reads the all-subset
+    # distances; forced off, the greedy steps and the objective evaluate
+    # the sets they try.  Both runs must give the same memberships,
+    # prototype bits, J and n_iter, or raise the same error.
+    poly2 = Dissimilarity(DissimilarityKind.KERNEL_INDUCED,
+                          kernel=KernelSpec(KernelKind.POLYNOMIAL, degree=2.0))
+    tables = []
+    subset_dists = okm._subset_dists
+
+    def recorded(*args):
+        tables.append(subset_dists(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(okm, "_subset_dists", recorded)
+    cases = [(iris.values, k, d, 100) for k in range(1, 6) for d in (SQ, IDIV, RBF150, POLY025, poly2, LINEAR)]
+    # Small nonnegative samples where a moved prototype gives some subset a
+    # negative polynomial base: the fractional degree then raises only
+    # where the sets a step tries reach that base.
+    rng = np.random.default_rng(1)
+    for _ in range(12):
+        values = rng.uniform(0.0, 1.0, (int(rng.integers(8, 40)), 2)) ** 3 * 10.0 ** rng.uniform(-1.0, 1.5)
+        cases += [(values, k, POLY025, max_iter) for k in (2, 3) for max_iter in (1, 2, 100)]
+    outcomes = set()  # (the run completed, a distance table met a negative base)
+    for (values, k, d, max_iter), seed in itertools.product(cases, range(650, 653)):
+        config = OkmConfig(k=k, dissimilarity=d, max_iter=max_iter, seed=seed)
+        runs = {}
+        for all_subsets in (False, True):
+            tables.clear()
+            monkeypatch.setattr(okm, "_uses_subset_dists", lambda n, k, p: all_subsets)
+            runs[all_subsets] = _run_or_error(values, config)
+            assert bool(tables) == all_subsets
+        assert runs[True] == runs[False], (len(values), k, d, max_iter, seed)
+        outcomes.add((isinstance(runs[True][0], bytes), any(table is None for table in tables)))
+    assert {(True, False), (True, True), (False, True)} <= outcomes, outcomes
 
 
 def test_run_okm_is_the_same_run_without_the_subset_table(iris, monkeypatch):
