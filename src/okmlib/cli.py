@@ -193,8 +193,9 @@ def _experiment_worker(payload):
 
 
 def _worker_count(jobs, restarts):
-    """Processes worth starting: never more than the restarts or the CPUs."""
-    return min(jobs, restarts, os.cpu_count() or 1)
+    """Processes worth starting: never more than the restarts or the CPUs this process may run on."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(jobs, restarts, cpus)
 
 
 def run_experiment(data, config: OkmConfig, restarts, jobs=1):

@@ -7,8 +7,9 @@ label column holding '|'-separated label tokens.
 
 import csv
 import io
+import math
 import os
-import tempfile
+import stat
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,11 +95,14 @@ class SyntheticSpec:
 
 
 def _atomic_write(path, write_fn):
-    # Write to a sibling temp file, then rename: no partial files on failure.
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    # Write to a sibling temp file, then rename: no partial files on failure.  The file gets
+    # the mode open(path, "w") would give it: an existing target's, else 0o666 less the umask.
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f"tmp{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+            if os.path.exists(path):
+                os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
             write_fn(handle)
         os.replace(tmp, path)
     except BaseException:
@@ -119,6 +123,10 @@ def load_csv(path, label_column=None, label_separator="|") -> DataMatrix:
     """Load a delimited dataset, optionally with a multi-label column.
 
     `label_column` is None (no labels), 'last', or a 0-based column index.
+    Each distinct label cell is split once.  A feature cell that is not a
+    finite number, or a label cell with no label, is a ParseError naming
+    the first such cell in file order; within a row the feature cells come
+    before the label cell, wherever the label column is.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         rows = [row for row in csv.reader(handle) if row]
@@ -148,52 +156,41 @@ def load_csv(path, label_column=None, label_separator="|") -> DataMatrix:
         if len(rows) == 1:
             raise EmptyFile(f"only a header row in {path}")
 
-    # One pass parses every feature cell; if one is not a finite number, the
-    # per-cell parse runs instead and names the first bad cell.
     body = rows[start:]
-    try:
-        values = np.fromiter(map(float, [row[c] for row in body for c in feature_idx]),
-                             dtype=float, count=len(body) * len(feature_idx))
-    except ValueError:
-        values = None
-    if values is not None and np.isfinite(values).all():
-        values = values.reshape(len(body), len(feature_idx))
-        _, label_sets = _parse_rows(body, start, [], label_idx, label_separator)
-    else:
-        values, label_sets = _parse_rows(body, start, feature_idx, label_idx, label_separator)
-
-    labels = LabeledCovering(tuple(label_sets)) if label_idx is not None else None
+    values, fault = _feature_values(body, feature_idx, start)
+    label_sets = None
+    if label_idx is not None:
+        # A label fault counts only in the rows before the feature fault's.
+        column = [row[label_idx] for row in (body if fault is None else body[:fault.row - start])]
+        split = {cell: frozenset(t for t in cell.split(label_separator) if t != "")
+                 for cell in dict.fromkeys(column)}
+        empty = next((r for r, cell in enumerate(column) if not split[cell]), None)
+        if empty is not None:
+            raise ParseError("empty label cell", row=start + empty, column=label_idx)
+        label_sets = [split[cell] for cell in column]
+    if fault is not None:
+        raise fault
+    labels = LabeledCovering(tuple(label_sets)) if label_sets is not None else None
     return DataMatrix(values=values, labels=labels)
 
 
-def _parse_rows(rows, first_row, feature_idx, label_idx, label_separator):
-    """Feature values and label sets, cell by cell; ParseError at the first bad cell.
-
-    `first_row` is the file row number of `rows[0]`, for the error.
-    """
-    values = []
-    label_sets = []
-    parsed_cells = {}  # each distinct label cell is split once
-    for r, row in enumerate(rows, first_row):
-        parsed = []
-        for c in feature_idx:
-            try:
-                value = float(row[c])
-            except ValueError:
-                raise ParseError(f"cell {row[c]!r} is not numeric", row=r, column=c) from None
-            if not np.isfinite(value):
-                raise ParseError(f"cell {row[c]!r} is not finite", row=r, column=c)
-            parsed.append(value)
-        values.append(parsed)
-        if label_idx is not None:
-            cell = row[label_idx]
-            if cell not in parsed_cells:
-                tokens = [t for t in cell.split(label_separator) if t != ""]
-                if not tokens:
-                    raise ParseError("empty label cell", row=r, column=label_idx)
-                parsed_cells[cell] = frozenset(tokens)
-            label_sets.append(parsed_cells[cell])
-    return values, label_sets
+def _feature_values(rows, feature_idx, first_row):
+    """The rows' feature cells as an (n, p) array and None, or None and a ParseError at the
+    first cell that is not a finite number (`first_row` is the file row of `rows[0]`)."""
+    cells = [row[c] for row in rows for c in feature_idx]
+    try:
+        values = np.fromiter(map(float, cells), dtype=float, count=len(cells))
+        if np.isfinite(values).all():
+            return values.reshape(len(rows), len(feature_idx)), None
+    except ValueError:
+        pass
+    # Only a faulty file is walked again, to find that cell.
+    bad = next(i for i, cell in enumerate(cells)
+               if not (_is_float(cell) and math.isfinite(float(cell))))
+    row, c = divmod(bad, len(feature_idx))
+    reason = "not finite" if _is_float(cells[bad]) else "not numeric"
+    return None, ParseError(f"cell {cells[bad]!r} is {reason}", row=first_row + row,
+                            column=feature_idx[c])
 
 
 def save_csv(data: DataMatrix, path, label_separator="|"):

@@ -273,17 +273,20 @@ def _assign(values, prototypes, d: Dissimilarity, previous=None, previous_dists=
     order = dists.argsort(axis=0, kind="stable")
     growing = np.arange(n)
     best = dists[order[0], growing]  # a 1-set's image is its prototype
-    # A point's set is always the first `size` clusters of its order; with a table, `code` is its bits.
+    # A point's set is always the first `size` clusters of its order; with a table, `code` is its
+    # bits, and without, cluster c is in it when its place in the order, `rank[c]`, is below `size`.
     size = np.ones(n, dtype=np.intp) if sums is None else None
     code = None if sums is None else 1 << order[0]
+    if sums is None:
+        rank = np.empty((k, n), dtype=np.intp)
+        rank[order, growing] = np.arange(k)[:, None]
     for step in range(1, k):
         if not growing.size:
             break
         if sums is not None:
             candidate = code[growing] | 1 << order[step, growing]
         else:
-            candidate = np.zeros((k, growing.size), dtype=bool)
-            np.put_along_axis(candidate, order[:step + 1, growing], True, axis=0)
+            candidate = rank[:, growing] <= step
         if subset_dists is not None:
             dist = subset_dists[growing, candidate]
         else:
@@ -300,8 +303,7 @@ def _assign(values, prototypes, d: Dissimilarity, previous=None, previous_dists=
         best[growing] = dist[improved]
     if sums is not None:
         return code if previous is None else np.where(previous_dists < best, previous, code)
-    chosen = np.zeros((k, n), dtype=bool)
-    chosen[order, np.arange(n)] = np.arange(k)[:, None] < size
+    chosen = rank < size
     if previous is not None:
         chosen = np.where(previous_dists < best, previous.T, chosen)
     return chosen.T

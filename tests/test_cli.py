@@ -1,6 +1,7 @@
 import os
 import pathlib
 import shutil
+import stat
 import subprocess
 import sys
 
@@ -164,7 +165,12 @@ def test_experiment_table_format_shows_aggregates(pairs_csv, capsys):
     assert "mean" in out and "f-measure" in out
 
 
-def test_experiment_jobs_flag_gives_identical_report(pairs_csv, capsys):
+def test_experiment_jobs_flag_gives_identical_report(pairs_csv, monkeypatch, capsys):
+    import okmlib.cli as cli
+
+    # Two usable CPUs, so that --jobs 2 starts the process pool on a one-CPU runner too.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert cli._worker_count(2, 4) == 2
     args = ["experiment", "--data", str(pairs_csv), "--k", "2",
             "--restarts", "4", "--format", "csv"]
     assert main(args) == 0
@@ -524,13 +530,40 @@ def test_experiment_estimating_k_from_one_row_exits_2(bad_inputs, capsys):
 def test_worker_count_is_clamped_to_restarts_and_cpus(monkeypatch):
     import okmlib.cli as cli
 
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    # The CPUs this process may run on, not all the machine's.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5, 7}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
     assert cli._worker_count(100000, 2) == 2
     assert cli._worker_count(100000, 50) == 4
     assert cli._worker_count(3, 50) == 3
     assert cli._worker_count(1, 50) == 1
+    # Without sched_getaffinity the machine's count is used, and an unknown one counts as 1.
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli._worker_count(100000, 100) == 64
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert cli._worker_count(8, 8) == 1
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask-022", "umask-077"])
+def test_written_files_get_the_mode_of_a_plain_write(pairs_csv, tmp_path, capsys, umask):
+    targets = {
+        "cluster.csv": ["cluster", "--data", str(pairs_csv), "--label-col", "last", "--k", "2"],
+        "report.txt": ["experiment", "--data", str(pairs_csv), "--k", "2", "--restarts", "1"],
+    }
+    old = os.umask(umask)
+    try:
+        for name, argv in targets.items():
+            out = tmp_path / name
+            assert main(argv + ["--out", str(out)]) == 0
+            assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask, name
+            out.chmod(0o640)  # a rewrite keeps an existing file's mode
+            assert main(argv + ["--out", str(out)]) == 0
+            assert stat.S_IMODE(out.stat().st_mode) == 0o640, name
+        save_csv(load_csv(pairs_csv, label_column="last"), tmp_path / "saved.csv")
+        assert stat.S_IMODE((tmp_path / "saved.csv").stat().st_mode) == 0o666 & ~umask
+    finally:
+        os.umask(old)
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_experiment_runs_serially_when_one_worker_is_enough(pairs_csv, monkeypatch, capsys):

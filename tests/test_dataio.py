@@ -18,6 +18,7 @@ from okmlib import (
     save_covering_csv,
     save_csv,
 )
+from okmlib.dataio import _is_float
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -247,6 +248,145 @@ def test_a_repeated_empty_label_cell_is_reported_at_its_first_row(tmp_path, cell
     with pytest.raises(ParseError) as exc:
         load_csv(write(tmp_path, _grid(rows), name="second.csv"), label_column="last")
     assert (exc.value.row, exc.value.column) == (3, 0)
+
+
+def _load_csv_cell_by_cell(path, label_column=None, label_separator="|"):
+    # The oracle for load_csv: every cell parsed in file order, the first bad one raised.
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
+        rows = [row for row in csv.reader(handle) if row]
+    if not rows:
+        raise EmptyFile(f"no rows in {path}")
+    width = len(rows[0])
+    for r, row in enumerate(rows):
+        if len(row) != width:
+            raise RaggedRows(f"row {r} has {len(row)} cells, expected {width}")
+    if label_column is None:
+        label_idx = None
+    elif label_column == "last":
+        label_idx = width - 1
+    else:
+        label_idx = int(label_column)
+        if not (0 <= label_idx < width):
+            raise ValueError(f"label column {label_idx} out of range for width {width}")
+    feature_idx = [c for c in range(width) if c != label_idx]
+    if not feature_idx:
+        raise ValueError("no feature columns left after removing the label column")
+    start = 0
+    if not all(_is_float(rows[0][c]) for c in feature_idx):
+        start = 1
+        if len(rows) == 1:
+            raise EmptyFile(f"only a header row in {path}")
+    values, label_sets, parsed_cells = [], [], {}
+    for r, row in enumerate(rows[start:], start):
+        parsed = []
+        for c in feature_idx:
+            try:
+                value = float(row[c])
+            except ValueError:
+                raise ParseError(f"cell {row[c]!r} is not numeric", row=r, column=c) from None
+            if not np.isfinite(value):
+                raise ParseError(f"cell {row[c]!r} is not finite", row=r, column=c)
+            parsed.append(value)
+        values.append(parsed)
+        if label_idx is not None:
+            cell = row[label_idx]
+            if cell not in parsed_cells:
+                tokens = [t for t in cell.split(label_separator) if t != ""]
+                if not tokens:
+                    raise ParseError("empty label cell", row=r, column=label_idx)
+                parsed_cells[cell] = frozenset(tokens)
+            label_sets.append(parsed_cells[cell])
+    labels = LabeledCovering(tuple(label_sets)) if label_idx is not None else None
+    return DataMatrix(values=np.array(values, dtype=float), labels=labels)
+
+
+GOOD_FEATURES = ["0", "-0.0", "1.5", " 2.5e3 ", "1e-320", "1_000", "-7", "3.", ".25", "1E308"]
+BAD_FEATURES = ["x", "", "1.2.3", "nan", " NaN", "inf", "-inf", "+Infinity", "1e999", "0x10"]
+LABEL_TOKENS = ["a", "b", "c d", "e"]
+
+
+def _random_grid(rng, label_separator):
+    """Rows of cells, a header or not, a label column (None, first, middle or last) and faults."""
+    n_features = int(rng.integers(1, 5))
+    label_at = rng.choice(["none", "first", "middle", "last"])
+    label_idx = {"none": None, "first": 0, "middle": (n_features + 1) // 2,
+                 "last": n_features}[label_at]
+    width = n_features + (label_idx is not None)
+    n_rows = int(rng.integers(1, 13))
+    rows = []
+    for _ in range(n_rows):
+        row = [GOOD_FEATURES[i] if rng.random() < 0.5 else repr(float(rng.normal(0, 1e3)))
+               for i in rng.integers(0, len(GOOD_FEATURES), width)]
+        if label_idx is not None:
+            tokens = rng.choice(LABEL_TOKENS, int(rng.integers(1, 4)))
+            row[label_idx] = label_separator.join(tokens)
+        rows.append(row)
+    features = [c for c in range(width) if c != label_idx]
+    label_faults = ["", label_separator, label_separator * 2]
+    for _ in range(int(rng.choice([0, 0, 1, 2, 3, 4]))):
+        r = int(rng.integers(n_rows))
+        if label_idx is not None and rng.random() < 0.4:
+            rows[r][label_idx] = label_faults[int(rng.integers(3))]
+        else:
+            rows[r][features[int(rng.integers(len(features)))]] = BAD_FEATURES[
+                int(rng.integers(len(BAD_FEATURES)))]
+        if label_idx is not None and rng.random() < 0.25:  # a label and a feature fault in one row
+            rows[r][label_idx] = label_faults[int(rng.integers(3))]
+            rows[r][features[-1]] = "nan"
+    if rng.random() < 0.5:
+        rows.insert(0, [f"h{c}" for c in range(width)])
+    if label_idx == width - 1 and rng.random() < 0.5:
+        return rows, "last"
+    return rows, label_idx
+
+
+def _outcome(load, path, column, separator):
+    try:
+        data = load(path, label_column=column, label_separator=separator)
+    except ValueError as exc:
+        return type(exc), getattr(exc, "row", None), getattr(exc, "column", None), str(exc)
+    return data.values.tobytes(), data.values.shape, data.labels and data.labels.label_sets
+
+
+def test_load_csv_matches_the_cell_by_cell_parse_on_random_grids(tmp_path):
+    rng = np.random.default_rng(2024)
+    path = tmp_path / "grid.csv"
+    kinds = {"loaded": 0, "feature fault": 0, "label fault": 0, "empty separator": 0}
+    for trial in range(600):
+        # An empty separator cannot split a label cell: that ValueError, or an earlier fault.
+        separator = ["|", ";", " ", "::", "|", ";", " ", "::", "|", ""][trial % 10]
+        rows, column = _random_grid(rng, separator)
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            csv.writer(handle).writerows(rows)
+        expected = _outcome(_load_csv_cell_by_cell, path, column, separator)
+        assert _outcome(load_csv, path, column, separator) == expected, (rows, column, separator)
+        if expected[0] is ParseError:
+            kinds["label fault" if "label" in expected[3] else "feature fault"] += 1
+        else:
+            kinds["empty separator" if expected[0] is ValueError else "loaded"] += 1
+    assert min(kinds.values()) >= 20, kinds  # every outcome is well represented
+
+
+def test_a_clean_file_calls_float_once_per_feature_cell(tmp_path, monkeypatch):
+    import builtins
+
+    from okmlib import dataio
+
+    calls = []
+
+    class CountingFloat:
+        dtype = np.dtype(builtins.float)  # load_csv also names float as the array's dtype
+
+        def __call__(self, cell):
+            calls.append(cell)
+            return builtins.float(cell)
+
+    monkeypatch.setattr(dataio, "float", CountingFloat(), raising=False)
+    rows = [["a", "label", "b"]] + [[str(r), "x|y", str(r / 4)] for r in range(50)]
+    data = load_csv(write(tmp_path, _grid(rows)), label_column=1)
+    assert data.values.shape == (50, 2)
+    # The header's first cell tells it is a header; then each feature cell once.
+    assert calls == ["a"] + [cell for row in rows[1:] for cell in (row[0], row[2])]
 
 
 def _save_csv_row_by_row(data, path, label_separator="|"):
