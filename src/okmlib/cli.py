@@ -110,6 +110,9 @@ def _measure_label(d: Dissimilarity):
 
 
 def _load(args):
+    # An empty separator is no fault of the data file, so it is named before the file is opened.
+    if args.label_sep == "":
+        raise InvalidSpec("--label-sep must not be empty")
     # ParseError, RaggedRows and EmptyFile are ValueErrors, as is a bad --label-col.
     try:
         return load_csv(args.data, label_column=_parse_label_col(args.label_col),

@@ -181,14 +181,15 @@ def test_experiment_jobs_flag_gives_identical_report(pairs_csv, monkeypatch, cap
 
 
 def test_a_serial_experiment_never_imports_the_process_pool(pairs_csv):
-    # A fresh interpreter, since this one may have loaded the pool already.
+    # A fresh interpreter, since this one may have loaded the pool already.  Nor does the
+    # load import gzip, as numpy's loadtxt does when it is given a path, not an open file.
     script = (
         "import sys\n"
         "from okmlib.cli import main\n"
         f"code = main(['experiment', '--data', {str(pairs_csv)!r}, '--k', '2', '--restarts', '4',\n"
         "             '--format', 'csv', '--jobs', '1'])\n"
         "print(code, *sorted(m for m in sys.modules\n"
-        "                    if m.partition('.')[0] in ('concurrent', 'multiprocessing')))\n"
+        "                    if m.partition('.')[0] in ('concurrent', 'multiprocessing', 'gzip')))\n"
     )
     path = os.pathsep.join(filter(None, [str(pathlib.Path(okmlib.__file__).parent.parent),
                                          os.environ.get("PYTHONPATH")]))
@@ -412,6 +413,8 @@ EXIT_PATHS = [
                  None, 2,
                  "error: cannot load {dir}/pairs.csv: invalid literal for int() with base 10: "
                  "'foo'", id="load-label-column-not-integer"),
+    pytest.param(["experiment", "--data", "{dir}/missing.csv", "--label-sep", "", "--k", "2"], None,
+                 2, "error: --label-sep must not be empty", id="empty-label-separator"),
     pytest.param(["estimate-k", "--data", "{dir}/labels.csv", "--label-col", "last"], None, 2,
                  "error: cannot load {dir}/labels.csv: no feature columns left after removing the "
                  "label column", id="load-no-feature-columns"),
@@ -563,6 +566,36 @@ def test_written_files_get_the_mode_of_a_plain_write(pairs_csv, tmp_path, capsys
         assert stat.S_IMODE((tmp_path / "saved.csv").stat().st_mode) == 0o666 & ~umask
     finally:
         os.umask(old)
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_out_through_a_symlink_writes_the_link_target(pairs_csv, tmp_path, capsys):
+    # As open(path, "w") does: the link stays a link, and its target gets the new content and
+    # keeps its mode.
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("old\n")
+    target.chmod(0o640)
+    link.symlink_to(target)
+    cluster = ["cluster", "--data", str(pairs_csv), "--label-col", "last", "--k", "2", "--out"]
+    assert main(cluster + [str(link)]) == 0
+    assert link.is_symlink() and link.resolve() == target
+    assert target.read_text().splitlines()[0] == "index,cluster_ids"
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    save_csv(load_csv(pairs_csv, label_column="last"), link)
+    assert link.is_symlink() and target.read_text().splitlines()[0] == "f0,label"
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    # A dangling link, here a relative one, creates its target.
+    dangling = tmp_path / "dangling.csv"
+    dangling.symlink_to("created.csv")
+    assert main(cluster + [str(dangling)]) == 0
+    assert dangling.is_symlink() and len((tmp_path / "created.csv").read_text().splitlines()) == 5
+    # A link loop fails as open() does, and nothing is written.
+    (tmp_path / "loop-a").symlink_to(tmp_path / "loop-b")
+    (tmp_path / "loop-b").symlink_to(tmp_path / "loop-a")
+    capsys.readouterr()
+    assert main(cluster + [str(tmp_path / "loop-a")]) == 2
+    assert "Too many levels of symbolic links" in _one_line_error(capsys)
+    assert (tmp_path / "loop-a").is_symlink()
     assert not list(tmp_path.glob("*.tmp"))
 
 

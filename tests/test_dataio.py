@@ -1,5 +1,9 @@
 import csv
+import io
+import os
 import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -300,9 +304,18 @@ def _load_csv_cell_by_cell(path, label_column=None, label_separator="|"):
     return DataMatrix(values=np.array(values, dtype=float), labels=labels)
 
 
-GOOD_FEATURES = ["0", "-0.0", "1.5", " 2.5e3 ", "1e-320", "1_000", "-7", "3.", ".25", "1E308"]
-BAD_FEATURES = ["x", "", "1.2.3", "nan", " NaN", "inf", "-inf", "+Infinity", "1e999", "0x10"]
-LABEL_TOKENS = ["a", "b", "c d", "e"]
+# Cells numpy's reader parses as float() does: signs, exponents, subnormals and leading or
+# trailing whitespace (tab, NBSP, em space, NEL).
+GOOD_FEATURES = ["0", "-0.0", "1.5", " 2.5e3 ", "1e-320", "5e-324", "-7", "3.", ".25", "1E308",
+                 "\t4", "\xa01", "6\u2003", "\x858", "+.5", '"9"']
+# Cells float() takes and numpy's reader does not: underscores and Arabic-Indic digits.
+FLOAT_ONLY_FEATURES = ["1_000", "\u0661\u0662"]
+# Not finite, not numeric, or a number in separators \x1c-\x1f, which numpy strips and float()
+# does not.
+BAD_FEATURES = ["x", "", "1.2.3", "nan", " NaN", "inf", "-inf", "+Infinity", "1e999", "0x10",
+                "\x1c1", "2\x1f"]
+LABEL_TOKENS = ["a", "b", "c d", "e", "f,g", 'say "hi"', "new\nline", " lead"]
+LINE_ENDS = ["\r\n", "\n", "\r"]
 
 
 def _random_grid(rng, label_separator):
@@ -322,6 +335,8 @@ def _random_grid(rng, label_separator):
             row[label_idx] = label_separator.join(tokens)
         rows.append(row)
     features = [c for c in range(width) if c != label_idx]
+    if rng.random() < 0.3:
+        rows[int(rng.integers(n_rows))][features[0]] = rng.choice(FLOAT_ONLY_FEATURES)
     label_faults = ["", label_separator, label_separator * 2]
     for _ in range(int(rng.choice([0, 0, 1, 2, 3, 4]))):
         r = int(rng.integers(n_rows))
@@ -348,26 +363,64 @@ def _outcome(load, path, column, separator):
     return data.values.tobytes(), data.values.shape, data.labels and data.labels.label_sets
 
 
-def test_load_csv_matches_the_cell_by_cell_parse_on_random_grids(tmp_path):
+def _write_grid(rng, path, rows):
+    """Rows as CSV with a random line end, maybe cut to one row or none, a trailing comma or a
+    short row, blank or whitespace-only lines, a BOM, and no final line end."""
+    end = LINE_ENDS[int(rng.integers(len(LINE_ENDS)))]
+    rows = [list(row) for row in rows[:int(rng.choice([0, 1, len(rows)], p=[0.02, 0.04, 0.94]))]]
+    if rows and rng.random() < 0.04:
+        rows = [row + [""] for row in rows]
+    if rows and rng.random() < 0.04:
+        rows[int(rng.integers(len(rows)))].pop()
+    for extra in ([], [" "], ["\t"]):
+        if rng.random() < (0.05 if extra else 0.3):
+            rows.insert(int(rng.integers(len(rows) + 1)), extra)
+    text = io.StringIO(newline="")
+    csv.writer(text, lineterminator=end).writerows(rows)
+    text = text.getvalue()
+    if rng.random() < 0.25:
+        text = text[:-len(end)]
+    if rng.random() < 0.15:
+        text = "\ufeff" + text
+    path.write_bytes(text.encode("utf-8"))
+
+
+def test_load_csv_matches_the_cell_by_cell_parse_on_random_grids(tmp_path, monkeypatch):
+    from okmlib import dataio
+
+    by_numpy = []
+    load_clean = dataio._load_clean
+
+    def spy(*args):
+        data = load_clean(*args)
+        by_numpy.append(data is not None)
+        return data
+
+    monkeypatch.setattr(dataio, "_load_clean", spy)
     rng = np.random.default_rng(2024)
     path = tmp_path / "grid.csv"
     kinds = {"loaded": 0, "feature fault": 0, "label fault": 0, "empty separator": 0}
-    for trial in range(600):
-        # An empty separator cannot split a label cell: that ValueError, or an earlier fault.
-        separator = ["|", ";", " ", "::", "|", ";", " ", "::", "|", ""][trial % 10]
-        rows, column = _random_grid(rng, separator)
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            csv.writer(handle).writerows(rows)
-        expected = _outcome(_load_csv_cell_by_cell, path, column, separator)
-        assert _outcome(load_csv, path, column, separator) == expected, (rows, column, separator)
-        if expected[0] is ParseError:
-            kinds["label fault" if "label" in expected[3] else "feature fault"] += 1
-        else:
-            kinds["empty separator" if expected[0] is ValueError else "loaded"] += 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for trial in range(600):
+            # An empty separator cannot split a label cell: that ValueError, or an earlier fault.
+            separator = ["|", ";", " ", "::", "|", ";", " ", "::", "|", ""][trial % 10]
+            rows, column = _random_grid(rng, separator)
+            _write_grid(rng, path, rows)
+            expected = _outcome(_load_csv_cell_by_cell, path, column, separator)
+            assert _outcome(load_csv, path, column, separator) == expected, (rows, column, separator)
+            if expected[0] is ParseError:
+                kinds["label fault" if "label" in expected[3] else "feature fault"] += 1
+            elif expected[0] in (ValueError, RaggedRows, EmptyFile):
+                kinds["empty separator"] += expected[3] == "empty separator"
+            else:
+                kinds["loaded"] += 1
+    assert caught == []
     assert min(kinds.values()) >= 20, kinds  # every outcome is well represented
+    assert sum(by_numpy) >= 50, sum(by_numpy)  # so is numpy's reader
 
 
-def test_a_clean_file_calls_float_once_per_feature_cell(tmp_path, monkeypatch):
+def test_a_clean_file_calls_float_on_its_first_row_only(tmp_path, monkeypatch):
     import builtins
 
     from okmlib import dataio
@@ -375,7 +428,7 @@ def test_a_clean_file_calls_float_once_per_feature_cell(tmp_path, monkeypatch):
     calls = []
 
     class CountingFloat:
-        dtype = np.dtype(builtins.float)  # load_csv also names float as the array's dtype
+        dtype = np.dtype(builtins.float)  # DataMatrix also names float as the array's dtype
 
         def __call__(self, cell):
             calls.append(cell)
@@ -385,8 +438,83 @@ def test_a_clean_file_calls_float_once_per_feature_cell(tmp_path, monkeypatch):
     rows = [["a", "label", "b"]] + [[str(r), "x|y", str(r / 4)] for r in range(50)]
     data = load_csv(write(tmp_path, _grid(rows)), label_column=1)
     assert data.values.shape == (50, 2)
-    # The header's first cell tells it is a header; then each feature cell once.
-    assert calls == ["a"] + [cell for row in rows[1:] for cell in (row[0], row[2])]
+    # The header's first cell tells it is a header; numpy's reader parses every data row.
+    assert calls == ["a"]
+    calls.clear()
+    data = load_csv(write(tmp_path, _grid(rows[1:]), name="plain.csv"), label_column=1)
+    assert data.values.tolist() == [[r, r / 4] for r in range(50)]
+    # Without a header the first row's feature cells are data, parsed by float().
+    assert calls == ["0", "0.0"]
+
+
+@pytest.mark.parametrize("text", ["x,y\n1,2\n3,4\n", "x,y\n1,2\n3,oops\n"], ids=["clean", "fault"])
+def test_load_csv_opens_the_file_once(tmp_path, monkeypatch, text):
+    import builtins
+
+    from okmlib import dataio
+
+    opened = []
+
+    def counting_open(*args, **kwargs):
+        opened.append(args[0])
+        return builtins.open(*args, **kwargs)
+
+    monkeypatch.setattr(dataio, "open", counting_open, raising=False)
+    path = write(tmp_path, text)
+    try:
+        load_csv(path)
+    except ParseError:
+        pass
+    assert opened == [path]
+
+
+def test_load_csv_reads_a_pipe(tmp_path):
+    # A pipe cannot seek back, so the csv module reads it, clean or not.
+    if not os.path.isdir("/dev/fd"):
+        pytest.skip("no /dev/fd")
+    for text, expected in (("x,g\n1,a\n2,b\n", [[1.0], [2.0]]), ("x,g\n1,a\n2,\n", None)):
+        read_end, write_end = os.pipe()
+        os.write(write_end, text.encode())
+        os.close(write_end)
+        try:
+            if expected is None:
+                with pytest.raises(ParseError, match=re.escape("empty label cell (row 2, column 1)")):
+                    load_csv(f"/dev/fd/{read_end}", label_column="last")
+            else:
+                assert load_csv(f"/dev/fd/{read_end}", label_column="last").values.tolist() == expected
+        finally:
+            os.close(read_end)
+
+
+def test_a_label_cell_over_the_csv_field_limit_is_the_csv_error(tmp_path):
+    # numpy's reader has no field limit; the csv module's error stands, as before.
+    path = write(tmp_path, "x,g\n1,a\n2,bbbbbbbbbbbbbbbbbbbbbbbbb\n")
+    limit = csv.field_size_limit(16)
+    try:
+        with pytest.raises(csv.Error, match="field larger than field limit"):
+            load_csv(path, label_column="last")
+    finally:
+        csv.field_size_limit(limit)
+    assert load_csv(path, label_column="last").n == 2
+
+
+def test_loading_the_benchmark_sample_peaks_below_eight_times_its_values(tmp_path):
+    # The 2 200 x 8 labeled sample: numpy's reader holds its records, the values and the label
+    # cells; one Python list of cell strings per row (the csv-module path) peaks near 15x.
+    path = tmp_path / "sample.csv"
+    save_csv(generate_synthetic(SyntheticSpec(
+        k=5, points_per_cluster=400,
+        overlap_pairs=((0, 1, 40), (1, 2, 40), (2, 3, 40), (3, 4, 40), (4, 0, 40)),
+        dimension=8, seed=0)), path)
+    load_csv(path, label_column="last")  # the first call's one-off allocations are not counted
+    tracemalloc.start()
+    try:
+        data = load_csv(path, label_column="last")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (data.n, data.p) == (2200, 8)
+    assert peak < 8 * data.values.nbytes, peak / data.values.nbytes
 
 
 def _save_csv_row_by_row(data, path, label_separator="|"):
