@@ -34,7 +34,10 @@ from .errors import DomainError, InsufficientData, InvalidSpec, NegativeInput, N
 from .evaluation import pair_metrics
 from .kernels import KernelKind, KernelSpec, gram
 from .linalg import row_blocks, sequential_sum
-from .model_selection import PolicyKind, SignificancePolicy, estimate_k
+from .model_selection import PolicyKind, SignificancePolicy
+# The commands hand over the Gram they built, which is centered in place.  The name stays
+# `estimate_k`, the layer the benchmark times by replacing it here.
+from .model_selection import _estimate_k_in_place as estimate_k
 from .okm import OkmConfig, run_okm
 
 SPECTRUM_PRINT_LIMIT = 20
@@ -53,18 +56,20 @@ class MissingLabels(Exception):
 @np.errstate(over="ignore")  # an overflowing distance is inf, and an inf median is rejected
 def _median_heuristic_sigma(values):
     # Median of the nonzero pairwise distances, a serviceable default bandwidth.  Row
-    # blocks bound the (rows, n, p) difference temporary; the n(n-1)/2 distances are kept.
+    # blocks bound the (rows, n, p) difference temporary; the n(n-1)/2 distances are kept in
+    # one array, which the median then partitions in place.
     n, p = values.shape
     if n < 2:
         return 1.0
-    parts = []
+    dist = np.empty(n * (n - 1) // 2)
+    filled = 0
     for start, stop in row_blocks(n - 1, n * p):
         d2 = dissim_rows(_SQUARED_EUCLIDEAN, values[start:stop, None, :], values[None, start:, :])
-        upper = np.arange(start, n)[None, :] > np.arange(start, stop)[:, None]
-        parts.append(np.sqrt(d2[upper]))
-    dist = np.concatenate(parts)
+        upper = d2[np.arange(start, n)[None, :] > np.arange(start, stop)[:, None]]
+        np.sqrt(upper, out=dist[filled:filled + upper.size])
+        filled += upper.size
     dist = dist[dist > 0]
-    sigma = float(np.median(dist)) if dist.size else 1.0
+    sigma = float(np.median(dist, overwrite_input=True)) if dist.size else 1.0
     if not np.isfinite(sigma):
         raise DomainError(f"median sigma is {sigma}: the pairwise distances overflow")
     return sigma
@@ -113,11 +118,12 @@ def _load(args):
     # An empty separator is no fault of the data file, so it is named before the file is opened.
     if args.label_sep == "":
         raise InvalidSpec("--label-sep must not be empty")
-    # ParseError, RaggedRows and EmptyFile are ValueErrors, as is a bad --label-col.
+    # ParseError, RaggedRows and EmptyFile are ValueErrors, as is a bad --label-col; a cell
+    # longer than the csv module's field limit is a csv.Error.
     try:
         return load_csv(args.data, label_column=_parse_label_col(args.label_col),
                         label_separator=args.label_sep)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, csv.Error) as exc:
         raise PathError(f"cannot load {args.data}: {exc}") from exc
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dataio import data_values
 from .errors import DimensionMismatch, DomainError, InvalidSpec
-from .linalg import SymMatrix, row_blocks, row_sum
+from .linalg import SymMatrix, row_blocks, row_sum, unbuffered
 
 
 class KernelKind(enum.Enum):
@@ -123,30 +123,96 @@ def kernel_eval(spec: KernelSpec, x, y) -> float:
     return float(kernel_rows(spec, x, y))
 
 
-@np.errstate(over="ignore", invalid="ignore")  # overflow is caught as a non-finite entry
+def _squared_distances(x, y, out):
+    """`row_sum((x - y) ** 2)` into `out`, bit for bit, for x (rows, 1, p) and y (1, cols, p).
+
+    Up to 128 features the squared differences are added one feature
+    column at a time in `row_sum`'s order: left to right below 8; from 8
+    on, eight lanes of every eighth column, combined pairwise, then the
+    tail columns.  Temporaries: one (rows, cols) column below 8 features,
+    four from 8 to 128, and above 128 the (rows, cols, p) batch that
+    `row_sum` sums whole.
+    """
+    p = x.shape[-1]
+    if p > 128:
+        diff = np.subtract(x, y, out=np.empty(out.shape + (p,)))
+        np.sum(np.square(diff, out=diff), axis=-1, out=out)
+        return
+    scratch = np.empty(out.shape)
+
+    def square(column, into):
+        np.subtract(x[..., column], y[..., column], out=into)
+        return np.square(into, out=into)
+
+    step, body = (1, p) if p < 8 else (8, p - p % 8)
+
+    def lane(first, into):
+        square(first, into)
+        for column in range(first + step, body, step):
+            into += square(column, scratch)
+        return into
+
+    lane(0, out)
+    if p < 8:
+        return
+    # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the tail columns.
+    t1, t2, t3 = np.empty((3,) + out.shape)
+    out += lane(1, t1)
+    lane(2, t1)
+    t1 += lane(3, t2)
+    out += t1
+    lane(4, t1)
+    t1 += lane(5, t2)
+    lane(6, t2)
+    t2 += lane(7, t3)
+    t1 += t2
+    out += t1
+    for column in range(body, p):
+        out += square(column, scratch)
+
+
+def _block_temporaries(spec: KernelSpec, p):
+    """(rows, cols) temporaries that one Gram row block holds, counted as in `_squared_distances`."""
+    if spec.kind != KernelKind.RBF:
+        return 4  # kernel_rows' inner products, base and power, and the finiteness mask
+    if p < 8:
+        return 1
+    return 4 if p <= 128 else p
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is a non-finite entry, or an rbf 0
+@unbuffered()
 def gram(spec: KernelSpec, data) -> SymMatrix:
     """The n x n Gram matrix K(i, j) = K(x_i, x_j) of a DataMatrix or an (n, p) array.
 
-    Row blocks of the upper triangle are evaluated and mirrored, so the
-    result is symmetric by construction.  Memory: the dense result, 8 n^2
-    bytes, plus row-block temporaries of O(block * n * p) elements.
-    Raises DomainError when an entry overflows.
+    Built in one n x n buffer, a row block at a time: rows i against
+    columns j >= start, with the block's columns below it mirrored, so the
+    result is symmetric by construction and its entries are the bits of
+    `kernel_eval` on each pair.  Memory: the dense result, 8 n^2 bytes,
+    plus one row block's temporaries, about BLOCK_ELEMENTS doubles, or
+    one row's when a row needs more.  Raises DomainError when an entry
+    overflows; an rbf entry of finite data lies in [0, 1] and is not
+    checked.
     """
     values = data_values(data)
     if values.shape[0] < 1:
         raise ValueError(f"expected an (n, p) data array, got shape {values.shape}")
     n, p = values.shape
     k = np.empty((n, n))
-    for start, stop in row_blocks(n, n * p):
-        # Row i against columns j >= start; only j >= i is kept.
-        rows = kernel_rows(spec, values[start:stop, None, :], values[None, start:, :])
-        if not np.all(np.isfinite(rows)):
-            raise DomainError("Gram matrix is not finite: the data overflow this kernel")
-        diagonal = np.triu(rows[:, :stop - start])
-        k[start:stop, start:stop] = diagonal + np.triu(diagonal, 1).T
-        k[start:stop, stop:] = rows[:, stop - start:]
+    for start, stop in row_blocks(n, n * _block_temporaries(spec, p)):
+        rows = k[start:stop, start:]
+        x, y = values[start:stop, None, :], values[None, start:, :]
+        if spec.kind == KernelKind.RBF:
+            _squared_distances(x, y, rows)
+            # d2 / -(sigma^2) has the bits of kernel_rows' -d2 / sigma^2.
+            np.divide(rows, -(spec.sigma * spec.sigma), out=rows)
+            np.exp(rows, out=rows)
+        else:
+            rows[...] = kernel_rows(spec, x, y)
+            if not np.all(np.isfinite(rows)):
+                raise DomainError("Gram matrix is not finite: the data overflow this kernel")
         k[stop:, start:stop] = rows[:, stop - start:].T
-    return SymMatrix(k)
+    return SymMatrix._trusted(k)
 
 
 def kernel_distance_sq(spec: KernelSpec, x, y) -> float:

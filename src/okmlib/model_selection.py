@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidSpec
-from .linalg import SymMatrix, row_blocks, sorted_eigenvalues
+from .linalg import SymMatrix, row_blocks, sorted_eigenvalues, unbuffered
 
 GAP_NOISE_FLOOR = 0.01
 
@@ -66,36 +66,34 @@ def significant_count(eigenvalues, policy: SignificancePolicy) -> int:
     return int(np.argmax(gaps)) + 1
 
 
-@np.errstate(over="ignore", invalid="ignore")  # SymMatrix rejects an entry that overflows
+@np.errstate(over="ignore", invalid="ignore")  # an entry that overflows is rejected below
+@unbuffered()
 def _centered(matrix: SymMatrix) -> SymMatrix:
-    # In one buffer, rounding like (c + c.T) / 2 of c = k - row_means - row_means.T + grand_mean.
+    # In place, rounding like (c + c.T) / 2 of c = k - row_means - row_means.T + grand_mean.
     k = matrix.values
     row_means = k.mean(axis=1, keepdims=True)
     grand_mean = k.mean()
-    c = np.subtract(k, row_means)
-    c -= row_means.T
-    c += grand_mean
-    # Symmetrize a row block at a time: `c += c.T` would copy all of c.T
+    k -= row_means
+    k -= row_means.T
+    k += grand_mean
+    # Symmetrize a row block at a time: `k += k.T` would copy all of k.T
     # first.  Each block's rows from the diagonal on, and the matching
     # columns, are still unwritten; addition commutes, so both halves get
-    # the bits of (c + c.T) / 2.
-    n = len(c)
+    # the bits of (c + c.T) / 2, and the block covers them both.
+    n = len(k)
     for start, stop in row_blocks(n, n):
-        half = c[start:stop, start:] + c[start:, start:stop].T
+        half = k[start:stop, start:] + k[start:, start:stop].T
         half /= 2.0
-        c[start:stop, start:] = half
-        c[start:, start:stop] = half.T
-    return SymMatrix(c)
+        if not np.all(np.isfinite(half)):
+            raise DomainError("matrix entries must be finite")
+        k[start:stop, start:] = half
+        k[start:, start:stop] = half.T
+        del half  # before the next block's is made
+    return SymMatrix._trusted(k)
 
 
-def estimate_k(matrix: SymMatrix, policy: SignificancePolicy) -> SpectrumReport:
-    """Estimate the cluster count for the dataset behind a Gram matrix.
-
-    Returns the full descending spectrum (raw and centered) so a human
-    can second-guess the mechanical estimate.  Raises DomainError for
-    fewer than two points.  Memory: n^2 doubles on top of `matrix` (the
-    centered copy) and a row block, plus LAPACK's working copies.
-    """
+def _estimate_k_in_place(matrix: SymMatrix, policy: SignificancePolicy) -> SpectrumReport:
+    """`estimate_k` on a matrix it owns: centered in place once its raw spectrum is taken."""
     n = matrix.n
     if n < 2:
         raise DomainError("need at least 2 points to estimate k")
@@ -105,3 +103,15 @@ def estimate_k(matrix: SymMatrix, policy: SignificancePolicy) -> SpectrumReport:
 
     estimated = max(1, min(1 + significant_count(centered, policy), n))
     return SpectrumReport(eigenvalues=raw, centered_eigenvalues=centered, estimated_k=estimated)
+
+
+def estimate_k(matrix: SymMatrix, policy: SignificancePolicy) -> SpectrumReport:
+    """Estimate the cluster count for the dataset behind a Gram matrix.
+
+    Returns the full descending spectrum (raw and centered) so a human
+    can second-guess the mechanical estimate.  Raises DomainError for
+    fewer than two points.  `matrix` is left as it is.  Memory: n^2
+    doubles on top of `matrix` (the copy that is centered in place) and a
+    row block, plus LAPACK's working copies.
+    """
+    return _estimate_k_in_place(SymMatrix._trusted(matrix.values.copy(order="K")), policy)

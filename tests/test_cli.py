@@ -4,6 +4,7 @@ import shutil
 import stat
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -380,6 +381,8 @@ def bad_inputs(tmp_path):
         "overflow.csv": "1e200,2e200,a\n3e200,1e200,a\n-2e200,5e199,b\n1e199,-3e200,b\n",
         # The Gram entries are finite, the sums that center them are not.
         "near-max.csv": "9e153,1,a\n-9e153,2,a\n9e153,9e153,b\n0.5,9e153,b\n",
+        # A label cell past the csv module's field limit of 131 072 characters.
+        "long-label.csv": "1.0,2.0,a\n3.0,4.0,b\n5.0,6.0," + "x" * 140_000 + "\n",
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
@@ -418,6 +421,9 @@ EXIT_PATHS = [
     pytest.param(["estimate-k", "--data", "{dir}/labels.csv", "--label-col", "last"], None, 2,
                  "error: cannot load {dir}/labels.csv: no feature columns left after removing the "
                  "label column", id="load-no-feature-columns"),
+    pytest.param(["experiment", "--data", "{dir}/long-label.csv", "--k", "2"], None, 2,
+                 "error: cannot load {dir}/long-label.csv: field larger than field limit (131072)",
+                 id="load-label-cell-over-the-field-limit"),
     pytest.param(["cluster", "--data", "{dir}/pairs.csv", "--label-col", "last", "--k", "2",
                   "--out", "{dir}/c.csv"], _disk_full, 2,
                  "error: cannot write {dir}/c.csv: [Errno 28] No space left on device",
@@ -629,6 +635,27 @@ def test_commands_call_layers_through_module_globals(labeled_blobs_csv, monkeypa
     called.clear()
     assert main(["experiment", *data, "--restarts", "1"]) == 0
     assert called == set(names)
+
+
+def test_estimate_k_centers_the_gram_it_built_in_place(tmp_path, monkeypatch, capsys):
+    # A deterministic guard, no wall clock: the command hands its Gram
+    # matrix over to be centered in place, so small row blocks leave one
+    # n x n buffer at n = 600.  LAPACK's working copies are not seen by
+    # tracemalloc.
+    import okmlib.linalg as linalg
+
+    path = tmp_path / "blobs.csv"
+    save_csv(generate_synthetic(SyntheticSpec(k=3, points_per_cluster=200, dimension=4, seed=5)), path)
+    monkeypatch.setattr(linalg, "BLOCK_ELEMENTS", 4096)
+    tracemalloc.start()
+    try:
+        assert main(["estimate-k", "--data", str(path), "--label-col", "last", "--sigma", "2"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out.startswith("n = 600  kernel = rbf  sigma = 2  policy = eigengap\n")
+    n = 600
+    assert peak <= 1.25 * 8 * n * n, peak / (8 * n * n)
 
 
 # The exact report of `experiment --data pairs.csv --k 2 --restarts 3 --seed 9`.  The data

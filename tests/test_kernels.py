@@ -282,3 +282,52 @@ def test_gram_memory_stays_near_one_matrix(monkeypatch):
             tracemalloc.stop()
         assert g.n == n
         assert peak <= 1.25 * 8 * n * n, peak / (8 * n * n)
+
+
+@pytest.mark.parametrize("block_elements", [None, 50], ids=["default-blocks", "50-element-blocks"])
+def test_gram_entries_are_the_pairwise_kernel_eval_bits(monkeypatch, block_elements):
+    # Below 8 features the rbf squared distances are added left to right,
+    # from 8 to 128 in row_sum's eight lanes, above 128 in one batch; every
+    # entry, below the diagonal too, must be kernel_eval's bits on its pair.
+    import okmlib.linalg as linalg
+
+    if block_elements is not None:
+        monkeypatch.setattr(linalg, "BLOCK_ELEMENTS", block_elements)
+    specs = [KernelSpec(KernelKind.RBF, sigma=sigma) for sigma in (0.5, 2.0, 150.0)]
+    specs += [POLY2, KernelSpec(KernelKind.POLYNOMIAL, degree=0.25), LIN]
+    rng = np.random.default_rng(37)
+    n = 15
+    for p in (1, 2, 4, 7, 8, 9, 15, 16, 17, 128, 129):
+        points = rng.uniform(0.0, 3.0, (n, p)) * 10.0 ** rng.uniform(-2.0, 1.0, (n, 1))
+        for data in (points, np.asfortranarray(points)):
+            for spec in specs:
+                expected = np.array([[kernel_eval(spec, x, y) for y in data] for x in data])
+                got = gram(spec, data).values
+                assert np.array_equal(got.view(np.int64), expected.view(np.int64)), \
+                    (p, spec, data.flags.f_contiguous)
+    for spec in (LIN, POLY2):
+        with pytest.raises(DomainError, match="Gram matrix is not finite"):
+            gram(spec, OVERFLOWING)
+    # Every rbf distance between these rows overflows to inf, and its kernel value is 0.
+    assert np.array_equal(gram(RBF2, OVERFLOWING).values, np.eye(4))
+
+
+def _gram_peak(spec, data):
+    tracemalloc.start()
+    try:
+        gram(spec, data)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_rbf_gram_builds_in_its_result_and_one_block_of_temporaries(iris):
+    # A deterministic guard, no wall clock, at the default block size.  At
+    # Iris size one block spans the matrix and holds one squared feature
+    # column; at n = 2 000 and p = 8 a block holds four lane buffers of
+    # about BLOCK_ELEMENTS / 4 doubles each.
+    n = iris.n
+    assert _gram_peak(RBF2, iris) <= 2.1 * 8 * n * n
+    n = 2000
+    data = np.random.default_rng(38).standard_normal((n, 8))
+    assert _gram_peak(RBF2, data) <= 1.3 * 8 * n * n

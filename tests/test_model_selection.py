@@ -16,7 +16,7 @@ from okmlib import (
     gram,
     significant_count,
 )
-from okmlib.model_selection import _centered
+from okmlib.model_selection import _centered, _estimate_k_in_place
 
 RATIO = SignificancePolicy(kind=PolicyKind.RATIO_THRESHOLD)
 GAP = SignificancePolicy(kind=PolicyKind.LARGEST_EIGENGAP)
@@ -128,6 +128,18 @@ def test_centered_matches_the_two_step_expression_bit_for_bit():
         assert np.array_equal(_centered(SymMatrix(k)).values, (c + c.T) / 2.0)
 
 
+def test_centered_in_place_matches_the_two_step_expression_past_one_ufunc_buffer(monkeypatch):
+    # 40 000 entries, past numpy's default 8192-element ufunc buffer, in
+    # several row blocks: the means and the in-place steps round as
+    # numpy's default settings do.
+    monkeypatch.setattr(linalg, "BLOCK_ELEMENTS", 4096)
+    rng = np.random.default_rng(34)
+    k = gram(KernelSpec(KernelKind.POLYNOMIAL, degree=2.0), rng.standard_normal((200, 3))).values
+    row_means = k.mean(axis=1, keepdims=True)
+    c = k - row_means - row_means.T + k.mean()
+    assert np.array_equal(_centered(SymMatrix(k)).values, (c + c.T) / 2.0)
+
+
 def test_centering_that_overflows_is_a_domain_error():
     # Every entry is finite, but a row of them sums past the largest double.
     with pytest.raises(DomainError, match="must be finite"):
@@ -149,3 +161,21 @@ def test_estimate_k_memory_stays_near_one_matrix(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * 8 * n * n, peak / (8 * n * n)
+
+
+def test_report_on_a_handed_over_gram_matches_estimate_k_bit_for_bit():
+    # The report centers the matrix it is given in place; estimate_k hands
+    # it a copy and leaves its argument's bytes as they were.
+    rng = np.random.default_rng(33)
+    data = rng.standard_normal((41, 5)) * 3.0
+    for spec in (KernelSpec(KernelKind.RBF, sigma=2.0), KernelSpec(KernelKind.POLYNOMIAL, degree=2.0),
+                 KernelSpec(KernelKind.LINEAR)):
+        g = gram(spec, data)
+        before = g.values.tobytes()
+        for policy in (RATIO, GAP):
+            expected = estimate_k(g, policy)
+            assert g.values.tobytes() == before
+            got = _estimate_k_in_place(gram(spec, data), policy)
+            assert got.eigenvalues.tobytes() == expected.eigenvalues.tobytes(), spec
+            assert got.centered_eigenvalues.tobytes() == expected.centered_eigenvalues.tobytes(), spec
+            assert got.estimated_k == expected.estimated_k
