@@ -33,7 +33,7 @@ from .divergences import Dissimilarity, DissimilarityKind, dissim_rows
 from .errors import DomainError, InsufficientData, InvalidSpec, NegativeInput, NoConvergence
 from .evaluation import pair_metrics
 from .kernels import KernelKind, KernelSpec, gram
-from .linalg import row_blocks, sequential_sum
+from .linalg import row_blocks, sequential_sum, unbuffered
 from .model_selection import PolicyKind, SignificancePolicy
 # The commands hand over the Gram they built, which is centered in place.  The name stays
 # `estimate_k`, the layer the benchmark times by replacing it here.
@@ -53,6 +53,7 @@ class MissingLabels(Exception):
     """The dataset of an experiment has no ground-truth label column."""
 
 
+@unbuffered()
 @np.errstate(over="ignore")  # an overflowing distance is inf, and an inf median is rejected
 def _median_heuristic_sigma(values):
     # Median of the nonzero pairwise distances, a serviceable default bandwidth.  Row

@@ -146,12 +146,13 @@ def load_csv(path, label_column=None, label_separator="|") -> DataMatrix:
     no per-row Python lists.  Both round correctly, so the values are
     those of float().  A file that reader does not take whole and clean
     (a cell that is not a finite number, an empty label set, ragged rows,
-    an empty body, or a NUL or \x1c-\x1f byte), and a file that cannot
-    seek, is read again by the csv module cell by cell, which names the
-    fault.  Under tracemalloc a clean 2 200 x 8 or 22 000 x 8 labeled file
-    peaks at about 3.4 times the values' bytes (the parsed records, the
-    values and the label cells); the csv-module path, which holds a list
-    of cell strings per row, peaks at about 15 times.
+    an empty body, a NUL or \x1c-\x1f byte, or a line or label cell longer
+    than `csv.field_size_limit()`), and a file that cannot seek, is read
+    again by the csv module cell by cell, which names the fault.  Under
+    tracemalloc a clean 2 200 x 8 or 22 000 x 8 labeled file peaks at
+    about 3.4 times the values' bytes (the parsed records, the values and
+    the label cells); the csv-module path, which holds a list of cell
+    strings per row, peaks at about 15 times.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         if handle.seekable():
@@ -241,8 +242,23 @@ def _load_clean(handle, label_column, label_separator):
 
     A fault may also raise ValueError, a warning or csv.Error; the caller then takes that path.
     """
+    # numpy's reader has no field limit.  A line of at most the csv module's limit in bytes holds
+    # no longer cell, since a character takes at least one byte; a longer line takes that path.
+    limit = csv.field_size_limit()
+    line = 0  # the bytes of the line being read, before this chunk
     while chunk := handle.buffer.read(1 << 16):
         if any(byte in chunk for byte in _NOT_FOR_NUMPY):
+            return None
+        start = -line  # where that line begins, counted from this chunk's first byte
+        while True:
+            # The last line end within limit + 1 bytes of a line's start: each line before it fits.
+            window = (max(start, 0), start + limit + 1)
+            end = max(chunk.rfind(b"\n", *window), chunk.rfind(b"\r", *window))
+            if end < 0:
+                break
+            start = end + 1
+        line = len(chunk) - start
+        if line > limit:
             return None
     handle.seek(0)
     first = next((row for row in csv.reader(handle) if row), None)
@@ -271,7 +287,7 @@ def _load_clean(handle, label_column, label_separator):
     if label_idx is not None:
         column = [first[label_idx]] * head + body[str(label_idx)].tolist()
         split = _split_label_cells(column, label_separator)
-        # The csv module rejects a cell longer than its field limit; numpy does not.
+        # A quoted label cell may span lines, so the label cells are measured themselves.
         if not all(split.values()) or max(map(len, split)) > csv.field_size_limit():
             return None
         labels = LabeledCovering(tuple(split[cell] for cell in column))

@@ -25,7 +25,14 @@ in the seed: initial prototypes are k distinct data rows sampled
 uniformly without replacement.
 
 Every phase works on all points at once, with Python loops only over
-clusters; memory is O(n * k * p) per iteration.
+clusters; memory is O(n * k * p) per iteration.  `run_okm` runs under
+`linalg.unbuffered()`: numpy 2.4 copies broadcast operands through its
+default 8192-element ufunc buffers, and three restarts on the 2 200 x 8
+synthetic sample at k = 5 took 0.91 times as long without them, with
+the same bits (timeit minimum, one CPU of a 2-vCPU Xeon VM).  The
+assignment computes its point-to-prototype distances as the C (k, n)
+array its sort reads, a (k, n, p) batch whose points are innermost, as
+the data's are.
 
 Images and the update's "other prototypes" are subset sums.  When
 2^k <= n (`_uses_table`), one (p, 2^k) table holds the sums of all
@@ -33,9 +40,11 @@ cluster subsets, and each point's set is its code, bit c set for
 cluster c, the column it reads.  Only `run_okm` decides this: it builds
 the table once, passes it to each step, and builds the (n, k) bool
 matrix once, for the `Covering`.  The update recomputes the table from
-bit c up after cluster c moves, so the objective and the next
-assignment read the new prototypes' table (a reverted round ends the
-run).  Given no table, a step takes an (n, k) bool matrix and adds
+bit c up after cluster c moves (a reverted round ends the run).  Per
+prototype set `run_okm` divides each column by its set's size once
+(`_image_table`); the objective and the next assignment gather their
+images from that table, the division a step would make on each set it
+tries.  Given no table, a step takes an (n, k) bool matrix and adds
 masked sums, one cluster at a time.  Both paths add in the per-point
 reference order, so they give the same bits as a point-by-point
 evaluation.
@@ -77,7 +86,7 @@ from .divergences import (Dissimilarity, DissimilarityKind, check_domain, dissim
                           unchecked_dissim_rows)
 from .errors import DimensionMismatch, DomainError, EmptyAssignment, InsufficientData, InvalidSpec
 from .kernels import KernelKind, kernel_rows
-from .linalg import membership_matrix, membership_sets, sequential_sum
+from .linalg import membership_matrix, membership_sets, sequential_sum, unbuffered
 
 _REL_TOL_GUARD = 1e-12
 _SUBSET_DISTS_MAX_ELEMENTS = 1 << 13  # n * 2^k * p; see `_uses_subset_dists`
@@ -201,8 +210,13 @@ def _subset_sizes(k) -> np.ndarray:
     return sizes
 
 
-def _subset_dists(values, sums, d: Dissimilarity, x_self=None, finite=False) -> np.ndarray | None:
-    """Each point's dissimilarity to the image of every subset code in table `sums`: (n, 2^k).
+def _image_table(sums) -> np.ndarray | None:
+    """Each subset code's image, its sum over its size, from table `sums`: (p, 2^k); None for None."""
+    return None if sums is None else sums / _subset_sizes(sums.shape[1].bit_length() - 1)
+
+
+def _subset_dists(values, image_table, d: Dissimilarity, x_self=None, finite=False) -> np.ndarray | None:
+    """Each point's dissimilarity to the image of every subset code in `image_table`: (n, 2^k).
 
     Column s is the value `_objective` gives a point at code s; column 0,
     the empty set's, is never read.  `x_self` and `finite` are as for
@@ -211,7 +225,7 @@ def _subset_dists(values, sums, d: Dissimilarity, x_self=None, finite=False) -> 
     sets it tries, which raise only if they reach such a base.
     """
     # C rows, so the (n, 2^k, p) temporaries run over contiguous points, as the data do.
-    images = np.ascontiguousarray((sums / _subset_sizes(sums.shape[1].bit_length() - 1)).T)
+    images = np.ascontiguousarray(image_table.T)
     try:
         return unchecked_dissim_rows(d, values[:, None, :], images[None, :, :],
                                      None if x_self is None else x_self[:, None], finite)
@@ -230,15 +244,15 @@ def _masked_sums(clusters, prototypes) -> np.ndarray:
     return total
 
 
-def _images(sets, prototypes, sums=None) -> np.ndarray:
+def _images(sets, prototypes, image_table=None) -> np.ndarray:
     """Each point's image: its prototypes added in cluster-id order, over |A|.
 
-    `sets` are the points' codes given `sums`, the prototypes'
-    `_subset_sums` table, and otherwise their (n, k) bool matrix.
+    `sets` are the points' codes given `image_table`, the prototypes'
+    `_image_table`, and otherwise their (n, k) bool matrix.
     """
-    if sums is None:
+    if image_table is None:
         return (_masked_sums(sets.T, prototypes) / sets.sum(axis=1)).T
-    return (sums / _subset_sizes(len(prototypes))).take(sets, axis=1).T
+    return image_table.take(sets, axis=1).T
 
 
 def image(assigned, prototypes) -> np.ndarray:
@@ -248,26 +262,33 @@ def image(assigned, prototypes) -> np.ndarray:
 
 
 def _assign(values, prototypes, d: Dissimilarity, previous=None, previous_dists=None,
-            sums=None, x_self=None, finite=False, subset_dists=None) -> np.ndarray:
+            image_table=None, x_self=None, finite=False, subset_dists=None) -> np.ndarray:
     """Greedy cluster sets of all points at once, as `_images` takes them.
 
     Step t offers every still-growing point its (t+1)-th nearest cluster
     (ties by id); a point keeps growing while the image dissimilarity
     strictly improves.  Sets of `previous` that strictly beat the greedy
     result are kept instead, given `previous_dists`, their dissimilarities
-    to the images of `previous` at these prototypes.  `sums` is as for
-    `_images`.  The caller has checked the signs; `x_self` (over all of
-    `values`) and `finite` are as for `unchecked_dissim_rows`.  Given
-    `sums`, `subset_dists` may be their `_subset_dists`, from which every
-    dissimilarity is then read.
+    to the images of `previous` at these prototypes.  `image_table` is as
+    for `_images`.  The caller has checked the signs; `x_self` (over all
+    of `values`) and `finite` are as for `unchecked_dissim_rows`.  Given
+    `image_table`, `subset_dists` may be its `_subset_dists`, from which
+    every dissimilarity is then read.
     """
     n, k = len(values), len(prototypes)
     points = values.T  # (p, n), gathered along the point axis
+    table = image_table is not None
     x_self_at = lambda rows: None if x_self is None else x_self[rows]
     # Per-point state is (k, n): one row per rank or cluster.
     if subset_dists is None:
-        dists = unchecked_dissim_rows(d, values[:, None, :], prototypes[None, :, :],
-                                      x_self_at(np.s_[:, None]), finite).T
+        try:
+            dists = unchecked_dissim_rows(d, values[None, :, :], prototypes[:, None, :],
+                                          x_self_at(np.s_[None, :]), finite)
+        except DomainError:
+            # Raised again point by point, so the error names the base the reference meets first.
+            unchecked_dissim_rows(d, values[:, None, :], prototypes[None, :, :],
+                                  x_self_at(np.s_[:, None]), finite)
+            raise
     else:
         dists = subset_dists.take(1 << np.arange(k), axis=1).T
     order = dists.argsort(axis=0, kind="stable")
@@ -275,33 +296,36 @@ def _assign(values, prototypes, d: Dissimilarity, previous=None, previous_dists=
     best = dists[order[0], growing]  # a 1-set's image is its prototype
     # A point's set is always the first `size` clusters of its order; with a table, `code` is its
     # bits, and without, cluster c is in it when its place in the order, `rank[c]`, is below `size`.
-    size = np.ones(n, dtype=np.intp) if sums is None else None
-    code = None if sums is None else 1 << order[0]
-    if sums is None:
+    size = None if table else np.ones(n, dtype=np.intp)
+    code = 1 << order[0] if table else None
+    if not table:
         rank = np.empty((k, n), dtype=np.intp)
         rank[order, growing] = np.arange(k)[:, None]
     for step in range(1, k):
         if not growing.size:
             break
-        if sums is not None:
+        if table:
             candidate = code[growing] | 1 << order[step, growing]
         else:
             candidate = rank[:, growing] <= step
         if subset_dists is not None:
             dist = subset_dists[growing, candidate]
         else:
-            images = _masked_sums(candidate, prototypes) if sums is None else sums.take(candidate, axis=1)
-            images /= step + 1
+            if table:
+                images = image_table.take(candidate, axis=1)
+            else:
+                images = _masked_sums(candidate, prototypes)
+                images /= step + 1
             dist = unchecked_dissim_rows(d, points.take(growing, axis=1).T, images.T,
                                          x_self_at(growing), finite)
         improved = dist < best[growing]
         growing = growing[improved]
-        if sums is not None:
+        if table:
             code[growing] = candidate[improved]
         else:
             size[growing] = step + 1
         best[growing] = dist[improved]
-    if sums is not None:
+    if table:
         return code if previous is None else np.where(previous_dists < best, previous, code)
     chosen = rank < size
     if previous is not None:
@@ -332,8 +356,9 @@ def assign_point(x, prototypes, d: Dissimilarity, previous=None) -> frozenset:
 def _update_prototypes(sets, prototypes, values, nonneg=False, sums=None):
     """The prototypes after one pass over the clusters in id order, freshest values first.
 
-    `sets` and `sums` are as for `_images`; `sums` is updated in place to
-    the returned prototypes' table.
+    `sets` are the points' codes given `sums`, the prototypes'
+    `_subset_sums` table, and otherwise their (n, k) bool matrix; `sums`
+    is updated in place to the returned prototypes' table.
     """
     new = prototypes.copy()
     sizes = sets.sum(axis=1, dtype=float) if sums is None else _subset_sizes(len(new)).take(sets)
@@ -377,13 +402,14 @@ def update_prototypes(cov: Covering, data) -> np.ndarray:
     return _update_prototypes(cov.memberships, cov.prototypes, values)
 
 
-def _objective(sets, prototypes, values, d, sums=None, x_self=None, finite=False):
+def _objective(sets, prototypes, values, d, image_table=None, x_self=None, finite=False):
     """J and the per-point values it adds up, for data whose signs are checked.
 
-    `sets` and `sums` are as for `_images`; `x_self` and `finite` as for
-    `unchecked_dissim_rows`.
+    `sets` and `image_table` are as for `_images`; `x_self` and `finite`
+    as for `unchecked_dissim_rows`.
     """
-    point_values = unchecked_dissim_rows(d, values, _images(sets, prototypes, sums), x_self, finite)
+    point_values = unchecked_dissim_rows(d, values, _images(sets, prototypes, image_table),
+                                         x_self, finite)
     return sequential_sum(point_values), point_values  # as the reference adds them
 
 
@@ -413,6 +439,7 @@ def objective(cov: Covering, d: Dissimilarity, data) -> float:
     return sequential_sum(dissim_rows(d, values, _images(cov.memberships, cov.prototypes)))
 
 
+@unbuffered()
 @np.errstate(over="ignore", invalid="ignore")  # overflow is caught as a non-finite J
 def run_okm(data, config: OkmConfig, on_iteration=None) -> Covering:
     """One clustering run: initialize, alternate assign/update, stop.
@@ -420,8 +447,9 @@ def run_okm(data, config: OkmConfig, on_iteration=None) -> Covering:
     Stops when assignments repeat, the relative improvement of J falls
     below `rel_tol`, `max_iter` is reached, or J increases (the state
     then reverts to the previous iteration).  `on_iteration(i, J)`, if
-    given, is called after each completed iteration.  Raises DomainError
-    at the first J that is not finite: the data overflow the measure.
+    given, is called after each completed iteration, inside the run's
+    `linalg.unbuffered()` and error state.  Raises DomainError at the
+    first J that is not finite: the data overflow the measure.
     """
     values = data_values(data)
     n = len(values)
@@ -435,25 +463,29 @@ def run_okm(data, config: OkmConfig, on_iteration=None) -> Covering:
     idx = rng.choice(n, size=config.k, replace=False)
     prototypes = values[idx]
     sums = _subset_sums(prototypes) if _uses_table(n, config.k) else None
+    image_table = _image_table(sums)
     finite = _finite(d, sums)
     x_self = _self_kernel(d, values)
     all_subsets = sums is not None and _uses_subset_dists(n, config.k, values.shape[1])
-    subset_dists = _subset_dists(values, sums, d, x_self, finite) if all_subsets else None
+    subset_dists = _subset_dists(values, image_table, d, x_self, finite) if all_subsets else None
     rows = np.arange(n)
 
     sets = point_values = None
     current_j = None
     iterations = 0
     for _ in range(config.max_iter):
-        new_sets = _assign(values, prototypes, d, sets, point_values, sums, x_self, finite, subset_dists)
+        new_sets = _assign(values, prototypes, d, sets, point_values, image_table, x_self, finite,
+                           subset_dists)
         new_prototypes = _update_prototypes(new_sets, prototypes, values, nonneg, sums)
+        image_table = _image_table(sums)
         finite = _finite(d, sums)
-        subset_dists = _subset_dists(values, sums, d, x_self, finite) if all_subsets else None
+        subset_dists = _subset_dists(values, image_table, d, x_self, finite) if all_subsets else None
         if subset_dists is not None:
             new_point_values = subset_dists[rows, new_sets]
             new_j = sequential_sum(new_point_values)  # as `_objective` adds them
         else:
-            new_j, new_point_values = _objective(new_sets, new_prototypes, values, d, sums, x_self, finite)
+            new_j, new_point_values = _objective(new_sets, new_prototypes, values, d, image_table,
+                                                 x_self, finite)
         if not np.isfinite(new_j):
             raise DomainError(f"J is {new_j}: the data overflow this measure")
         if current_j is not None and new_j > current_j:

@@ -326,6 +326,36 @@ def test_median_sigma_row_blocks_match_dense_formula(monkeypatch):
     assert cli._median_heuristic_sigma(DataMatrix(np.zeros((5, 2))).values) == 1.0
 
 
+def test_median_sigma_is_the_same_under_numpys_default_buffers(iris):
+    # `_median_heuristic_sigma` runs under `linalg.unbuffered()`; the undecorated function under
+    # numpy's default 8192-element buffers gives the same bits.
+    import okmlib.cli as cli
+    from okmlib import DataMatrix
+
+    def synthetic(per_cluster, p):
+        return generate_synthetic(SyntheticSpec(
+            k=5, points_per_cluster=per_cluster, overlap_pairs=tuple((c, (c + 1) % 5, 40) for c in range(5)),
+            dimension=p, seed=0)).values
+
+    samples = {
+        "iris": iris.values,
+        "2200x8": synthetic(400, 8),
+        "4200x8": synthetic(800, 8),
+        "1001 tied rows": DataMatrix(np.repeat([[1.0, 2.0], [3.0, 5.0], [4.0, 1.0]], [500, 500, 1],
+                                               axis=0)).values,
+        "n=2": DataMatrix([[0.0, 1.0], [3.0, 5.0]]).values,
+        "p=1": synthetic(40, 1),
+        "p=17": synthetic(40, 17),
+    }
+    for name, values in samples.items():
+        old = np.setbufsize(8192)
+        try:
+            buffered = cli._median_heuristic_sigma.__wrapped__(values)
+        finally:
+            np.setbufsize(old)
+        assert repr(cli._median_heuristic_sigma(values)) == repr(buffered), name
+
+
 def test_experiment_with_k_skips_the_median_sigma(pairs_csv, monkeypatch, capsys):
     import okmlib.cli as cli
 
@@ -383,6 +413,8 @@ def bad_inputs(tmp_path):
         "near-max.csv": "9e153,1,a\n-9e153,2,a\n9e153,9e153,b\n0.5,9e153,b\n",
         # A label cell past the csv module's field limit of 131 072 characters.
         "long-label.csv": "1.0,2.0,a\n3.0,4.0,b\n5.0,6.0," + "x" * 140_000 + "\n",
+        # And a feature cell past it, which numpy's reader alone would parse as 1.0.
+        "long-feature.csv": "1.0,2.0,a\n3.0,4.0,b\n5.0," + "0" * 140_000 + "1,b\n",
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
@@ -424,6 +456,9 @@ EXIT_PATHS = [
     pytest.param(["experiment", "--data", "{dir}/long-label.csv", "--k", "2"], None, 2,
                  "error: cannot load {dir}/long-label.csv: field larger than field limit (131072)",
                  id="load-label-cell-over-the-field-limit"),
+    pytest.param(["experiment", "--data", "{dir}/long-feature.csv", "--k", "2"], None, 2,
+                 "error: cannot load {dir}/long-feature.csv: field larger than field limit (131072)",
+                 id="load-feature-cell-over-the-field-limit"),
     pytest.param(["cluster", "--data", "{dir}/pairs.csv", "--label-col", "last", "--k", "2",
                   "--out", "{dir}/c.csv"], _disk_full, 2,
                  "error: cannot write {dir}/c.csv: [Errno 28] No space left on device",

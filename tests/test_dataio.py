@@ -498,6 +498,42 @@ def test_a_label_cell_over_the_csv_field_limit_is_the_csv_error(tmp_path):
     assert load_csv(path, label_column="last").n == 2
 
 
+@pytest.mark.parametrize("text, limit", [
+    ("x,g\n1,a\n00000000000000000000000002,b\n", 16),
+    # Each line fits the limit; the quoted label cell over two of them does not.
+    ('x,g\n1,a\n2,"bbbbbbbb\nbbbbbbbbb"\n', 16),
+    # At the default limit of 131 072, across the 64 KiB reads of the byte scan.
+    ("x,g\n1,a\n" + "0" * 140_000 + "1,b\n", None),
+], ids=["feature-cell", "label-cell-over-two-lines", "feature-cell-at-the-default-limit"])
+def test_a_feature_cell_over_the_csv_field_limit_is_the_csv_error(tmp_path, text, limit):
+    path = write(tmp_path, text)
+    old = csv.field_size_limit() if limit is None else csv.field_size_limit(limit)
+    try:
+        with pytest.raises(csv.Error, match="field larger than field limit"):
+            load_csv(path, label_column="last")
+    finally:
+        csv.field_size_limit(old)
+    if limit is not None:
+        assert load_csv(path, label_column="last").n == 2
+
+
+def test_a_line_over_the_csv_field_limit_takes_the_csv_module(tmp_path, monkeypatch):
+    from okmlib import dataio
+
+    # Lines are measured in bytes: a line of the limit goes to numpy's reader, and one byte
+    # more to the csv module, whose cells here still fit the limit.
+    limit = csv.field_size_limit()
+    numpy_reads = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(dataio.np, "loadtxt", lambda *a, **k: numpy_reads.append(1) or loadtxt(*a, **k))
+    for extra in (0, 1):
+        cell = "0" * (limit - 3 + extra) + "1"  # the line `cell,b` is limit + extra bytes
+        path = write(tmp_path, "x,g\r\n1,a\r\n" + cell + ",b\r\n2,c\r\n", name=f"long{extra}.csv")
+        numpy_reads.clear()
+        assert load_csv(path, label_column="last").values[:, 0].tolist() == [1.0, 1.0, 2.0]
+        assert bool(numpy_reads) == (extra == 0)
+
+
 def test_loading_the_benchmark_sample_peaks_below_eight_times_its_values(tmp_path):
     # The 2 200 x 8 labeled sample: numpy's reader holds its records, the values and the label
     # cells; one Python list of cell strings per row (the csv-module path) peaks near 15x.

@@ -305,7 +305,7 @@ def test_batched_assignment_matches_per_point_reference():
                 protos = rng.uniform(0.0, 3.0, (k, p))
             previous = [frozenset(rng.choice(k, size=int(rng.integers(1, k + 1)),
                                              replace=False).tolist()) for _ in range(n)]
-            sums = okm._subset_sums(protos)
+            image_table = okm._image_table(okm._subset_sums(protos))
             for prev in (None, previous):
                 expected = [reference_assign_point(data[i], protos, d,
                                                    None if prev is None else prev[i])
@@ -317,9 +317,9 @@ def test_batched_assignment_matches_per_point_reference():
                     prev_matrix = _cluster_matrix(prev, k)
                     prev_codes = codes_of(prev_matrix)
                     masked_dists = _objective(prev_matrix, protos, data, d)[1]
-                    table_dists = _objective(prev_codes, protos, data, d, sums)[1]
+                    table_dists = _objective(prev_codes, protos, data, d, image_table)[1]
                 masked = _assign(data, protos, d, prev_matrix, masked_dists)
-                table = _assign(data, protos, d, prev_codes, table_dists, sums)
+                table = _assign(data, protos, d, prev_codes, table_dists, image_table)
                 assert np.array_equal(masked, expected), (d, trial, prev is None)
                 assert np.array_equal(table, codes_of(expected)), (d, trial, prev is None)
 
@@ -380,13 +380,14 @@ def test_assign_and_objective_are_the_same_on_both_image_paths(masked_adds):
     for d, x, protos, previous in _path_cases():
         case = (d.kind, x.shape, len(protos))
         results = {}
-        for path, sums, sets in (("masked", None, previous),
-                                 ("table", okm._subset_sums(protos), codes_of(previous))):
+        for path, image_table, sets in (("masked", None, previous),
+                                        ("table", okm._image_table(okm._subset_sums(protos)),
+                                         codes_of(previous))):
             masked_adds.clear()
-            j, point_values = _objective(sets, protos, x, d, sums)
+            j, point_values = _objective(sets, protos, x, d, image_table)
             results[path] = (point_values,
-                             _assign(x, protos, d, sums=sums),
-                             _assign(x, protos, d, sets, point_values, sums))
+                             _assign(x, protos, d, image_table=image_table),
+                             _assign(x, protos, d, sets, point_values, image_table))
             assert bool(masked_adds) == (path == "masked"), (case, path)
             assert j == np.cumsum(point_values)[-1]
         masked, table = results["masked"], results["table"]
@@ -905,7 +906,7 @@ def test_run_okm_memory_stays_within_two_distance_temporaries_at_n20800():
 
 
 def test_row_sum_is_numpys_row_sum_on_every_array_okm_sums(monkeypatch):
-    # The (n, k, p) distances, the growing points' (g, p) image distances
+    # The (k, n, p) distances, the growing points' (g, p) image distances
     # and the objective's (n, p) rows, as a run builds them.  The oracle is
     # the sum of a C copy: on a points-innermost array `a.sum` adds left
     # to right, which is not the order the golden fixture was recorded in.
@@ -914,7 +915,7 @@ def test_row_sum_is_numpys_row_sum_on_every_array_okm_sums(monkeypatch):
 
     def checked_row_sum(a):
         expected = np.ascontiguousarray(a).sum(axis=-1)
-        innermost[a.shape] = a.strides[0] == a.itemsize  # the point axis
+        innermost[a.shape] = a.strides[-2] == a.itemsize  # the point axis
         got = row_sum(a)
         assert np.array_equal(got.view(np.int64), expected.view(np.int64)), a.shape
         shapes.add(a.shape)
@@ -930,9 +931,91 @@ def test_row_sum_is_numpys_row_sum_on_every_array_okm_sums(monkeypatch):
     rbf = Dissimilarity(DissimilarityKind.KERNEL_INDUCED, kernel=KernelSpec(KernelKind.RBF, sigma=3.0))
     for d in (SQ, IDIV, rbf):
         run_okm(values, OkmConfig(k=k, dissimilarity=d, max_iter=3, seed=650))
-    assert {(n, k, p), (n, p)} <= shapes
-    assert innermost[n, k, p] and innermost[n, p]
+    assert {(k, n, p), (n, p)} <= shapes
+    assert innermost[k, n, p] and innermost[n, p]
     assert any(len(shape) == 2 and 0 < shape[0] < n for shape in shapes), shapes
+
+
+def test_assignment_names_the_negative_base_a_point_by_point_pass_meets_first():
+    # The distances are one (k, n) batch, cluster-major; a fractional degree's error still
+    # names the first negative base in point order, clusters in id order, as before.
+    values = generate_synthetic(SyntheticSpec(k=3, points_per_cluster=100, dimension=8, seed=8)).values
+    protos = values[[0, 150, 299]]
+    with pytest.raises(DomainError) as point_major:
+        kernels.kernel_rows(POLY025.kernel, values[:, None, :], protos[None, :, :])
+    with pytest.raises(DomainError) as cluster_major:
+        kernels.kernel_rows(POLY025.kernel, values[None, :, :], protos[:, None, :])
+    assert str(cluster_major.value) != str(point_major.value)  # the data tell the orders apart
+    for image_table in (None, okm._image_table(okm._subset_sums(protos))):
+        with pytest.raises(DomainError, match=f"^{re.escape(str(point_major.value))}$"):
+            _assign(values, protos, POLY025, image_table=image_table)
+
+
+# ------------------------------------------------ numpy's default ufunc buffers
+#
+# `run_okm` runs under `linalg.unbuffered()`; under numpy's default
+# 8192-element buffers the undecorated function must give the same bits.
+
+
+def _okm_outcome(run, data, config):
+    try:
+        cov = run(data, config)
+    except DomainError as exc:
+        return repr(exc)
+    return (cov.memberships.shape, cov.memberships.tobytes(), cov.prototypes.tobytes(),
+            repr(cov.objective), cov.n_iter)
+
+
+def _buffer_samples(iris):
+    """(name, values, k): the all-subset, table and masked paths, then p from 1 to 129."""
+    benchmark = generate_synthetic(SyntheticSpec(
+        k=5, points_per_cluster=400, overlap_pairs=tuple((c, (c + 1) % 5, 40) for c in range(5)),
+        dimension=8, seed=0)).values
+    small = lambda p: generate_synthetic(SyntheticSpec(k=3, points_per_cluster=100, dimension=p,
+                                                       seed=p)).values
+    yield "iris", iris.values, 3
+    yield "iris", iris.values, 8
+    yield "2200x8", benchmark, 5
+    yield "300x8", small(8), 3
+    yield "300x8", small(8), 12
+    for p in (1, 4, 9, 17, 129):
+        for k in (3, 9):
+            yield f"300x{p}", small(p), k
+
+
+def _default_buffer_outcome(data, config):
+    old = np.setbufsize(8192)
+    try:
+        return _okm_outcome(run_okm.__wrapped__, data, config)
+    finally:
+        np.setbufsize(old)
+
+
+RBF3 = Dissimilarity(DissimilarityKind.KERNEL_INDUCED, kernel=KernelSpec(KernelKind.RBF, sigma=3.0))
+
+
+@pytest.mark.parametrize("d", [SQ, IDIV, RBF3, POLY025], ids=["euclidean", "idiv", "rbf", "poly"])
+def test_run_okm_gives_the_same_bits_under_numpys_default_buffers(iris, d):
+    for name, values, k in _buffer_samples(iris):
+        # The i-divergence needs nonnegative data; a fractional degree runs further on them.
+        values = np.abs(values) if d in (IDIV, POLY025) else values
+        config = OkmConfig(k=k, dissimilarity=d, seed=650)
+        assert _okm_outcome(run_okm, values, config) == _default_buffer_outcome(values, config), (name, k)
+
+
+def test_run_okm_raises_the_same_error_under_numpys_default_buffers_and_restores_them():
+    negative = generate_synthetic(SyntheticSpec(k=3, points_per_cluster=100, dimension=8, seed=8)).values
+    overflow = np.array([[1e200], [-1e200], [3e200], [0.0]])
+    for data, d, error in ((negative, POLY025, "polynomial base"), (overflow, SQ, "J is inf")):
+        config = OkmConfig(k=2, dissimilarity=d, seed=650)
+        before = np.getbufsize()
+        outcome = _okm_outcome(run_okm, data, config)
+        assert np.getbufsize() == before
+        assert outcome.startswith("DomainError(") and error in outcome
+        assert _default_buffer_outcome(data, config) == outcome
+    sizes = []
+    run_okm(negative, OkmConfig(k=2, dissimilarity=SQ), on_iteration=lambda i, j: sizes.append(np.getbufsize()))
+    assert set(sizes) == {16}  # the callback runs inside the run's buffers
 
 
 def test_run_okm_kernel_measures_run_to_completion():
