@@ -146,13 +146,10 @@ def load_csv(path, label_column=None, label_separator="|") -> DataMatrix:
     no per-row Python lists.  Both round correctly, so the values are
     those of float().  A file that reader does not take whole and clean
     (a cell that is not a finite number, an empty label set, ragged rows,
-    an empty body, a NUL or \x1c-\x1f byte, or a line or label cell longer
-    than `csv.field_size_limit()`), and a file that cannot seek, is read
-    again by the csv module cell by cell, which names the fault.  Under
-    tracemalloc a clean 2 200 x 8 or 22 000 x 8 labeled file peaks at
-    about 3.4 times the values' bytes (the parsed records, the values and
-    the label cells); the csv-module path, which holds a list of cell
-    strings per row, peaks at about 15 times.
+    an empty body, a NUL or \x1c-\x1f byte, a line longer than
+    `csv.field_size_limit()` in bytes, or a `"` in a file longer than
+    that), and a file that cannot seek, is read again by the csv module
+    cell by cell, which names the fault.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         if handle.seekable():
@@ -242,12 +239,18 @@ def _load_clean(handle, label_column, label_separator):
 
     A fault may also raise ValueError, a warning or csv.Error; the caller then takes that path.
     """
-    # numpy's reader has no field limit.  A line of at most the csv module's limit in bytes holds
-    # no longer cell, since a character takes at least one byte; a longer line takes that path.
+    # numpy's reader has no field limit.  A character takes at least one byte, so a line of at
+    # most the csv module's limit in bytes holds no longer cell, and nor does a file that short; a
+    # longer line, or a longer file with a quote (a quoted cell may span lines), takes that path.
     limit = csv.field_size_limit()
-    line = 0  # the bytes of the line being read, before this chunk
+    line = size = 0  # the bytes of the line being read before this chunk, and of the file read
+    quoted = False
     while chunk := handle.buffer.read(1 << 16):
         if any(byte in chunk for byte in _NOT_FOR_NUMPY):
+            return None
+        size += len(chunk)
+        quoted = quoted or b'"' in chunk
+        if quoted and size > limit:
             return None
         start = -line  # where that line begins, counted from this chunk's first byte
         while True:
@@ -287,8 +290,7 @@ def _load_clean(handle, label_column, label_separator):
     if label_idx is not None:
         column = [first[label_idx]] * head + body[str(label_idx)].tolist()
         split = _split_label_cells(column, label_separator)
-        # A quoted label cell may span lines, so the label cells are measured themselves.
-        if not all(split.values()) or max(map(len, split)) > csv.field_size_limit():
+        if not all(split.values()):
             return None
         labels = LabeledCovering(tuple(split[cell] for cell in column))
     return DataMatrix(values=values, labels=labels)

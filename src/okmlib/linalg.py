@@ -64,13 +64,12 @@ def unbuffered():
 
     numpy 2.4 copies a broadcast or strided operand through a buffer of up
     to 8192 elements (64 KB), which float64 operands in memory do not
-    need.  Four functions run under it: `kernels.gram` and
-    `model_selection._centered`, whose row-block ops ran 1.5-4 times
-    faster without, `okm.run_okm` (three synthetic restarts at n = 2 200,
-    0.91 times the time) and `cli._median_heuristic_sigma` (0.78 times at
-    n = 2 200).  Reductions over a contiguous axis round the same, so each
-    gives the bits of its reference expression, or of its undecorated
-    function, run under the default buffers; tests compare them.
+    need.  Four functions run under it: `kernels.gram`,
+    `model_selection._centered`, `okm.run_okm` and
+    `cli._median_heuristic_sigma`.  Reductions over a contiguous axis
+    round the same, so each gives the bits of its reference expression,
+    or of its undecorated function, run under the default buffers; tests
+    compare them.
     """
     old = np.setbufsize(16)
     try:

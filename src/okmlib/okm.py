@@ -26,49 +26,29 @@ uniformly without replacement.
 
 Every phase works on all points at once, with Python loops only over
 clusters; memory is O(n * k * p) per iteration.  `run_okm` runs under
-`linalg.unbuffered()`: numpy 2.4 copies broadcast operands through its
-default 8192-element ufunc buffers, and three restarts on the 2 200 x 8
-synthetic sample at k = 5 took 0.91 times as long without them, with
-the same bits (timeit minimum, one CPU of a 2-vCPU Xeon VM).  The
-assignment computes its point-to-prototype distances as the C (k, n)
-array its sort reads, a (k, n, p) batch whose points are innermost, as
-the data's are.
+`linalg.unbuffered()`.  The assignment computes its point-to-prototype
+distances as the C (k, n) array its sort reads, a (k, n, p) batch whose
+points are innermost, as the data's are.
 
-Images and the update's "other prototypes" are subset sums.  When
-2^k <= n (`_uses_table`), one (p, 2^k) table holds the sums of all
-cluster subsets, and each point's set is its code, bit c set for
-cluster c, the column it reads.  Only `run_okm` decides this: it builds
-the table once, passes it to each step, and builds the (n, k) bool
-matrix once, for the `Covering`.  The update recomputes the table from
-bit c up after cluster c moves (a reverted round ends the run).  Per
-prototype set `run_okm` divides each column by its set's size once
-(`_image_table`); the objective and the next assignment gather their
-images from that table, the division a step would make on each set it
-tries.  Given no table, a step takes an (n, k) bool matrix and adds
-masked sums, one cluster at a time.  Both paths add in the per-point
-reference order, so they give the same bits as a point-by-point
-evaluation.
+Images and the update's "other prototypes" are subset sums.  `run_okm`
+picks one of three paths per run; each adds in the per-point reference
+order, so all give the bits of a point-by-point evaluation:
 
-When also n * 2^k * p <= 2^13 (`_uses_subset_dists`), `run_okm` keeps
-each point's dissimilarity to the image of every code, an (n, 2^k) array
-of at most 2^13 / p doubles, built by one batched call after the first
-table and after each update (`_subset_dists`); its temporaries hold at
-most 2^13 doubles.  The assignment reads its singleton distances
-(columns 1 << c) and each growth step's candidates from it, and the
-objective's per-point values are its entries at the new codes: gathers,
-where the other paths evaluate each set they try.  A pair rounds alike
-in either batch, so all three paths give the same bits.  2^13 is the
-measured crossover: Iris runs at k = 3 (4 800 elements) were no slower
-under any measure, and at k = 4 (9 600) the i-divergence's were 1.10x
-slower.
+  * a table of all subset sums (`_uses_table`), read at each point's
+    code, bit c set for cluster c.  The update keeps it current in
+    place, and each prototype set gets one `_image_table`, from which
+    the objective and the next assignment gather their images.  The
+    (n, k) bool matrix is built once, for the `Covering`.
+  * with it, each point's `_subset_dists` (`_uses_subset_dists`), from
+    which the assignment and the objective gather every dissimilarity.
+  * otherwise an (n, k) bool matrix and masked sums, a cluster at a time.
 
-Checked or computed once per run in `run_okm`, for the internal
-`unchecked_dissim_rows` calls: the i-divergence's sign on the data
-(prototypes start as data rows and the update clamps them at 0), the
-data's K(x, x) under a polynomial or linear kernel, and rbf finiteness:
-the data are finite (`DataMatrix`) and each table is checked after its
-build or update (`_finite`); without a table each rbf call checks.  Per
-iteration: the update's |A_i| x_i and |A_i|^2.  The objective's
+Each prototype set's dissimilarities come from one `_distance` function,
+which holds what a run computes or checks once: the data's K(x, x) under
+a polynomial or linear kernel, and rbf finiteness, which the subset
+table decides.  `run_okm` checks the i-divergence's sign on the data
+once (prototypes start as data rows and the update clamps them at 0).
+Per iteration: the update's |A_i| x_i and |A_i|^2.  The objective's
 per-point values serve the next assignment as the previous sets'
 dissimilarities.
 
@@ -215,20 +195,18 @@ def _image_table(sums) -> np.ndarray | None:
     return None if sums is None else sums / _subset_sizes(sums.shape[1].bit_length() - 1)
 
 
-def _subset_dists(values, image_table, d: Dissimilarity, x_self=None, finite=False) -> np.ndarray | None:
-    """Each point's dissimilarity to the image of every subset code in `image_table`: (n, 2^k).
+def _subset_dists(image_table, dist) -> np.ndarray | None:
+    """Each point's `_distance` to the image of every subset code in `image_table`: (n, 2^k).
 
     Column s is the value `_objective` gives a point at code s; column 0,
-    the empty set's, is never read.  `x_self` and `finite` are as for
-    `unchecked_dissim_rows`.  None if some image gives a fractional
+    the empty set's, is never read.  None if some image gives a fractional
     polynomial degree a negative base: the caller then evaluates the
     sets it tries, which raise only if they reach such a base.
     """
     # C rows, so the (n, 2^k, p) temporaries run over contiguous points, as the data do.
     images = np.ascontiguousarray(image_table.T)
     try:
-        return unchecked_dissim_rows(d, values[:, None, :], images[None, :, :],
-                                     None if x_self is None else x_self[:, None], finite)
+        return dist(np.s_[:, None], images[None])
     except DomainError:
         return None
 
@@ -261,33 +239,28 @@ def image(assigned, prototypes) -> np.ndarray:
     return _images(_cluster_matrix([assigned], len(prototypes)), prototypes)[0]
 
 
-def _assign(values, prototypes, d: Dissimilarity, previous=None, previous_dists=None,
-            image_table=None, x_self=None, finite=False, subset_dists=None) -> np.ndarray:
-    """Greedy cluster sets of all points at once, as `_images` takes them.
+def _assign(n, prototypes, dist, previous=None, previous_dists=None, image_table=None,
+            subset_dists=None) -> np.ndarray:
+    """Greedy cluster sets of all n points at once, as `_images` takes them.
 
     Step t offers every still-growing point its (t+1)-th nearest cluster
     (ties by id); a point keeps growing while the image dissimilarity
-    strictly improves.  Sets of `previous` that strictly beat the greedy
-    result are kept instead, given `previous_dists`, their dissimilarities
-    to the images of `previous` at these prototypes.  `image_table` is as
-    for `_images`.  The caller has checked the signs; `x_self` (over all
-    of `values`) and `finite` are as for `unchecked_dissim_rows`.  Given
-    `image_table`, `subset_dists` may be its `_subset_dists`, from which
-    every dissimilarity is then read.
+    (`_distance`) strictly improves.  Sets of `previous` that strictly
+    beat the greedy result are kept instead, given `previous_dists`, their
+    dissimilarities to the images of `previous` at these prototypes.
+    `image_table` is as for `_images`.  Given `image_table`,
+    `subset_dists` may be its `_subset_dists`, from which every
+    dissimilarity is then read.
     """
-    n, k = len(values), len(prototypes)
-    points = values.T  # (p, n), gathered along the point axis
+    k = len(prototypes)
     table = image_table is not None
-    x_self_at = lambda rows: None if x_self is None else x_self[rows]
     # Per-point state is (k, n): one row per rank or cluster.
     if subset_dists is None:
         try:
-            dists = unchecked_dissim_rows(d, values[None, :, :], prototypes[:, None, :],
-                                          x_self_at(np.s_[None, :]), finite)
+            dists = dist(np.s_[None, :], prototypes[:, None, :])
         except DomainError:
             # Raised again point by point, so the error names the base the reference meets first.
-            unchecked_dissim_rows(d, values[:, None, :], prototypes[None, :, :],
-                                  x_self_at(np.s_[:, None]), finite)
+            dist(np.s_[:, None], prototypes[None])
             raise
     else:
         dists = subset_dists.take(1 << np.arange(k), axis=1).T
@@ -309,22 +282,18 @@ def _assign(values, prototypes, d: Dissimilarity, previous=None, previous_dists=
         else:
             candidate = rank[:, growing] <= step
         if subset_dists is not None:
-            dist = subset_dists[growing, candidate]
+            tried = subset_dists[growing, candidate]
         else:
-            if table:
-                images = image_table.take(candidate, axis=1)
-            else:
-                images = _masked_sums(candidate, prototypes)
-                images /= step + 1
-            dist = unchecked_dissim_rows(d, points.take(growing, axis=1).T, images.T,
-                                         x_self_at(growing), finite)
-        improved = dist < best[growing]
+            images = (image_table.take(candidate, axis=1) if table
+                      else _masked_sums(candidate, prototypes) / (step + 1))
+            tried = dist(growing, images.T)
+        improved = tried < best[growing]
         growing = growing[improved]
         if table:
             code[growing] = candidate[improved]
         else:
             size[growing] = step + 1
-        best[growing] = dist[improved]
+        best[growing] = tried[improved]
     if table:
         return code if previous is None else np.where(previous_dists < best, previous, code)
     chosen = rank < size
@@ -348,8 +317,9 @@ def assign_point(x, prototypes, d: Dissimilarity, previous=None) -> frozenset:
     if previous is not None:
         previous = _cluster_matrix([previous], len(prototypes))
     check_domain(d, x, prototypes)  # the images are means of the prototypes
-    previous_dists = None if previous is None else _objective(previous, prototypes, x[None, :], d)[1]
-    chosen = _assign(x[None, :], prototypes, d, previous, previous_dists)[0]
+    dist = _distance(d, x[None, :])
+    previous_dists = None if previous is None else _objective(previous, prototypes, dist)[1]
+    chosen = _assign(1, prototypes, dist, previous, previous_dists)[0]
     return frozenset(np.flatnonzero(chosen).tolist())
 
 
@@ -402,14 +372,12 @@ def update_prototypes(cov: Covering, data) -> np.ndarray:
     return _update_prototypes(cov.memberships, cov.prototypes, values)
 
 
-def _objective(sets, prototypes, values, d, image_table=None, x_self=None, finite=False):
-    """J and the per-point values it adds up, for data whose signs are checked.
+def _objective(sets, prototypes, dist, image_table=None):
+    """J and the per-point values it adds up, each point's `_distance` to its image.
 
-    `sets` and `image_table` are as for `_images`; `x_self` and `finite`
-    as for `unchecked_dissim_rows`.
+    `sets` and `image_table` are as for `_images`.
     """
-    point_values = unchecked_dissim_rows(d, values, _images(sets, prototypes, image_table),
-                                         x_self, finite)
+    point_values = dist(np.s_[:], _images(sets, prototypes, image_table))
     return sequential_sum(point_values), point_values  # as the reference adds them
 
 
@@ -421,16 +389,25 @@ def _self_kernel(d: Dissimilarity, values):
     return kernel_rows(d.kernel, rows, rows)
 
 
-def _finite(d: Dissimilarity, sums):
-    """For an rbf measure, whether the prototypes and images read from table `sums` are finite.
+def _distance(d: Dissimilarity, values, x_self=None, sums=None):
+    """`dist(at, Y)`: the `unchecked_dissim_rows` values of data rows `values[at]` against Y.
 
-    Column 1 << c is prototype c and an image is a column over its size,
-    so the table alone decides.  False (checked per call) without a table
-    or for another measure.
+    `at` is a slice, `np.s_[None, :]`, `np.s_[:, None]` or an index array,
+    which gathers along the point axis.  `x_self`, the rows' K(x, x)
+    (`_self_kernel`), is read at `at` too.  For an rbf measure the
+    prototypes' subset table `sums` decides finiteness once: column 1 << c
+    is prototype c and an image is a column over its size.  Without a
+    table each call checks.  The caller has checked the signs.
     """
-    if sums is None or d.kind != DissimilarityKind.KERNEL_INDUCED or d.kernel.kind != KernelKind.RBF:
-        return False
-    return bool(np.isfinite(sums).all())
+    finite = (sums is not None and d.kind == DissimilarityKind.KERNEL_INDUCED
+              and d.kernel.kind == KernelKind.RBF and bool(np.isfinite(sums).all()))
+    points = values.T  # (p, n), gathered along the point axis
+
+    def dist(at, Y):
+        rows = points.take(at, axis=1).T if isinstance(at, np.ndarray) else values[at]
+        return unchecked_dissim_rows(d, rows, Y, None if x_self is None else x_self[at], finite)
+
+    return dist
 
 
 def objective(cov: Covering, d: Dissimilarity, data) -> float:
@@ -464,28 +441,26 @@ def run_okm(data, config: OkmConfig, on_iteration=None) -> Covering:
     prototypes = values[idx]
     sums = _subset_sums(prototypes) if _uses_table(n, config.k) else None
     image_table = _image_table(sums)
-    finite = _finite(d, sums)
     x_self = _self_kernel(d, values)
+    dist = _distance(d, values, x_self, sums)
     all_subsets = sums is not None and _uses_subset_dists(n, config.k, values.shape[1])
-    subset_dists = _subset_dists(values, image_table, d, x_self, finite) if all_subsets else None
+    subset_dists = _subset_dists(image_table, dist) if all_subsets else None
     rows = np.arange(n)
 
     sets = point_values = None
     current_j = None
     iterations = 0
     for _ in range(config.max_iter):
-        new_sets = _assign(values, prototypes, d, sets, point_values, image_table, x_self, finite,
-                           subset_dists)
+        new_sets = _assign(n, prototypes, dist, sets, point_values, image_table, subset_dists)
         new_prototypes = _update_prototypes(new_sets, prototypes, values, nonneg, sums)
         image_table = _image_table(sums)
-        finite = _finite(d, sums)
-        subset_dists = _subset_dists(values, image_table, d, x_self, finite) if all_subsets else None
+        dist = _distance(d, values, x_self, sums)
+        subset_dists = _subset_dists(image_table, dist) if all_subsets else None
         if subset_dists is not None:
             new_point_values = subset_dists[rows, new_sets]
             new_j = sequential_sum(new_point_values)  # as `_objective` adds them
         else:
-            new_j, new_point_values = _objective(new_sets, new_prototypes, values, d, image_table,
-                                                 x_self, finite)
+            new_j, new_point_values = _objective(new_sets, new_prototypes, dist, image_table)
         if not np.isfinite(new_j):
             raise DomainError(f"J is {new_j}: the data overflow this measure")
         if current_j is not None and new_j > current_j:

@@ -415,6 +415,8 @@ def bad_inputs(tmp_path):
         "long-label.csv": "1.0,2.0,a\n3.0,4.0,b\n5.0,6.0," + "x" * 140_000 + "\n",
         # And a feature cell past it, which numpy's reader alone would parse as 1.0.
         "long-feature.csv": "1.0,2.0,a\n3.0,4.0,b\n5.0," + "0" * 140_000 + "1,b\n",
+        # A quoted feature cell past it over 70 001 short lines, which numpy's reader reads as 2.0.
+        "spanning-feature.csv": '1.0,2.0,a\n3.0,4.0,b\n5.0,"' + " \n" * 70_000 + '2",b\n',
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
@@ -459,6 +461,9 @@ EXIT_PATHS = [
     pytest.param(["experiment", "--data", "{dir}/long-feature.csv", "--k", "2"], None, 2,
                  "error: cannot load {dir}/long-feature.csv: field larger than field limit (131072)",
                  id="load-feature-cell-over-the-field-limit"),
+    pytest.param(["experiment", "--data", "{dir}/spanning-feature.csv", "--k", "2"], None, 2,
+                 "error: cannot load {dir}/spanning-feature.csv: field larger than field limit "
+                 "(131072)", id="load-quoted-feature-cell-over-many-lines"),
     pytest.param(["cluster", "--data", "{dir}/pairs.csv", "--label-col", "last", "--k", "2",
                   "--out", "{dir}/c.csv"], _disk_full, 2,
                  "error: cannot write {dir}/c.csv: [Errno 28] No space left on device",

@@ -504,7 +504,10 @@ def test_a_label_cell_over_the_csv_field_limit_is_the_csv_error(tmp_path):
     ('x,g\n1,a\n2,"bbbbbbbb\nbbbbbbbbb"\n', 16),
     # At the default limit of 131 072, across the 64 KiB reads of the byte scan.
     ("x,g\n1,a\n" + "0" * 140_000 + "1,b\n", None),
-], ids=["feature-cell", "label-cell-over-two-lines", "feature-cell-at-the-default-limit"])
+    # A quoted cell of 140 001 characters over 70 001 short lines, which numpy's reader reads as 2.0.
+    ('x,g\n1,a\n"' + " \n" * 70_000 + '2",b\n', None),
+], ids=["feature-cell", "label-cell-over-two-lines", "feature-cell-at-the-default-limit",
+        "quoted-feature-cell-over-many-lines"])
 def test_a_feature_cell_over_the_csv_field_limit_is_the_csv_error(tmp_path, text, limit):
     path = write(tmp_path, text)
     old = csv.field_size_limit() if limit is None else csv.field_size_limit(limit)
@@ -532,6 +535,29 @@ def test_a_line_over_the_csv_field_limit_takes_the_csv_module(tmp_path, monkeypa
         numpy_reads.clear()
         assert load_csv(path, label_column="last").values[:, 0].tolist() == [1.0, 1.0, 2.0]
         assert bool(numpy_reads) == (extra == 0)
+
+
+def test_a_file_with_a_quote_over_the_csv_field_limit_takes_the_csv_module(tmp_path, monkeypatch):
+    from okmlib import dataio
+
+    # A file of the limit in bytes holds no longer cell and goes to numpy's reader, quoted or
+    # not; one byte more goes to the csv module when it holds a quote, which may span lines.
+    old = csv.field_size_limit(64)
+    numpy_reads = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(dataio.np, "loadtxt", lambda *a, **k: numpy_reads.append(1) or loadtxt(*a, **k))
+    try:
+        for extra in (0, 1):
+            for label in ("b", '"b"'):
+                zeros = "0" * (64 + extra - len("x,g\n1,a\n2,\n" + label))
+                text = "x,g\n1,a\n" + zeros + "2," + label + "\n"
+                path = write(tmp_path, text, name=f"quote{extra}{len(label)}.csv")
+                assert os.path.getsize(path) == 64 + extra
+                numpy_reads.clear()
+                assert load_csv(path, label_column="last").values[:, 0].tolist() == [1.0, 2.0]
+                assert bool(numpy_reads) == (extra == 0 or label == "b"), (extra, label)
+    finally:
+        csv.field_size_limit(old)
 
 
 def test_loading_the_benchmark_sample_peaks_below_eight_times_its_values(tmp_path):

@@ -28,7 +28,7 @@ from okmlib import (
 from okmlib import divergences, kernels, okm
 from okmlib.errors import DomainError, InvalidSpec, NegativeInput
 from okmlib.linalg import row_sum
-from okmlib.okm import _assign, _cluster_matrix, _objective, _update_prototypes
+from okmlib.okm import _assign, _cluster_matrix, _distance, _objective, _update_prototypes
 
 SQ = Dissimilarity(DissimilarityKind.SQUARED_EUCLIDEAN)
 IDIV = Dissimilarity(DissimilarityKind.I_DIVERGENCE)
@@ -206,7 +206,7 @@ def test_objective_adds_the_points_left_to_right():
     data = np.array([[1e8], [1.0], [1.0]])
     cov = make_covering([{0}, {0}, {0}], [[0.0]])
     assert objective(cov, SQ, data) == 1e16 != math.fsum([1e16, 1.0, 1.0])
-    assert _objective(cov.memberships[:0], cov.prototypes, data[:0], SQ)[0] == 0.0
+    assert _objective(cov.memberships[:0], cov.prototypes, _distance(SQ, data[:0]))[0] == 0.0
 
 
 # ---------------------------------------------------------------- assign_point
@@ -306,6 +306,7 @@ def test_batched_assignment_matches_per_point_reference():
             previous = [frozenset(rng.choice(k, size=int(rng.integers(1, k + 1)),
                                              replace=False).tolist()) for _ in range(n)]
             image_table = okm._image_table(okm._subset_sums(protos))
+            dist = _distance(d, data)
             for prev in (None, previous):
                 expected = [reference_assign_point(data[i], protos, d,
                                                    None if prev is None else prev[i])
@@ -316,10 +317,10 @@ def test_batched_assignment_matches_per_point_reference():
                     # The objective's per-point values are the previous sets' distances.
                     prev_matrix = _cluster_matrix(prev, k)
                     prev_codes = codes_of(prev_matrix)
-                    masked_dists = _objective(prev_matrix, protos, data, d)[1]
-                    table_dists = _objective(prev_codes, protos, data, d, image_table)[1]
-                masked = _assign(data, protos, d, prev_matrix, masked_dists)
-                table = _assign(data, protos, d, prev_codes, table_dists, image_table)
+                    masked_dists = _objective(prev_matrix, protos, dist)[1]
+                    table_dists = _objective(prev_codes, protos, dist, image_table)[1]
+                masked = _assign(n, protos, dist, prev_matrix, masked_dists)
+                table = _assign(n, protos, dist, prev_codes, table_dists, image_table)
                 assert np.array_equal(masked, expected), (d, trial, prev is None)
                 assert np.array_equal(table, codes_of(expected)), (d, trial, prev is None)
 
@@ -328,7 +329,7 @@ def test_assign_point_is_one_row_of_the_batched_assignment():
     rng = np.random.default_rng(62)
     data = rng.uniform(0.0, 3.0, (20, 3))
     protos = rng.uniform(0.0, 3.0, (4, 3))
-    batched = _assign(data, protos, RBF1)
+    batched = _assign(20, protos, _distance(RBF1, data))
     for i in range(20):
         assert assign_point(data[i], protos, RBF1) == frozenset(np.flatnonzero(batched[i]).tolist())
 
@@ -380,14 +381,15 @@ def test_assign_and_objective_are_the_same_on_both_image_paths(masked_adds):
     for d, x, protos, previous in _path_cases():
         case = (d.kind, x.shape, len(protos))
         results = {}
+        dist = _distance(d, x)
         for path, image_table, sets in (("masked", None, previous),
                                         ("table", okm._image_table(okm._subset_sums(protos)),
                                          codes_of(previous))):
             masked_adds.clear()
-            j, point_values = _objective(sets, protos, x, d, image_table)
+            j, point_values = _objective(sets, protos, dist, image_table)
             results[path] = (point_values,
-                             _assign(x, protos, d, image_table=image_table),
-                             _assign(x, protos, d, sets, point_values, image_table))
+                             _assign(len(x), protos, dist, image_table=image_table),
+                             _assign(len(x), protos, dist, sets, point_values, image_table))
             assert bool(masked_adds) == (path == "masked"), (case, path)
             assert j == np.cumsum(point_values)[-1]
         masked, table = results["masked"], results["table"]
@@ -948,7 +950,7 @@ def test_assignment_names_the_negative_base_a_point_by_point_pass_meets_first():
     assert str(cluster_major.value) != str(point_major.value)  # the data tell the orders apart
     for image_table in (None, okm._image_table(okm._subset_sums(protos))):
         with pytest.raises(DomainError, match=f"^{re.escape(str(point_major.value))}$"):
-            _assign(values, protos, POLY025, image_table=image_table)
+            _assign(len(values), protos, _distance(POLY025, values), image_table=image_table)
 
 
 # ------------------------------------------------ numpy's default ufunc buffers
