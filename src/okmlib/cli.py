@@ -81,7 +81,10 @@ def _parse_label_col(text):
         return None
     if text == "last":
         return "last"
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidSpec(f"--label-col must be last, NONE or a 0-based index, got {text!r}") from None
 
 
 def _kernel_spec(kind, args, values):
@@ -116,14 +119,14 @@ def _measure_label(d: Dissimilarity):
 
 
 def _load(args):
-    # An empty separator is no fault of the data file, so it is named before the file is opened.
+    # A bad flag is no fault of the data file, so it is named before the file is opened.
     if args.label_sep == "":
         raise InvalidSpec("--label-sep must not be empty")
-    # ParseError, RaggedRows and EmptyFile are ValueErrors, as is a bad --label-col; a cell
-    # longer than the csv module's field limit is a csv.Error.
+    label_column = _parse_label_col(args.label_col)
+    # ParseError, RaggedRows and EmptyFile are ValueErrors, as is a --label-col outside the
+    # file's columns; a cell longer than the csv module's field limit is a csv.Error.
     try:
-        return load_csv(args.data, label_column=_parse_label_col(args.label_col),
-                        label_separator=args.label_sep)
+        return load_csv(args.data, label_column=label_column, label_separator=args.label_sep)
     except (OSError, ValueError, csv.Error) as exc:
         raise PathError(f"cannot load {args.data}: {exc}") from exc
 
@@ -133,7 +136,9 @@ def _writing(path):
     try:
         yield
     except OSError as exc:
-        raise PathError(f"cannot write {path}: {exc}") from exc
+        # Only the target is named: the error may name the writer's temp file beside it.
+        reason = f"[Errno {exc.errno}] {exc.strerror}" if exc.strerror else exc
+        raise PathError(f"cannot write {path}: {reason}") from exc
 
 
 # ----------------------------------------------------------------- estimate-k

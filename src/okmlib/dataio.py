@@ -147,9 +147,9 @@ def load_csv(path, label_column=None, label_separator="|") -> DataMatrix:
     those of float().  A file that reader does not take whole and clean
     (a cell that is not a finite number, an empty label set, ragged rows,
     an empty body, a NUL or \x1c-\x1f byte, a line longer than
-    `csv.field_size_limit()` in bytes, or a `"` in a file longer than
-    that), and a file that cannot seek, is read again by the csv module
-    cell by cell, which names the fault.
+    `csv.field_size_limit()` in bytes, or a line that ends inside a quoted
+    cell in a file longer than that), and a file that cannot seek, is read
+    again by the csv module cell by cell, which names the fault.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         if handle.seekable():
@@ -241,16 +241,24 @@ def _load_clean(handle, label_column, label_separator):
     """
     # numpy's reader has no field limit.  A character takes at least one byte, so a line of at
     # most the csv module's limit in bytes holds no longer cell, and nor does a file that short; a
-    # longer line, or a longer file with a quote (a quoted cell may span lines), takes that path.
+    # longer line takes that path, as does a longer file with a line end, or its end, inside a
+    # quoted cell: after an odd number of quotes (a doubled quote inside a cell counts twice).  A
+    # quote inside an unquoted cell, which only the label cell can hold, is literal; it leaves the
+    # count odd at the end of its row, so that file takes that path too.
     limit = csv.field_size_limit()
     line = size = 0  # the bytes of the line being read before this chunk, and of the file read
-    quoted = False
+    inside = spanning = False  # the file read ends inside a quoted cell; a line ended inside one
     while chunk := handle.buffer.read(1 << 16):
         if any(byte in chunk for byte in _NOT_FOR_NUMPY):
             return None
         size += len(chunk)
-        quoted = quoted or b'"' in chunk
-        if quoted and size > limit:
+        if inside or b'"' in chunk:
+            codes = np.frombuffer(chunk, dtype=np.uint8)
+            # The quotes up to each byte, mod 256, which keeps their parity.
+            odd = (np.cumsum(codes == ord('"'), dtype=np.uint8) + inside) & 1
+            spanning = spanning or bool(odd[(codes == ord("\n")) | (codes == ord("\r"))].any())
+            inside = bool(odd[-1])
+        if spanning and size > limit:
             return None
         start = -line  # where that line begins, counted from this chunk's first byte
         while True:
@@ -263,6 +271,8 @@ def _load_clean(handle, label_column, label_separator):
         line = len(chunk) - start
         if line > limit:
             return None
+    if inside and size > limit:
+        return None
     handle.seek(0)
     first = next((row for row in csv.reader(handle) if row), None)
     if first is None:

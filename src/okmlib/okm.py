@@ -26,34 +26,26 @@ uniformly without replacement.
 
 Every phase works on all points at once, with Python loops only over
 clusters; memory is O(n * k * p) per iteration.  `run_okm` runs under
-`linalg.unbuffered()`.  The assignment computes its point-to-prototype
-distances as the C (k, n) array its sort reads, a (k, n, p) batch whose
-points are innermost, as the data's are.
+`linalg.unbuffered()`.
 
-Images and the update's "other prototypes" are subset sums.  `run_okm`
-picks one of three paths per run; each adds in the per-point reference
-order, so all give the bits of a point-by-point evaluation:
+Images and the update's "other prototypes" are subset sums, each added
+in the per-point reference order, so all give the bits of a
+point-by-point evaluation.  `run_okm` picks one of three image paths per
+run, and `_distance`, which builds each prototype set's distances, is
+the one place that tells them apart.  A point's cluster set is an
+integer code, bit c set for cluster c, on the subset table's paths, and
+a column of a (k, n) bool matrix otherwise; the update reads the table
+or masked sums to match.  The (n, k) bool matrix is built once, for the
+`Covering`.
 
-  * a table of all subset sums (`_uses_table`), read at each point's
-    code, bit c set for cluster c.  The update keeps it current in
-    place, and each prototype set gets one `_image_table`, from which
-    the objective and the next assignment gather their images.  The
-    (n, k) bool matrix is built once, for the `Covering`.
-  * with it, each point's `_subset_dists` (`_uses_subset_dists`), from
-    which the assignment and the objective gather every dissimilarity.
-  * otherwise an (n, k) bool matrix and masked sums, a cluster at a time.
-
-Each prototype set's dissimilarities come from one `_distance` function,
-which holds what a run computes or checks once: the data's K(x, x) under
-a polynomial or linear kernel, and rbf finiteness, which the subset
-table decides.  `run_okm` checks the i-divergence's sign on the data
-once (prototypes start as data rows and the update clamps them at 0).
-Per iteration: the update's |A_i| x_i and |A_i|^2.  The objective's
-per-point values serve the next assignment as the previous sets'
-dissimilarities.
+`run_okm` checks the i-divergence's sign on the data once (prototypes
+start as data rows and the update clamps them at 0) and evaluates the
+data's K(x, x) under a polynomial or linear kernel once.  Per iteration:
+the update's |A_i| x_i and |A_i|^2.  The objective's per-point values
+serve the next assignment as the previous sets' dissimilarities.
 
 `assign_point`, `image`, `update_prototypes` and `objective` are the
-public, checked wrappers over the same functions; they pass no table.
+public, checked wrappers over the same functions, on masked sums.
 """
 
 from dataclasses import dataclass
@@ -172,11 +164,11 @@ def _subset_sums(prototypes, sums=None, first=0) -> np.ndarray:
 
 
 def _uses_subset_dists(n, k, p) -> bool:
-    """Given a subset table, whether `run_okm` also keeps each point's `_subset_dists`.
+    """Given a subset table, whether `_distance` takes the all-subset path.
 
-    They cost one (n, 2^k, p) batch per prototype set over all 2^k
-    images, and spare the greedy steps and the objective their
-    dissimilarity calls; up to about 2^13 elements the calls spared cost more.
+    It costs one (n, 2^k, p) batch per prototype set over all 2^k images,
+    and spares the greedy steps and the objective their dissimilarity
+    calls; up to about 2^13 elements the calls spared cost more.
     """
     return n * p << k <= _SUBSET_DISTS_MAX_ELEMENTS
 
@@ -190,27 +182,6 @@ def _subset_sizes(k) -> np.ndarray:
     return sizes
 
 
-def _image_table(sums) -> np.ndarray | None:
-    """Each subset code's image, its sum over its size, from table `sums`: (p, 2^k); None for None."""
-    return None if sums is None else sums / _subset_sizes(sums.shape[1].bit_length() - 1)
-
-
-def _subset_dists(image_table, dist) -> np.ndarray | None:
-    """Each point's `_distance` to the image of every subset code in `image_table`: (n, 2^k).
-
-    Column s is the value `_objective` gives a point at code s; column 0,
-    the empty set's, is never read.  None if some image gives a fractional
-    polynomial degree a negative base: the caller then evaluates the
-    sets it tries, which raise only if they reach such a base.
-    """
-    # C rows, so the (n, 2^k, p) temporaries run over contiguous points, as the data do.
-    images = np.ascontiguousarray(image_table.T)
-    try:
-        return dist(np.s_[:, None], images[None])
-    except DomainError:
-        return None
-
-
 def _masked_sums(clusters, prototypes) -> np.ndarray:
     """Each point's prototypes added in cluster-id order, from +0.0: (p, n).
 
@@ -222,71 +193,52 @@ def _masked_sums(clusters, prototypes) -> np.ndarray:
     return total
 
 
-def _images(sets, prototypes, image_table=None) -> np.ndarray:
-    """Each point's image: its prototypes added in cluster-id order, over |A|.
+def _images(clusters, prototypes) -> np.ndarray:
+    """Each point's image, its `_masked_sums` over |A|: (p, n) for a (k, n) bool `clusters`.
 
-    `sets` are the points' codes given `image_table`, the prototypes'
-    `_image_table`, and otherwise their (n, k) bool matrix.
+    |A| is added up with the sums, as a column of ones on the prototypes:
+    a bool reduction would cast in 16-element buffers (`run_okm`'s).
     """
-    if image_table is None:
-        return (_masked_sums(sets.T, prototypes) / sets.sum(axis=1)).T
-    return image_table.take(sets, axis=1).T
+    counted = np.ones((len(prototypes), prototypes.shape[1] + 1))
+    counted[:, :-1] = prototypes
+    total = _masked_sums(clusters, counted)
+    return total[:-1] / total[-1]
 
 
 def image(assigned, prototypes) -> np.ndarray:
     """Mean of the prototypes of the clusters in `assigned`."""
     prototypes = np.asarray(prototypes, dtype=float)
-    return _images(_cluster_matrix([assigned], len(prototypes)), prototypes)[0]
+    return _images(_cluster_matrix([assigned], len(prototypes)).T, prototypes)[:, 0]
 
 
-def _assign(n, prototypes, dist, previous=None, previous_dists=None, image_table=None,
-            subset_dists=None) -> np.ndarray:
-    """Greedy cluster sets of all n points at once, as `_images` takes them.
+def _assign(nearest, dist, table, previous=None, previous_dists=None) -> np.ndarray:
+    """Greedy cluster sets of all points at once: codes given a `table`, else a (k, n) bool matrix.
 
-    Step t offers every still-growing point its (t+1)-th nearest cluster
-    (ties by id); a point keeps growing while the image dissimilarity
-    (`_distance`) strictly improves.  Sets of `previous` that strictly
-    beat the greedy result are kept instead, given `previous_dists`, their
-    dissimilarities to the images of `previous` at these prototypes.
-    `image_table` is as for `_images`.  Given `image_table`,
-    `subset_dists` may be its `_subset_dists`, from which every
-    dissimilarity is then read.
+    `nearest` and `dist` are the prototypes' `_distance`.  Step t offers
+    every still-growing point its (t+1)-th nearest cluster (ties by id); a
+    point keeps growing while its image dissimilarity strictly improves.
+    Sets of `previous` that strictly beat the greedy result are kept
+    instead, given `previous_dists`, their dissimilarities to the images
+    of `previous` at these prototypes.
     """
-    k = len(prototypes)
-    table = image_table is not None
-    # Per-point state is (k, n): one row per rank or cluster.
-    if subset_dists is None:
-        try:
-            dists = dist(np.s_[None, :], prototypes[:, None, :])
-        except DomainError:
-            # Raised again point by point, so the error names the base the reference meets first.
-            dist(np.s_[:, None], prototypes[None])
-            raise
-    else:
-        dists = subset_dists.take(1 << np.arange(k), axis=1).T
+    dists = nearest()  # per-point state is (k, n): one row per rank or cluster
+    k, n = dists.shape
     order = dists.argsort(axis=0, kind="stable")
     growing = np.arange(n)
     best = dists[order[0], growing]  # a 1-set's image is its prototype
     # A point's set is always the first `size` clusters of its order; with a table, `code` is its
     # bits, and without, cluster c is in it when its place in the order, `rank[c]`, is below `size`.
-    size = None if table else np.ones(n, dtype=np.intp)
-    code = 1 << order[0] if table else None
-    if not table:
+    if table:
+        code = 1 << order[0]
+    else:
+        size = np.ones(n, dtype=np.intp)
         rank = np.empty((k, n), dtype=np.intp)
         rank[order, growing] = np.arange(k)[:, None]
     for step in range(1, k):
         if not growing.size:
             break
-        if table:
-            candidate = code[growing] | 1 << order[step, growing]
-        else:
-            candidate = rank[:, growing] <= step
-        if subset_dists is not None:
-            tried = subset_dists[growing, candidate]
-        else:
-            images = (image_table.take(candidate, axis=1) if table
-                      else _masked_sums(candidate, prototypes) / (step + 1))
-            tried = dist(growing, images.T)
+        candidate = code[growing] | 1 << order[step, growing] if table else rank[:, growing] <= step
+        tried = dist(growing, candidate)
         improved = tried < best[growing]
         growing = growing[improved]
         if table:
@@ -294,12 +246,8 @@ def _assign(n, prototypes, dist, previous=None, previous_dists=None, image_table
         else:
             size[growing] = step + 1
         best[growing] = tried[improved]
-    if table:
-        return code if previous is None else np.where(previous_dists < best, previous, code)
-    chosen = rank < size
-    if previous is not None:
-        chosen = np.where(previous_dists < best, previous.T, chosen)
-    return chosen.T
+    chosen = code if table else rank < size
+    return chosen if previous is None else np.where(previous_dists < best, previous, chosen)
 
 
 def assign_point(x, prototypes, d: Dissimilarity, previous=None) -> frozenset:
@@ -315,11 +263,11 @@ def assign_point(x, prototypes, d: Dissimilarity, previous=None) -> frozenset:
     if x.ndim != 1 or prototypes.ndim != 2 or x.shape[0] != prototypes.shape[1]:
         raise DimensionMismatch(f"incompatible shapes: point {x.shape}, prototypes {prototypes.shape}")
     if previous is not None:
-        previous = _cluster_matrix([previous], len(prototypes))
+        previous = _cluster_matrix([previous], len(prototypes)).T
     check_domain(d, x, prototypes)  # the images are means of the prototypes
-    dist = _distance(d, x[None, :])
-    previous_dists = None if previous is None else _objective(previous, prototypes, dist)[1]
-    chosen = _assign(1, prototypes, dist, previous, previous_dists)[0]
+    nearest, dist = _distance(d, x[None, :], prototypes)
+    previous_dists = None if previous is None else _objective(previous, dist)[1]
+    chosen = _assign(nearest, dist, False, previous, previous_dists)[:, 0]
     return frozenset(np.flatnonzero(chosen).tolist())
 
 
@@ -327,22 +275,22 @@ def _update_prototypes(sets, prototypes, values, nonneg=False, sums=None):
     """The prototypes after one pass over the clusters in id order, freshest values first.
 
     `sets` are the points' codes given `sums`, the prototypes'
-    `_subset_sums` table, and otherwise their (n, k) bool matrix; `sums`
+    `_subset_sums` table, and otherwise their (k, n) bool matrix; `sums`
     is updated in place to the returned prototypes' table.
     """
     new = prototypes.copy()
-    sizes = sets.sum(axis=1, dtype=float) if sums is None else _subset_sizes(len(new)).take(sets)
+    sizes = sets.sum(axis=0, dtype=float) if sums is None else _subset_sizes(len(new)).take(sets)
     scaled = sizes * values.T
     squares = sizes * sizes
     for c in range(len(new)):
-        members = (sets[:, c] if sums is None else sets & 1 << c).nonzero()[0]
+        members = (sets[c] if sums is None else sets & 1 << c).nonzero()[0]
         if not members.size:
             continue
         # Each member's other prototypes, freshest values, in cluster-id order: (p, m).
         if sums is not None:
             others = sums.take(sets[members] & ~(1 << c), axis=1)
         else:
-            others = sets[members].T
+            others = sets.take(members, axis=1)
             others[c] = False
             others = _masked_sums(others, new)
         # Members are added one after another, in index order, as the reference does.
@@ -369,15 +317,12 @@ def _covering_values(cov: Covering, data) -> np.ndarray:
 def update_prototypes(cov: Covering, data) -> np.ndarray:
     """Recompute all k prototypes for fixed assignments."""
     values = _covering_values(cov, data)
-    return _update_prototypes(cov.memberships, cov.prototypes, values)
+    return _update_prototypes(cov.memberships.T, cov.prototypes, values)
 
 
-def _objective(sets, prototypes, dist, image_table=None):
-    """J and the per-point values it adds up, each point's `_distance` to its image.
-
-    `sets` and `image_table` are as for `_images`.
-    """
-    point_values = dist(np.s_[:], _images(sets, prototypes, image_table))
+def _objective(sets, dist):
+    """J and the per-point values it adds up, each point's `dist` to the image of its set."""
+    point_values = dist(np.s_[:], sets)
     return sequential_sum(point_values), point_values  # as the reference adds them
 
 
@@ -389,31 +334,68 @@ def _self_kernel(d: Dissimilarity, values):
     return kernel_rows(d.kernel, rows, rows)
 
 
-def _distance(d: Dissimilarity, values, x_self=None, sums=None):
-    """`dist(at, Y)`: the `unchecked_dissim_rows` values of data rows `values[at]` against Y.
+def _distance(d: Dissimilarity, values, prototypes, x_self=None, sums=None, all_subsets=False):
+    """`nearest, dist`: how far the data rows `values` are from the images of `prototypes`.
 
-    `at` is a slice, `np.s_[None, :]`, `np.s_[:, None]` or an index array,
-    which gathers along the point axis.  `x_self`, the rows' K(x, x)
-    (`_self_kernel`), is read at `at` too.  For an rbf measure the
-    prototypes' subset table `sums` decides finiteness once: column 1 << c
-    is prototype c and an image is a column over its size.  Without a
-    table each call checks.  The caller has checked the signs.
+    `nearest()` gives each point's distance to each prototype as the C
+    (k, n) array the assignment's sort reads, from a (k, n, p) batch whose
+    points are innermost, as the data's are.  `dist(at, sets)` gives each
+    point `values[at]`'s distance to the image of its set in `sets`; `at`
+    is a slice or an index array.  Values are `unchecked_dissim_rows`:
+    the caller has checked the signs.  `x_self`, the rows' K(x, x)
+    (`_self_kernel`), is read at `at` too.  There are three image paths:
+
+      * the subset table (`_uses_table`): `sums` is the prototypes'
+        `_subset_sums` and `sets` are codes, read from one image table,
+        column s the sum at code s over its size.  For an rbf measure
+        `sums` decides finiteness once.
+      * the all-subset distances (`_uses_subset_dists`): with `sums`, each
+        point's distance to the image of every code is one (n, 2^k)
+        array, from which both functions gather.  If some image gives a
+        fractional polynomial degree a negative base, the subset table's
+        path is taken instead, which raises only where a step's sets
+        reach such a base.
+      * masked sums: without `sums`, `sets` are a (k, m) bool matrix and
+        each call builds its `_images` and checks rbf finiteness.
     """
+    k = len(prototypes)
     finite = (sums is not None and d.kind == DissimilarityKind.KERNEL_INDUCED
               and d.kernel.kind == KernelKind.RBF and bool(np.isfinite(sums).all()))
+    image_table = None if sums is None else sums / _subset_sizes(k)
     points = values.T  # (p, n), gathered along the point axis
 
-    def dist(at, Y):
+    def against(at, Y):
         rows = points.take(at, axis=1).T if isinstance(at, np.ndarray) else values[at]
         return unchecked_dissim_rows(d, rows, Y, None if x_self is None else x_self[at], finite)
 
-    return dist
+    def nearest():
+        try:
+            return against(np.s_[None, :], prototypes[:, None, :])
+        except DomainError:
+            # Raised again point by point, so the error names the base the reference meets first.
+            against(np.s_[:, None], prototypes[None])
+            raise
+
+    def dist(at, sets):
+        images = _images(sets, prototypes) if sums is None else image_table.take(sets, axis=1)
+        return against(at, images.T)
+
+    if not all_subsets:
+        return nearest, dist
+    try:
+        # C rows, so the (n, 2^k, p) temporaries run over contiguous points, as the data do.
+        every = against(np.s_[:, None], np.ascontiguousarray(image_table.T)[None])
+    except DomainError:
+        return nearest, dist
+    point_ids = np.arange(len(values))
+    return (lambda: every.take(1 << np.arange(k), axis=1).T,
+            lambda at, sets: every[point_ids[at], sets])
 
 
 def objective(cov: Covering, d: Dissimilarity, data) -> float:
     """Recompute J for a covering from scratch."""
     values = _covering_values(cov, data)
-    return sequential_sum(dissim_rows(d, values, _images(cov.memberships, cov.prototypes)))
+    return sequential_sum(dissim_rows(d, values, _images(cov.memberships.T, cov.prototypes).T))
 
 
 @unbuffered()
@@ -439,28 +421,20 @@ def run_okm(data, config: OkmConfig, on_iteration=None) -> Covering:
     rng = np.random.default_rng(config.seed)
     idx = rng.choice(n, size=config.k, replace=False)
     prototypes = values[idx]
-    sums = _subset_sums(prototypes) if _uses_table(n, config.k) else None
-    image_table = _image_table(sums)
+    table = _uses_table(n, config.k)
+    sums = _subset_sums(prototypes) if table else None
+    all_subsets = table and _uses_subset_dists(n, config.k, values.shape[1])
     x_self = _self_kernel(d, values)
-    dist = _distance(d, values, x_self, sums)
-    all_subsets = sums is not None and _uses_subset_dists(n, config.k, values.shape[1])
-    subset_dists = _subset_dists(image_table, dist) if all_subsets else None
-    rows = np.arange(n)
+    nearest, dist = _distance(d, values, prototypes, x_self, sums, all_subsets)
 
     sets = point_values = None
     current_j = None
     iterations = 0
     for _ in range(config.max_iter):
-        new_sets = _assign(n, prototypes, dist, sets, point_values, image_table, subset_dists)
+        new_sets = _assign(nearest, dist, table, sets, point_values)
         new_prototypes = _update_prototypes(new_sets, prototypes, values, nonneg, sums)
-        image_table = _image_table(sums)
-        dist = _distance(d, values, x_self, sums)
-        subset_dists = _subset_dists(image_table, dist) if all_subsets else None
-        if subset_dists is not None:
-            new_point_values = subset_dists[rows, new_sets]
-            new_j = sequential_sum(new_point_values)  # as `_objective` adds them
-        else:
-            new_j, new_point_values = _objective(new_sets, new_prototypes, dist, image_table)
+        nearest, dist = _distance(d, values, new_prototypes, x_self, sums, all_subsets)
+        new_j, new_point_values = _objective(new_sets, dist)
         if not np.isfinite(new_j):
             raise DomainError(f"J is {new_j}: the data overflow this measure")
         if current_j is not None and new_j > current_j:
@@ -475,6 +449,5 @@ def run_okm(data, config: OkmConfig, on_iteration=None) -> Covering:
         if unchanged or (improvement is not None and improvement < config.rel_tol):
             break
 
-    if sums is not None:
-        sets = (sets[:, None] & 1 << np.arange(config.k)) != 0
+    sets = (sets[:, None] & 1 << np.arange(config.k)) != 0 if table else sets.T
     return Covering(memberships=sets, prototypes=prototypes, objective=current_j, n_iter=iterations)

@@ -166,19 +166,35 @@ def test_experiment_table_format_shows_aggregates(pairs_csv, capsys):
     assert "mean" in out and "f-measure" in out
 
 
-def test_experiment_jobs_flag_gives_identical_report(pairs_csv, monkeypatch, capsys):
+@pytest.mark.parametrize("dataset, k, all_subsets, table", [
+    ("pairs", 2, True, True), ("synthetic-2200", 5, False, True), ("iris", 8, False, False),
+], ids=["all-subset", "table", "masked"])
+def test_experiment_jobs_flag_gives_identical_report(pairs_csv, tmp_path, monkeypatch, capsys,
+                                                     dataset, k, all_subsets, table):
+    # Each of okm._distance's three image paths, in this process and in pool workers.
     import okmlib.cli as cli
+    from conftest import IRIS_PATH
+    from okmlib import okm
 
+    if dataset == "synthetic-2200":
+        path = tmp_path / "synthetic-2200.csv"
+        save_csv(generate_synthetic(SyntheticSpec(
+            k=5, points_per_cluster=400, overlap_pairs=tuple((c, (c + 1) % 5, 40) for c in range(5)),
+            dimension=8, seed=0)), path)
+    else:
+        path = pairs_csv if dataset == "pairs" else IRIS_PATH
+    data = load_csv(path, label_column="last")
+    assert okm._uses_table(data.n, k) == table
+    assert (table and okm._uses_subset_dists(data.n, k, data.p)) == all_subsets
     # Two usable CPUs, so that --jobs 2 starts the process pool on a one-CPU runner too.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     assert cli._worker_count(2, 4) == 2
-    args = ["experiment", "--data", str(pairs_csv), "--k", "2",
-            "--restarts", "4", "--format", "csv"]
+    args = ["experiment", "--data", str(path), "--k", str(k), "--restarts", "4", "--format", "csv"]
     assert main(args) == 0
     serial = capsys.readouterr().out
     assert main(args + ["--jobs", "2"]) == 0
     parallel = capsys.readouterr().out
-    assert serial == parallel
+    assert serial == parallel and serial.count("\nrun,") == 4
 
 
 def test_a_serial_experiment_never_imports_the_process_pool(pairs_csv):
@@ -446,10 +462,9 @@ EXIT_PATHS = [
                   "--out", "{dir}/c.csv"], None, 2,
                  "error: cannot load {dir}/pairs.csv: label column 5 out of range for width 2",
                  id="load-label-column-out-of-range"),
-    pytest.param(["experiment", "--data", "{dir}/pairs.csv", "--label-col", "foo", "--k", "2"],
-                 None, 2,
-                 "error: cannot load {dir}/pairs.csv: invalid literal for int() with base 10: "
-                 "'foo'", id="load-label-column-not-integer"),
+    pytest.param(["experiment", "--data", "{dir}/missing.csv", "--label-col", "foo", "--k", "2"],
+                 None, 2, "error: --label-col must be last, NONE or a 0-based index, got 'foo'",
+                 id="load-label-column-not-integer"),
     pytest.param(["experiment", "--data", "{dir}/missing.csv", "--label-sep", "", "--k", "2"], None,
                  2, "error: --label-sep must not be empty", id="empty-label-separator"),
     pytest.param(["estimate-k", "--data", "{dir}/labels.csv", "--label-col", "last"], None, 2,
@@ -472,6 +487,10 @@ EXIT_PATHS = [
                   "--out", "{dir}/report.txt"], _disk_full, 2,
                  "error: cannot write {dir}/report.txt: [Errno 28] No space left on device",
                  id="write-experiment-out"),
+    pytest.param(["experiment", "--data", "{dir}/pairs.csv", "--k", "2", "--restarts", "1",
+                  "--out", "{dir}/missing/report.txt"], None, 2,
+                 "error: cannot write {dir}/missing/report.txt: [Errno 2] No such file or directory",
+                 id="write-into-a-missing-directory"),
     pytest.param(["estimate-k", "--data", "{dir}/negative.csv", "--label-col", "last",
                   "--kernel", "poly", "--degree", "0.5"], None, 2,
                  "error: polynomial base -3 < 0 with non-integer degree 0.5",

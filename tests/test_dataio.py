@@ -537,27 +537,50 @@ def test_a_line_over_the_csv_field_limit_takes_the_csv_module(tmp_path, monkeypa
         assert bool(numpy_reads) == (extra == 0)
 
 
-def test_a_file_with_a_quote_over_the_csv_field_limit_takes_the_csv_module(tmp_path, monkeypatch):
+def test_a_file_over_the_csv_field_limit_takes_the_csv_module_where_a_line_ends_in_quotes(
+        tmp_path, monkeypatch):
     from okmlib import dataio
 
     # A file of the limit in bytes holds no longer cell and goes to numpy's reader, quoted or
-    # not; one byte more goes to the csv module when it holds a quote, which may span lines.
-    old = csv.field_size_limit(64)
+    # not.  One byte more goes to the csv module only if a line ends inside a quoted cell, after
+    # an odd number of quotes, since such a cell may go on past the limit.
     numpy_reads = []
     loadtxt = np.loadtxt
     monkeypatch.setattr(dataio.np, "loadtxt", lambda *a, **k: numpy_reads.append(1) or loadtxt(*a, **k))
+    old = csv.field_size_limit(64)
     try:
         for extra in (0, 1):
-            for label in ("b", '"b"'):
+            for label, spans in (("b", False), ('"b"', False), ('"b""c"', False), ('"b\nc"', True),
+                                 ('"b\r\nc"', True)):
                 zeros = "0" * (64 + extra - len("x,g\n1,a\n2,\n" + label))
                 text = "x,g\n1,a\n" + zeros + "2," + label + "\n"
-                path = write(tmp_path, text, name=f"quote{extra}{len(label)}.csv")
+                path = write(tmp_path, text, name="quoted.csv")
                 assert os.path.getsize(path) == 64 + extra
                 numpy_reads.clear()
                 assert load_csv(path, label_column="last").values[:, 0].tolist() == [1.0, 2.0]
-                assert bool(numpy_reads) == (extra == 0 or label == "b"), (extra, label)
+                assert bool(numpy_reads) == (extra == 0 or not spans), (extra, label)
+            # A quote inside an unquoted cell is literal to the csv module.  Here the quoted
+            # feature cell after `b"c` ends its first line after an even number of quotes, and the
+            # file after an odd number, with no line end.
+            zeros = "0" * (64 + extra - len('x,g,y\n1,a,1\n2,b"c," 3\n"'))
+            path = write(tmp_path, 'x,g,y\n1,a,1\n' + zeros + '2,b"c," 3\n"', name="literal.csv")
+            numpy_reads.clear()
+            data = load_csv(path, label_column=1)
+            assert data.values.tolist() == [[1.0, 1.0], [2.0, 3.0]] and data.labels.label_sets[1] == {'b"c'}
+            assert bool(numpy_reads) == (extra == 0), extra
     finally:
         csv.field_size_limit(old)
+    # At the default limit, over the byte scan's 64 KiB reads: a quoted cell opens in the last
+    # bytes of the first read, and the second read begins inside it.
+    head = "x,g\n" + "1,a\n" * 16_382
+    assert len(head) + len('2,"') == (1 << 16) - 1
+    for cell, spans in (('"ab"', False), ('"a\nb"', True)):
+        path = write(tmp_path, head + "2," + cell + "\n" + "3,c\n" * 17_000, name="long.csv")
+        assert os.path.getsize(path) > csv.field_size_limit()
+        numpy_reads.clear()
+        data = load_csv(path, label_column="last")
+        assert data.n == 16_382 + 1 + 17_000 and data.labels.label_sets[16_382] == {cell[1:-1]}
+        assert bool(numpy_reads) == (not spans), cell
 
 
 def test_loading_the_benchmark_sample_peaks_below_eight_times_its_values(tmp_path):

@@ -206,7 +206,7 @@ def test_objective_adds_the_points_left_to_right():
     data = np.array([[1e8], [1.0], [1.0]])
     cov = make_covering([{0}, {0}, {0}], [[0.0]])
     assert objective(cov, SQ, data) == 1e16 != math.fsum([1e16, 1.0, 1.0])
-    assert _objective(cov.memberships[:0], cov.prototypes, _distance(SQ, data[:0]))[0] == 0.0
+    assert _objective(cov.memberships[:0].T, _distance(SQ, data[:0], cov.prototypes)[1])[0] == 0.0
 
 
 # ---------------------------------------------------------------- assign_point
@@ -305,8 +305,8 @@ def test_batched_assignment_matches_per_point_reference():
                 protos = rng.uniform(0.0, 3.0, (k, p))
             previous = [frozenset(rng.choice(k, size=int(rng.integers(1, k + 1)),
                                              replace=False).tolist()) for _ in range(n)]
-            image_table = okm._image_table(okm._subset_sums(protos))
-            dist = _distance(d, data)
+            masked_state = _distance(d, data, protos)
+            table_state = _distance(d, data, protos, sums=okm._subset_sums(protos))
             for prev in (None, previous):
                 expected = [reference_assign_point(data[i], protos, d,
                                                    None if prev is None else prev[i])
@@ -315,13 +315,13 @@ def test_batched_assignment_matches_per_point_reference():
                 prev_matrix = prev_codes = masked_dists = table_dists = None
                 if prev is not None:
                     # The objective's per-point values are the previous sets' distances.
-                    prev_matrix = _cluster_matrix(prev, k)
-                    prev_codes = codes_of(prev_matrix)
-                    masked_dists = _objective(prev_matrix, protos, dist)[1]
-                    table_dists = _objective(prev_codes, protos, dist, image_table)[1]
-                masked = _assign(n, protos, dist, prev_matrix, masked_dists)
-                table = _assign(n, protos, dist, prev_codes, table_dists, image_table)
-                assert np.array_equal(masked, expected), (d, trial, prev is None)
+                    prev_matrix = _cluster_matrix(prev, k).T
+                    prev_codes = codes_of(prev_matrix.T)
+                    masked_dists = _objective(prev_matrix, masked_state[1])[1]
+                    table_dists = _objective(prev_codes, table_state[1])[1]
+                masked = _assign(*masked_state, False, prev_matrix, masked_dists)
+                table = _assign(*table_state, True, prev_codes, table_dists)
+                assert np.array_equal(masked.T, expected), (d, trial, prev is None)
                 assert np.array_equal(table, codes_of(expected)), (d, trial, prev is None)
 
 
@@ -329,16 +329,17 @@ def test_assign_point_is_one_row_of_the_batched_assignment():
     rng = np.random.default_rng(62)
     data = rng.uniform(0.0, 3.0, (20, 3))
     protos = rng.uniform(0.0, 3.0, (4, 3))
-    batched = _assign(20, protos, _distance(RBF1, data))
+    batched = _assign(*_distance(RBF1, data, protos), False)
     for i in range(20):
-        assert assign_point(data[i], protos, RBF1) == frozenset(np.flatnonzero(batched[i]).tolist())
+        assert assign_point(data[i], protos, RBF1) == frozenset(np.flatnonzero(batched[:, i]).tolist())
 
 
-# ------------------------------------------------------- the two image paths
+# ----------------------------------------------------- the three image paths
 #
 # Images and "other prototypes" come from a table of all 2^k subset sums,
 # read at the points' codes, when a step is given one, and from masked
-# adds over an (n, k) bool matrix otherwise; both must give the same bits.
+# adds over a (k, n) bool matrix otherwise; the all-subset distances
+# gather from the table's images.  All must give the same bits.
 
 RBF_WIDE = Dissimilarity(DissimilarityKind.KERNEL_INDUCED, kernel=KernelSpec(KernelKind.RBF, sigma=1e3))
 
@@ -377,27 +378,28 @@ def _path_cases():
                 yield d, values, protos, memberships
 
 
-def test_assign_and_objective_are_the_same_on_both_image_paths(masked_adds):
+def test_assign_and_objective_are_the_same_on_every_image_path(masked_adds):
     for d, x, protos, previous in _path_cases():
         case = (d.kind, x.shape, len(protos))
         results = {}
-        dist = _distance(d, x)
-        for path, image_table, sets in (("masked", None, previous),
-                                        ("table", okm._image_table(okm._subset_sums(protos)),
-                                         codes_of(previous))):
+        for path, sums, all_subsets, sets in (("masked", None, False, previous.T),
+                                              ("table", okm._subset_sums(protos), False, codes_of(previous)),
+                                              ("all", okm._subset_sums(protos), True, codes_of(previous))):
             masked_adds.clear()
-            j, point_values = _objective(sets, protos, dist, image_table)
+            nearest, dist = _distance(d, x, protos, sums=sums, all_subsets=all_subsets)
+            j, point_values = _objective(sets, dist)
             results[path] = (point_values,
-                             _assign(len(x), protos, dist, image_table=image_table),
-                             _assign(len(x), protos, dist, sets, point_values, image_table))
+                             _assign(nearest, dist, sums is not None),
+                             _assign(nearest, dist, sums is not None, sets, point_values))
             assert bool(masked_adds) == (path == "masked"), (case, path)
             assert j == np.cumsum(point_values)[-1]
-        masked, table = results["masked"], results["table"]
-        assert np.array_equal(table[0], masked[0]), case
-        # The table path's codes are the masked path's matrix, bit c for column c.
-        for codes, matrix in zip(table[1:], masked[1:]):
-            assert codes.shape == (len(x),) and matrix.shape == (len(x), len(protos)), case
-            assert np.array_equal(codes, codes_of(matrix)), case
+        masked = results.pop("masked")
+        for table in results.values():
+            assert np.array_equal(table[0], masked[0]), case
+            # The table paths' codes are the masked path's matrix, bit c for row c.
+            for codes, matrix in zip(table[1:], masked[1:]):
+                assert codes.shape == (len(x),) and matrix.shape == (len(protos), len(x)), case
+                assert np.array_equal(codes, codes_of(matrix.T)), case
 
 
 def test_update_is_the_same_on_both_image_paths(masked_adds):
@@ -406,7 +408,7 @@ def test_update_is_the_same_on_both_image_paths(masked_adds):
         masked_adds.clear()
         table = _update_prototypes(codes_of(rows), protos, x, nonneg, okm._subset_sums(protos))
         assert not masked_adds
-        masked = _update_prototypes(rows, protos, x, nonneg)
+        masked = _update_prototypes(rows.T, protos, x, nonneg)
         assert masked_adds
         assert np.array_equal(table, masked), (d.kind, x.shape, len(protos))
 
@@ -439,38 +441,54 @@ def test_update_leaves_the_table_of_the_prototypes_it_returns():
     for d, x, protos, rows in _path_cases():
         sums = okm._subset_sums(protos)
         new = _update_prototypes(codes_of(rows), protos, x, d is IDIV, sums)
-        assert np.array_equal(new, _update_prototypes(rows, protos, x, d is IDIV))
+        assert np.array_equal(new, _update_prototypes(rows.T, protos, x, d is IDIV))
         assert _same_bits(sums, okm._subset_sums(new)), (d.kind, x.shape, len(protos))
 
 
-def test_run_okm_builds_one_table_and_no_per_round_matrix(iris, monkeypatch, masked_adds):
+@pytest.fixture()
+def image_batches(monkeypatch):
+    """(m, distances) of each `unchecked_dissim_rows` call against one (1, m, p) batch of images.
+
+    At m = 2^k that is the all-subset distance array of a prototype set;
+    `distances` is None where the call raised DomainError.
+    """
+    batches = []
+    dissim_rows = okm.unchecked_dissim_rows
+
+    def recording(d, X, Y, *rest):
+        if Y.ndim != 3 or Y.shape[0] != 1:
+            return dissim_rows(d, X, Y, *rest)
+        batches.append((Y.shape[1], None))
+        batches[-1] = (Y.shape[1], dissim_rows(d, X, Y, *rest))
+        return batches[-1][1]
+
+    monkeypatch.setattr(okm, "unchecked_dissim_rows", recording)
+    return batches
+
+
+def test_run_okm_builds_one_table_and_no_per_round_matrix(iris, monkeypatch, masked_adds, image_batches):
     # On the table path a round's sets are (n,) codes from the assignment
     # through the update and the objective; the (n, k) matrix is built
-    # once, for the returned Covering.  With the all-subset distances the
-    # objective is a gather from the distance table of the new prototypes,
-    # built after the first table and after each update, and `_objective`
-    # is not called.  The sizes table is cached per k; build it before counting.
+    # once, for the returned Covering.  With the all-subset distances one
+    # (n, 2^k) array is built per prototype set, after the first table and
+    # after each update.  The sizes table is cached per k; build it before counting.
     okm._subset_sizes(3)
     counts = {}
     sets = []
-    subset_sums, subset_dists, assign, covering = okm._subset_sums, okm._subset_dists, okm._assign, okm.Covering
+    subset_sums, assign, covering = okm._subset_sums, okm._assign, okm.Covering
 
     def counted_subset_sums(prototypes, sums=None, first=0):
         counts["from scratch"] += sums is None
         return subset_sums(prototypes, sums, first)
 
-    def counted_subset_dists(*args):
-        counts["distance tables"] += 1
-        return subset_dists(*args)
-
     def counted_assign(*args):
         counts["rounds"] += 1
-        sets.append(assign(*args))
-        return sets[-1]
+        sets.append(("assign", assign(*args)))
+        return sets[-1][1]
 
-    def recorded(step):
+    def recorded(name, step):
         def wrapper(*args):
-            sets.append(args[0])
+            sets.append((name, args[0]))
             return step(*args)
         return wrapper
 
@@ -479,30 +497,72 @@ def test_run_okm_builds_one_table_and_no_per_round_matrix(iris, monkeypatch, mas
         return covering(**fields)
 
     monkeypatch.setattr(okm, "_subset_sums", counted_subset_sums)
-    monkeypatch.setattr(okm, "_subset_dists", counted_subset_dists)
     monkeypatch.setattr(okm, "_assign", counted_assign)
-    monkeypatch.setattr(okm, "_update_prototypes", recorded(okm._update_prototypes))
-    monkeypatch.setattr(okm, "_objective", recorded(okm._objective))
+    monkeypatch.setattr(okm, "_update_prototypes", recorded("update", okm._update_prototypes))
+    monkeypatch.setattr(okm, "_objective", recorded("objective", okm._objective))
     monkeypatch.setattr(okm, "Covering", counted_covering)
     iterations = set()
     for all_subsets in (True, False):
         monkeypatch.setattr(okm, "_uses_subset_dists", lambda n, k, p: all_subsets)
         for d in (SQ, IDIV):
             for max_iter in (1, 2, 100):
-                counts.update({"from scratch": 0, "distance tables": 0, "rounds": 0, "coverings": 0})
+                counts.update({"from scratch": 0, "rounds": 0, "coverings": 0})
                 sets.clear()
+                image_batches.clear()
                 cov = run_okm(iris, OkmConfig(k=3, dissimilarity=d, max_iter=max_iter, seed=650))
                 iterations.add(cov.n_iter)
                 case = (all_subsets, d.kind, max_iter, counts)
                 rounds = counts["rounds"]
-                assert counts == {"from scratch": 1, "rounds": rounds, "coverings": 1,
-                                  "distance tables": rounds + 1 if all_subsets else 0}, case
-                # Per round: the assignment's sets, the update's, and without the distances the objective's.
-                assert rounds >= cov.n_iter and len(sets) == (2 if all_subsets else 3) * rounds, case
-                assert all(s.shape == (150,) and np.issubdtype(s.dtype, np.integer) for s in sets), case
+                assert counts == {"from scratch": 1, "rounds": rounds, "coverings": 1}, case
+                tables = [dists for m, dists in image_batches if m == 8]
+                assert len(tables) == (rounds + 1 if all_subsets else 0), case
+                assert all(table.shape == (150, 8) for table in tables), case
+                # Per round: the assignment's sets, the update's and the objective's.
+                assert rounds >= cov.n_iter, case
+                assert [name for name, _ in sets] == ["assign", "update", "objective"] * rounds, case
+                assert all(s.shape == (150,) and np.issubdtype(s.dtype, np.integer) for _, s in sets), case
                 assert not masked_adds, case
                 assert cov.memberships.shape == (150, 3)
     assert len(iterations) >= 4, iterations
+
+
+@pytest.mark.parametrize("k, all_subsets", [(3, True), (3, False), (8, False)], ids=["all", "table", "masked"])
+def test_run_okm_takes_j_from_one_objective_call_per_round_on_every_path(iris, monkeypatch, k, all_subsets):
+    # Each round's J, the one `on_iteration` reports and `Covering.objective` holds, is the one
+    # `_objective` returns; a round that J would increase is the one round without a callback.
+    monkeypatch.setattr(okm, "_uses_subset_dists", lambda n, k, p: all_subsets)
+    assign, objective = okm._assign, okm._objective
+    sets, objectives = [], []
+
+    def spied_assign(*args):
+        sets.append(("assign", assign(*args)))
+        return sets[-1][1]
+
+    def spied_objective(*args):
+        sets.append(("objective", args[0]))
+        objectives.append(objective(*args))
+        return objectives[-1]
+
+    monkeypatch.setattr(okm, "_assign", spied_assign)
+    monkeypatch.setattr(okm, "_objective", spied_objective)
+    table = okm._uses_table(150, k)
+    assert table == (k == 3)
+    for d in (SQ, IDIV, RBF150, POLY025):
+        for max_iter in (1, 2, 100):
+            sets.clear()
+            objectives.clear()
+            reported = []
+            cov = run_okm(iris, OkmConfig(k=k, dissimilarity=d, max_iter=max_iter, seed=650),
+                          on_iteration=lambda i, j: reported.append(j))
+            case = (d.kind, max_iter)
+            rounds = len(objectives)
+            assert [name for name, _ in sets] == ["assign", "objective"] * rounds, case
+            assert rounds - cov.n_iter in (0, 1) and len(reported) == cov.n_iter, case
+            assert reported == [j for j, _ in objectives[:cov.n_iter]], case
+            assert cov.objective == reported[-1], case
+            for _, s in sets:
+                assert s.shape == ((150,) if table else (k, 150)), case
+                assert np.issubdtype(s.dtype, np.integer) if table else s.dtype == bool, case
 
 
 def _run_or_error(values, config):
@@ -514,21 +574,13 @@ def _run_or_error(values, config):
     return cov.memberships.tobytes(), cov.prototypes.tobytes(), cov.objective, cov.n_iter
 
 
-def test_run_okm_is_the_same_run_with_and_without_the_subset_distances(iris, monkeypatch):
+def test_run_okm_is_the_same_run_with_and_without_the_subset_distances(iris, monkeypatch, image_batches):
     # With `_uses_subset_dists` forced on, every step reads the all-subset
     # distances; forced off, the greedy steps and the objective evaluate
     # the sets they try.  Both runs must give the same memberships,
     # prototype bits, J and n_iter, or raise the same error.
     poly2 = Dissimilarity(DissimilarityKind.KERNEL_INDUCED,
                           kernel=KernelSpec(KernelKind.POLYNOMIAL, degree=2.0))
-    tables = []
-    subset_dists = okm._subset_dists
-
-    def recorded(*args):
-        tables.append(subset_dists(*args))
-        return tables[-1]
-
-    monkeypatch.setattr(okm, "_subset_dists", recorded)
     cases = [(iris.values, k, d, 100) for k in range(1, 6) for d in (SQ, IDIV, RBF150, POLY025, poly2, LINEAR)]
     # Small nonnegative samples where a moved prototype gives some subset a
     # negative polynomial base: the fractional degree then raises only
@@ -542,9 +594,10 @@ def test_run_okm_is_the_same_run_with_and_without_the_subset_distances(iris, mon
         config = OkmConfig(k=k, dissimilarity=d, max_iter=max_iter, seed=seed)
         runs = {}
         for all_subsets in (False, True):
-            tables.clear()
+            image_batches.clear()
             monkeypatch.setattr(okm, "_uses_subset_dists", lambda n, k, p: all_subsets)
             runs[all_subsets] = _run_or_error(values, config)
+            tables = [dists for m, dists in image_batches if m == 1 << k]
             assert bool(tables) == all_subsets
         assert runs[True] == runs[False], (len(values), k, d, max_iter, seed)
         outcomes.add((isinstance(runs[True][0], bytes), any(table is None for table in tables)))
@@ -741,7 +794,7 @@ def test_batched_update_and_objective_match_per_point_reference():
             cov = make_covering(assignments, protos)
             nonneg = d is IDIV
             expected = reference_update_prototypes(assignments, protos, data, nonneg)
-            assert np.array_equal(_update_prototypes(_cluster_matrix(assignments, k), protos, data,
+            assert np.array_equal(_update_prototypes(_cluster_matrix(assignments, k).T, protos, data,
                                                      nonneg), expected)
             expected_j = 0.0  # left to right, one point after another
             for i in range(n):
@@ -948,9 +1001,9 @@ def test_assignment_names_the_negative_base_a_point_by_point_pass_meets_first():
     with pytest.raises(DomainError) as cluster_major:
         kernels.kernel_rows(POLY025.kernel, values[None, :, :], protos[:, None, :])
     assert str(cluster_major.value) != str(point_major.value)  # the data tell the orders apart
-    for image_table in (None, okm._image_table(okm._subset_sums(protos))):
+    for sums in (None, okm._subset_sums(protos)):
         with pytest.raises(DomainError, match=f"^{re.escape(str(point_major.value))}$"):
-            _assign(len(values), protos, _distance(POLY025, values), image_table=image_table)
+            _assign(*_distance(POLY025, values, protos, sums=sums), sums is not None)
 
 
 # ------------------------------------------------ numpy's default ufunc buffers
