@@ -12,7 +12,9 @@ Exit codes, all mapped in main(): 0 ok, 2 usage trouble, an invalid
 flag or input, or a failed load or write, 3 eigensolver failure, 4 fewer
 points than clusters, 5 ground truth missing.  All output is
 deterministic given identical flags: seeds are explicit, formats are
-fixed, and files are written atomically (temp + rename).
+fixed, and files are written atomically (temp + rename).  The parser
+holds only the invoked subcommand's arguments unless help or an error
+needs the whole tree.
 """
 
 import argparse
@@ -144,11 +146,10 @@ def _writing(path):
 # ----------------------------------------------------------------- estimate-k
 
 
-def _print_spectrum(title, values):
+def _spectrum_lines(title, values):
     shown = min(SPECTRUM_PRINT_LIMIT, len(values))
-    print(f"{title} (top {shown} of {len(values)}):")
-    for i in range(shown):
-        print(f"  {i + 1:3d}  {values[i]: .9e}")
+    return [f"{title} (top {shown} of {len(values)}):",
+            *(f"  {i + 1:3d}  {values[i]: .9e}" for i in range(shown))]
 
 
 def cmd_estimate_k(args):
@@ -159,10 +160,11 @@ def cmd_estimate_k(args):
 
     param = _kernel_param(spec)
     suffix = f"  {param[0]} = {param[1]}" if param else ""
-    print(f"n = {data.n}  kernel = {args.kernel}{suffix}  policy = {args.policy}")
-    print(f"estimated_k = {report.estimated_k}")
-    _print_spectrum("eigenvalues", report.eigenvalues)
-    _print_spectrum("centered eigenvalues", report.centered_eigenvalues)
+    lines = [f"n = {data.n}  kernel = {args.kernel}{suffix}  policy = {args.policy}",
+             f"estimated_k = {report.estimated_k}",
+             *_spectrum_lines("eigenvalues", report.eigenvalues),
+             *_spectrum_lines("centered eigenvalues", report.centered_eigenvalues)]
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -318,77 +320,100 @@ def cmd_experiment(args):
 # ---------------------------------------------------------------------- parser
 
 
-def build_parser():
+def _add_data_args(p, label_default):
+    p.add_argument("--data", required=True, help="CSV dataset path")
+    p.add_argument("--label-col", default=label_default,
+                   help="label column: last, NONE, or a 0-based index")
+    p.add_argument("--label-sep", default="|", metavar="CHAR",
+                   help="separator inside multi-label cells")
+
+
+def _add_kernel_args(p):
+    p.add_argument("--kernel", choices=sorted(kind.value for kind in KernelKind), default="rbf")
+    p.add_argument("--sigma", type=float, default=None,
+                   help="rbf bandwidth (default: median pairwise distance)")
+    p.add_argument("--degree", type=float, default=2.0, help="polynomial exponent")
+
+
+def _add_measure_args(p):
+    p.add_argument("--measure", choices=sorted(kind.value for kind in DissimilarityKind),
+                   default="euclidean")
+    _add_kernel_args(p)
+
+
+def _add_okm_args(p):
+    p.add_argument("--max-iter", type=int, default=100)
+    p.add_argument("--rel-tol", type=float, default=1e-6)
+
+
+def _add_policy_args(p):
+    p.add_argument("--policy", choices=sorted(kind.value for kind in PolicyKind), default="eigengap")
+    p.add_argument("--tau", type=float, default=0.05,
+                   help="significance threshold for the ratio policy")
+
+
+def _estimate_k_args(p):
+    _add_data_args(p, "NONE")
+    _add_kernel_args(p)
+    _add_policy_args(p)
+
+
+def _cluster_args(p):
+    _add_data_args(p, "NONE")
+    _add_measure_args(p)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--seed", type=int, default=650)
+    _add_okm_args(p)
+    p.add_argument("--out", default="covering.csv", help="covering CSV path")
+
+
+def _experiment_args(p):
+    _add_data_args(p, "last")
+    _add_measure_args(p)
+    p.add_argument("--k", type=int, default=None,
+                   help="cluster count (estimated from the spectrum when omitted)")
+    p.add_argument("--restarts", type=int, default=10)
+    p.add_argument("--seed", type=int, default=650, help="base seed; run i uses seed+i")
+    _add_okm_args(p)
+    _add_policy_args(p)
+    p.add_argument("--format", choices=sorted(_RENDERERS), default="table")
+    p.add_argument("--jobs", type=int, default=1, help="parallel restarts")
+    p.add_argument("--out", default=None, help="write the report here instead of stdout")
+
+
+# Each subcommand, in help order: its help line, what adds its arguments, what runs it.
+_COMMANDS = {
+    "estimate-k": ("estimate the cluster count from the Gram spectrum", _estimate_k_args, cmd_estimate_k),
+    "cluster": ("run one overlapping clustering", _cluster_args, cmd_cluster),
+    "experiment": ("restart protocol with pair metrics", _experiment_args, cmd_experiment),
+}
+
+
+def build_parser(command=None):
+    """The okm parser; given a `command` of `_COMMANDS`, it holds that subcommand's parser alone."""
     # argparse would query the terminal for every formatter it builds, one per argument.
     formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(prog="okm", formatter_class=formatter,
                                      description="Overlapping k-means experiment harness")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_data_args(p, label_default):
-        p.add_argument("--data", required=True, help="CSV dataset path")
-        p.add_argument("--label-col", default=label_default,
-                       help="label column: last, NONE, or a 0-based index")
-        p.add_argument("--label-sep", default="|", metavar="CHAR",
-                       help="separator inside multi-label cells")
-
-    def add_kernel_args(p):
-        p.add_argument("--kernel", choices=sorted(kind.value for kind in KernelKind), default="rbf")
-        p.add_argument("--sigma", type=float, default=None,
-                       help="rbf bandwidth (default: median pairwise distance)")
-        p.add_argument("--degree", type=float, default=2.0, help="polynomial exponent")
-
-    def add_measure_args(p):
-        p.add_argument("--measure", choices=sorted(kind.value for kind in DissimilarityKind),
-                       default="euclidean")
-        add_kernel_args(p)
-
-    def add_okm_args(p):
-        p.add_argument("--max-iter", type=int, default=100)
-        p.add_argument("--rel-tol", type=float, default=1e-6)
-
-    def add_policy_args(p):
-        p.add_argument("--policy", choices=sorted(kind.value for kind in PolicyKind), default="eigengap")
-        p.add_argument("--tau", type=float, default=0.05,
-                       help="significance threshold for the ratio policy")
-
-    p_est = sub.add_parser("estimate-k", formatter_class=formatter,
-                           help="estimate the cluster count from the Gram spectrum")
-    add_data_args(p_est, "NONE")
-    add_kernel_args(p_est)
-    add_policy_args(p_est)
-    p_est.set_defaults(func=cmd_estimate_k)
-
-    p_clu = sub.add_parser("cluster", formatter_class=formatter,
-                           help="run one overlapping clustering")
-    add_data_args(p_clu, "NONE")
-    add_measure_args(p_clu)
-    p_clu.add_argument("--k", type=int, required=True)
-    p_clu.add_argument("--seed", type=int, default=650)
-    add_okm_args(p_clu)
-    p_clu.add_argument("--out", default="covering.csv", help="covering CSV path")
-    p_clu.set_defaults(func=cmd_cluster)
-
-    p_exp = sub.add_parser("experiment", formatter_class=formatter,
-                           help="restart protocol with pair metrics")
-    add_data_args(p_exp, "last")
-    add_measure_args(p_exp)
-    p_exp.add_argument("--k", type=int, default=None,
-                       help="cluster count (estimated from the spectrum when omitted)")
-    p_exp.add_argument("--restarts", type=int, default=10)
-    p_exp.add_argument("--seed", type=int, default=650, help="base seed; run i uses seed+i")
-    add_okm_args(p_exp)
-    add_policy_args(p_exp)
-    p_exp.add_argument("--format", choices=sorted(_RENDERERS), default="table")
-    p_exp.add_argument("--jobs", type=int, default=1, help="parallel restarts")
-    p_exp.add_argument("--out", default=None, help="write the report here instead of stdout")
-    p_exp.set_defaults(func=cmd_experiment)
+    # A one-command parser still names all three in the usage line of its "unrecognized
+    # arguments" error.  The full parser keeps argparse's own metavar, which its "required" and
+    # "invalid choice" errors word differently from an explicit one.
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else (command,):
+        help_line, add_args, func = _COMMANDS[name]
+        p = sub.add_parser(name, formatter_class=formatter, help=help_line)
+        add_args(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None):
     """Run one subcommand; the only place where an error becomes an exit code."""
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # Help, a missing or unknown command and an option first all need the whole tree.
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except NoConvergence as exc:

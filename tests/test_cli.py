@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import io
 import os
 import pathlib
 import shutil
@@ -11,7 +14,8 @@ import pytest
 
 import okmlib
 from okmlib import SyntheticSpec, generate_synthetic, load_csv, save_csv
-from okmlib.cli import main
+from okmlib import cli
+from okmlib.cli import build_parser, main
 from okmlib.linalg import membership_sets
 
 
@@ -818,3 +822,122 @@ def test_parser_queries_the_terminal_once_and_wraps_help_at_columns_minus_2(monk
         assert longest <= columns - 2, command
     # The longest help lines fill the width, so it is not a narrower one.
     assert longest > columns - 10
+
+
+# ------------------------------------------------------------ one-command parser
+
+COMMANDS = ["estimate-k", "cluster", "experiment"]
+
+
+def _outcome(argv):
+    """The exit code (a SystemExit's as ("exit", code)), stdout and stderr of `main(argv)`."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _full_parser_outcome(monkeypatch, argv):
+    """`_outcome(argv)` with every parser built as the whole three-command tree."""
+    with monkeypatch.context() as patched:
+        patched.setattr(cli, "build_parser", lambda command=None: build_parser())
+        return _outcome(argv)
+
+
+def test_golden_cli_cases_give_the_full_parsers_bytes(tmp_path, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    from test_golden import _load
+    recorder = _load("make_golden_cli")
+    recorder.write_inputs(tmp_path)
+    for name, argv, _ in recorder.cases():
+        argv = [arg.format(data=recorder.DATA_DIR, dir=tmp_path) for arg in argv]
+        assert _outcome(argv) == _full_parser_outcome(monkeypatch, argv), name
+
+
+def _iris(*flags):
+    from conftest import IRIS_PATH
+    return ["--data", str(IRIS_PATH), *flags]
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["-h", "estimate-k"], ["nope"],
+    *([command, "--help"] for command in COMMANDS),
+    ["estimate-k", "--bogus", "3"],
+    # Parsed by the subcommand, then refused with the top-level usage line.
+    ["estimate-k", "IRIS", "--bogus", "3"],
+    ["estimate-k"],
+    ["estimate-k", "IRIS", "--policy", "nope"],
+    ["cluster", "IRIS", "--k", "x"],
+], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_help_and_usage_errors_give_the_full_parsers_bytes(monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [flag for arg in argv for flag in (_iris() if arg == "IRIS" else [arg])]
+    got = _outcome(argv)
+    assert got == _full_parser_outcome(monkeypatch, argv)
+    assert got[0] in (("exit", 0), ("exit", 2))
+
+
+@pytest.mark.parametrize("argv, line", [
+    ([], "okm: error: the following arguments are required: command"),
+    (["nope"], "okm: error: argument command: invalid choice: "),
+], ids=["no-arguments", "unknown"])
+def test_top_level_errors_name_the_command_argument(capsys, argv, line):
+    # A subparsers metavar on the full parser would stand in these lines for "command".
+    with pytest.raises(SystemExit):
+        main(argv)
+    assert capsys.readouterr().err.splitlines()[1].startswith(line)
+
+
+@pytest.fixture()
+def subparsers_built(monkeypatch):
+    """The names `add_parser` is called with, in call order."""
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    return built
+
+
+@pytest.mark.parametrize("argv, built", [
+    *(([command, "--help"], [command]) for command in COMMANDS),
+    (["--help"], COMMANDS), ([], COMMANDS), (["nope"], COMMANDS), (["-h", "estimate-k"], COMMANDS),
+], ids=["estimate-k", "cluster", "experiment", "help", "no-arguments", "unknown", "option-first"])
+def test_main_builds_only_the_invoked_subcommands_parser(subparsers_built, capsys, argv, built):
+    with pytest.raises(SystemExit):
+        main(argv)
+    assert subparsers_built == built
+
+
+def test_a_run_builds_one_subparser_and_reads_sys_argv_without_an_argument(subparsers_built, monkeypatch,
+                                                                          capsys):
+    monkeypatch.setattr(sys, "argv", ["okm", "estimate-k", *_iris("--label-col", "last")])
+    assert main() == 0
+    assert capsys.readouterr().out.startswith("n = 150  kernel = rbf  ")
+    assert subparsers_built == ["estimate-k"]
+    subparsers_built.clear()
+    sub = build_parser()._subparsers._group_actions[0]
+    assert subparsers_built == list(sub.choices) == COMMANDS
+
+
+def test_estimate_k_writes_its_report_in_one_write(monkeypatch):
+    writes = []
+
+    class Recorder:
+        def write(self, text):
+            writes.append(text)
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(sys, "stdout", Recorder())
+    assert main(["estimate-k", *_iris("--label-col", "last")]) == 0
+    assert len(writes) == 1
+    # The two header lines and 20 eigenvalues under each of the two spectrum titles.
+    assert writes[0].count("\n") == 2 + 2 * 21
