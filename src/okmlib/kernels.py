@@ -6,7 +6,8 @@
 
 `kernel_rows` is the one batched core and `kernel_distance_rows` the one
 distance; `kernel_eval` and `kernel_distance_sq` are their checked
-one-pair wrappers.  Each inner product rounds like `np.dot` on its pair,
+one-pair wrappers.  Both reach the rbf kernel through `_rbf_rows`, which
+checks nothing.  Each inner product rounds like `np.dot` on its pair,
 whatever the layout of the inputs.
 """
 
@@ -72,8 +73,7 @@ def kernel_rows(spec: KernelSpec, X, Y) -> np.ndarray:
     """
     X, Y = check_rows(X, Y)
     if spec.kind == KernelKind.RBF:
-        d2 = row_sum((X - Y) ** 2)
-        return np.exp(-d2 / (spec.sigma * spec.sigma))
+        return _rbf_rows(spec, X, Y)
     # A matmul over strided (points-innermost) rows rounds differently.
     X = np.ascontiguousarray(X)
     Y = np.ascontiguousarray(Y)
@@ -92,8 +92,16 @@ def kernel_rows(spec: KernelSpec, X, Y) -> np.ndarray:
     return np.power(base, spec.degree)
 
 
+def _rbf_rows(spec: KernelSpec, X, Y) -> np.ndarray:
+    """`kernel_rows` for the rbf kernel on float rows that `check_rows` passes, unchecked.
+
+    d2 / -(sigma^2) has the bits of -d2 / sigma^2.
+    """
+    return np.exp(row_sum((X - Y) ** 2) / -(spec.sigma * spec.sigma))
+
+
 def kernel_distance_rows(spec: KernelSpec, X, Y, x_self=None, finite=False) -> np.ndarray:
-    """Kernel-induced squared distances of X against Y, row by row.
+    """Kernel-induced squared distances of X against Y, rows that `check_rows` passes.
 
     Clamped below at 0, since a fractional degree is not a Mercer kernel.
     `x_self`, if given, is K(x, x) of X's rows, shaped to broadcast as X
@@ -106,7 +114,7 @@ def kernel_distance_rows(spec: KernelSpec, X, Y, x_self=None, finite=False) -> n
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if spec.kind == KernelKind.RBF and (finite or np.isfinite(X).all() and np.isfinite(Y).all()):
-        d2 = (1.0 + 1.0) - 2.0 * kernel_rows(spec, X, Y)
+        d2 = (1.0 + 1.0) - 2.0 * _rbf_rows(spec, X, Y)
     else:
         # The C rows every inner product needs, copied once here rather than per `kernel_rows`.
         X = np.ascontiguousarray(X)
@@ -204,7 +212,7 @@ def gram(spec: KernelSpec, data) -> SymMatrix:
         x, y = values[start:stop, None, :], values[None, start:, :]
         if spec.kind == KernelKind.RBF:
             _squared_distances(x, y, rows)
-            # d2 / -(sigma^2) has the bits of kernel_rows' -d2 / sigma^2.
+            # `_rbf_rows`' d2 / -(sigma^2), in place.
             np.divide(rows, -(spec.sigma * spec.sigma), out=rows)
             np.exp(rows, out=rows)
         else:

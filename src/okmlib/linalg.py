@@ -23,8 +23,8 @@ def sequential_sum(values) -> float:
 
     The builtin `sum()` is compensated from Python 3.12 on.
     """
-    values = np.asarray(values, dtype=float)
-    return float(np.cumsum(values)[-1]) if values.size else 0.0
+    values = np.asarray(values, dtype=float).ravel()
+    return float(np.add.accumulate(values)[-1]) if values.size else 0.0
 
 
 def row_sum(a) -> np.ndarray:

@@ -40,14 +40,20 @@ or masked sums to match.  The (n, k) bool matrix is built once, for the
 
 `run_okm` checks the i-divergence's sign on the data once (prototypes
 start as data rows and the update clamps them at 0) and evaluates the
-data's K(x, x) under a polynomial or linear kernel once.  Per iteration:
-the update's |A_i| x_i and |A_i|^2.  The objective's per-point values
+data's K(x, x) under a polynomial or linear kernel once.  It builds the
+point ids and singleton codes (`_run_ids`) once, and holds the update's
+(p + 1, n) stack for the whole run.  Per update, the stack's rows are
+|A_i| x_i over a row of ones; each cluster gathers its members' columns,
+takes the other prototypes off the first p rows, divides by |A_i|^2, and
+one `np.add.accumulate` along the members gives the numerator and the
+denominator together, in member order.  The objective's per-point values
 serve the next assignment as the previous sets' dissimilarities.
 
 `assign_point`, `image`, `update_prototypes` and `objective` are the
 public, checked wrappers over the same functions, on masked sums.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -211,11 +217,20 @@ def image(assigned, prototypes) -> np.ndarray:
     return _images(_cluster_matrix([assigned], len(prototypes)).T, prototypes)[:, 0]
 
 
-def _assign(nearest, dist, table, previous=None, previous_dists=None) -> np.ndarray:
+def _run_ids(n, k):
+    """A run's point ids 0..n-1 and singleton codes 1 << c for clusters 0..k-1, read-only."""
+    ids = np.arange(n), 1 << np.arange(k)
+    for array in ids:
+        array.flags.writeable = False
+    return ids
+
+
+def _assign(nearest, dist, table, previous=None, previous_dists=None, ids=None) -> np.ndarray:
     """Greedy cluster sets of all points at once: codes given a `table`, else a (k, n) bool matrix.
 
-    `nearest` and `dist` are the prototypes' `_distance`.  Step t offers
-    every still-growing point its (t+1)-th nearest cluster (ties by id); a
+    `nearest` and `dist` are the prototypes' `_distance`, and `ids` the
+    run's `_run_ids`, made here when not given.  Step t offers every
+    still-growing point its (t+1)-th nearest cluster (ties by id); a
     point keeps growing while its image dissimilarity strictly improves.
     Sets of `previous` that strictly beat the greedy result are kept
     instead, given `previous_dists`, their dissimilarities to the images
@@ -224,12 +239,12 @@ def _assign(nearest, dist, table, previous=None, previous_dists=None) -> np.ndar
     dists = nearest()  # per-point state is (k, n): one row per rank or cluster
     k, n = dists.shape
     order = dists.argsort(axis=0, kind="stable")
-    growing = np.arange(n)
+    growing, singletons = _run_ids(n, k) if ids is None else ids
     best = dists[order[0], growing]  # a 1-set's image is its prototype
     # A point's set is always the first `size` clusters of its order; with a table, `code` is its
     # bits, and without, cluster c is in it when its place in the order, `rank[c]`, is below `size`.
     if table:
-        code = 1 << order[0]
+        code = singletons.take(order[0])
     else:
         size = np.ones(n, dtype=np.intp)
         rank = np.empty((k, n), dtype=np.intp)
@@ -237,7 +252,8 @@ def _assign(nearest, dist, table, previous=None, previous_dists=None) -> np.ndar
     for step in range(1, k):
         if not growing.size:
             break
-        candidate = code[growing] | 1 << order[step, growing] if table else rank[:, growing] <= step
+        candidate = (code[growing] | singletons.take(order[step].take(growing)) if table
+                     else rank[:, growing] <= step)
         tried = dist(growing, candidate)
         improved = tried < best[growing]
         growing = growing[improved]
@@ -271,35 +287,43 @@ def assign_point(x, prototypes, d: Dissimilarity, previous=None) -> frozenset:
     return frozenset(np.flatnonzero(chosen).tolist())
 
 
-def _update_prototypes(sets, prototypes, values, nonneg=False, sums=None):
+def _update_prototypes(sets, prototypes, values, nonneg=False, sums=None, stack=None):
     """The prototypes after one pass over the clusters in id order, freshest values first.
 
     `sets` are the points' codes given `sums`, the prototypes'
     `_subset_sums` table, and otherwise their (k, n) bool matrix; `sums`
-    is updated in place to the returned prototypes' table.
+    is updated in place to the returned prototypes' table.  `stack` is a
+    (p + 1, n) buffer whose last row is ones, held by a run for all its
+    updates; without it one is made.
     """
     new = prototypes.copy()
-    sizes = sets.sum(axis=0, dtype=float) if sums is None else _subset_sizes(len(new)).take(sets)
-    scaled = sizes * values.T
+    if stack is None:
+        stack = np.ones((values.shape[1] + 1, len(values)))
+    # Counted in floats: a bool reduction would cast in 16-element buffers (`run_okm`'s).
+    sizes = sets.astype(float).sum(axis=0) if sums is None else _subset_sizes(len(new)).take(sets)
+    np.multiply(sizes, values.T, out=stack[:-1])  # |A_i| x_i over a row of ones
     squares = sizes * sizes
     for c in range(len(new)):
-        members = (sets[c] if sums is None else sets & 1 << c).nonzero()[0]
+        bit = 1 << c
+        members = (sets[c] if sums is None else sets & bit).nonzero()[0]
         if not members.size:
             continue
         # Each member's other prototypes, freshest values, in cluster-id order: (p, m).
         if sums is not None:
-            others = sums.take(sets[members] & ~(1 << c), axis=1)
+            others = sums.take(sets.take(members) & ~bit, axis=1)
         else:
             others = sets.take(members, axis=1)
             others[c] = False
             others = _masked_sums(others, new)
-        # Members are added one after another, in index order, as the reference does.
-        square = squares.take(members)
-        num = ((scaled.take(members, axis=1) - others) / square).cumsum(axis=1)[:, -1]
-        moved = num / (1.0 / square).cumsum()[-1]
+        # The terms (|A_i| x_i - others) / |A_i|^2 over 1 / |A_i|^2, the members added one after
+        # another, in index order, as the reference does: the last column holds num over den.
+        terms = stack.take(members, axis=1)
+        terms[:-1] -= others
+        terms /= squares.take(members)
+        total = np.add.accumulate(terms, axis=1)[:, -1]
+        moved = np.divide(total[:-1], total[-1], out=new[c])
         if nonneg:
-            moved = np.maximum(moved, 0.0)
-        new[c] = moved
+            np.maximum(moved, 0.0, out=moved)
         if sums is not None:
             _subset_sums(new, sums, first=c)
     return new
@@ -334,7 +358,8 @@ def _self_kernel(d: Dissimilarity, values):
     return kernel_rows(d.kernel, rows, rows)
 
 
-def _distance(d: Dissimilarity, values, prototypes, x_self=None, sums=None, all_subsets=False):
+def _distance(d: Dissimilarity, values, prototypes, x_self=None, sums=None, all_subsets=False,
+              ids=None):
     """`nearest, dist`: how far the data rows `values` are from the images of `prototypes`.
 
     `nearest()` gives each point's distance to each prototype as the C
@@ -343,7 +368,8 @@ def _distance(d: Dissimilarity, values, prototypes, x_self=None, sums=None, all_
     point `values[at]`'s distance to the image of its set in `sets`; `at`
     is a slice or an index array.  Values are `unchecked_dissim_rows`:
     the caller has checked the signs.  `x_self`, the rows' K(x, x)
-    (`_self_kernel`), is read at `at` too.  There are three image paths:
+    (`_self_kernel`), is read at `at` too, and `ids` are the run's
+    `_run_ids`, made here when not given.  There are three image paths:
 
       * the subset table (`_uses_table`): `sums` is the prototypes'
         `_subset_sums` and `sets` are codes, read from one image table,
@@ -387,9 +413,9 @@ def _distance(d: Dissimilarity, values, prototypes, x_self=None, sums=None, all_
         every = against(np.s_[:, None], np.ascontiguousarray(image_table.T)[None])
     except DomainError:
         return nearest, dist
-    point_ids = np.arange(len(values))
-    return (lambda: every.take(1 << np.arange(k), axis=1).T,
-            lambda at, sets: every[point_ids[at], sets])
+    point_ids, singletons = _run_ids(len(values), k) if ids is None else ids
+    return (lambda: every.take(singletons, axis=1).T,
+            lambda at, sets: every[at if isinstance(at, np.ndarray) else point_ids[at], sets])
 
 
 def objective(cov: Covering, d: Dissimilarity, data) -> float:
@@ -425,21 +451,23 @@ def run_okm(data, config: OkmConfig, on_iteration=None) -> Covering:
     sums = _subset_sums(prototypes) if table else None
     all_subsets = table and _uses_subset_dists(n, config.k, values.shape[1])
     x_self = _self_kernel(d, values)
-    nearest, dist = _distance(d, values, prototypes, x_self, sums, all_subsets)
+    ids = _run_ids(n, config.k)
+    stack = np.ones((values.shape[1] + 1, n))  # the update's rows, over a row of ones
+    nearest, dist = _distance(d, values, prototypes, x_self, sums, all_subsets, ids)
 
     sets = point_values = None
     current_j = None
     iterations = 0
     for _ in range(config.max_iter):
-        new_sets = _assign(nearest, dist, table, sets, point_values)
-        new_prototypes = _update_prototypes(new_sets, prototypes, values, nonneg, sums)
-        nearest, dist = _distance(d, values, new_prototypes, x_self, sums, all_subsets)
+        new_sets = _assign(nearest, dist, table, sets, point_values, ids)
+        new_prototypes = _update_prototypes(new_sets, prototypes, values, nonneg, sums, stack)
+        nearest, dist = _distance(d, values, new_prototypes, x_self, sums, all_subsets, ids)
         new_j, new_point_values = _objective(new_sets, dist)
-        if not np.isfinite(new_j):
+        if not math.isfinite(new_j):
             raise DomainError(f"J is {new_j}: the data overflow this measure")
         if current_j is not None and new_j > current_j:
             break  # safeguard: keep the previous (better) state
-        unchanged = sets is not None and np.array_equal(new_sets, sets)
+        unchanged = sets is not None and bool((new_sets == sets).all())
         improvement = None if current_j is None else (current_j - new_j) / max(current_j, _REL_TOL_GUARD)
         sets, prototypes, current_j = new_sets, new_prototypes, new_j
         point_values = new_point_values
@@ -449,5 +477,5 @@ def run_okm(data, config: OkmConfig, on_iteration=None) -> Covering:
         if unchanged or (improvement is not None and improvement < config.rel_tol):
             break
 
-    sets = (sets[:, None] & 1 << np.arange(config.k)) != 0 if table else sets.T
+    sets = (sets[:, None] & ids[1]) != 0 if table else sets.T
     return Covering(memberships=sets, prototypes=prototypes, objective=current_j, n_iter=iterations)

@@ -1,3 +1,5 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,8 @@ from okmlib import (
     jacobi_eigen,
     sorted_eigenvalues,
 )
-from okmlib.linalg import distinct_rows, membership_matrix, membership_sets, row_sum, sequential_sum
+from okmlib.linalg import (distinct_rows, membership_matrix, membership_sets, row_sum, sequential_sum,
+                           unbuffered)
 
 
 def test_symmatrix_rejects_asymmetry():
@@ -266,6 +269,37 @@ def _layouts(a):
     if a.ndim == 3:
         yield np.moveaxis(np.ascontiguousarray(np.moveaxis(a, 0, -1)), -1, 0)
         yield np.moveaxis(np.ascontiguousarray(a.transpose(2, 1, 0)), (0, 2), (2, 0))
+
+
+def test_accumulate_along_the_members_of_a_stacked_update_adds_left_to_right():
+    # OKM's update adds each cluster's member terms, p coordinate rows over a
+    # row of weights, with one np.add.accumulate along the columns of a C
+    # (p + 1, m) array.  Its last column must be each row added left to
+    # right, under the 16-element buffers run_okm runs with and under
+    # numpy's default ones; a pairwise or lane-wise sum would fail.
+    rng = np.random.default_rng(42)
+    for rows in (2, 9, 130):
+        for m in (1, 7, 9, 1000):
+            terms = _spread(rng, (rows, m))
+            expected = []
+            for row in terms.tolist():
+                total = row[0]
+                for term in row[1:]:
+                    total += term
+                expected.append(total)
+            for buffers in (unbuffered(), _default_buffers()):
+                with buffers:
+                    got = np.add.accumulate(terms, axis=1)[:, -1]
+                assert np.array_equal(_bits(got), _bits(expected)), (rows, m)
+
+
+@contextmanager
+def _default_buffers():
+    old = np.setbufsize(8192)
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
 
 
 def test_row_sum_is_numpys_row_sum_bit_for_bit():
