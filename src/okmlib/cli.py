@@ -31,10 +31,10 @@ from dataclasses import replace
 import numpy as np
 
 from .dataio import _atomic_write, load_csv, save_covering_csv
-from .divergences import Dissimilarity, DissimilarityKind, dissim_rows
+from .divergences import Dissimilarity, DissimilarityKind
 from .errors import DomainError, InsufficientData, InvalidSpec, NegativeInput, NoConvergence
 from .evaluation import pair_metrics
-from .kernels import KernelKind, KernelSpec, gram
+from .kernels import KernelKind, KernelSpec, _block_temporaries, _squared_distances, gram
 from .linalg import row_blocks, sequential_sum, unbuffered
 from .model_selection import PolicyKind, SignificancePolicy
 # The commands hand over the Gram they built, which is centered in place.  The name stays
@@ -43,8 +43,6 @@ from .model_selection import _estimate_k_in_place as estimate_k
 from .okm import OkmConfig, run_okm
 
 SPECTRUM_PRINT_LIMIT = 20
-
-_SQUARED_EUCLIDEAN = Dissimilarity(DissimilarityKind.SQUARED_EUCLIDEAN)
 
 
 class PathError(Exception):
@@ -58,16 +56,18 @@ class MissingLabels(Exception):
 @unbuffered()
 @np.errstate(over="ignore")  # an overflowing distance is inf, and an inf median is rejected
 def _median_heuristic_sigma(values):
-    # Median of the nonzero pairwise distances, a serviceable default bandwidth.  Row
-    # blocks bound the (rows, n, p) difference temporary; the n(n-1)/2 distances are kept in
-    # one array, which the median then partitions in place.
+    # Median of the nonzero pairwise distances, a serviceable default bandwidth.  A row block
+    # holds the rbf Gram's squared distances, their temporaries and their upper triangle; the
+    # n(n-1)/2 distances are kept in one array, which the median then partitions in place.
     n, p = values.shape
     if n < 2:
         return 1.0
     dist = np.empty(n * (n - 1) // 2)
     filled = 0
-    for start, stop in row_blocks(n - 1, n * p):
-        d2 = dissim_rows(_SQUARED_EUCLIDEAN, values[start:stop, None, :], values[None, start:, :])
+    temporaries = _block_temporaries(KernelSpec(KernelKind.RBF), p) + 2
+    for start, stop in row_blocks(n - 1, n * temporaries):
+        d2 = np.empty((stop - start, n - start))
+        _squared_distances(values[start:stop, None, :], values[None, start:, :], d2)
         upper = d2[np.arange(start, n)[None, :] > np.arange(start, stop)[:, None]]
         np.sqrt(upper, out=dist[filled:filled + upper.size])
         filled += upper.size

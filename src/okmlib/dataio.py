@@ -294,14 +294,10 @@ def _load_clean(handle, label_column, label_separator):
         values[0] = first_values
     for j, c in enumerate(feature_idx):
         values[head:, j] = body[str(c)]
-    if not np.isfinite(values).all():
-        return None
     labels = None
     if label_idx is not None:
         column = [first[label_idx]] * head + body[str(label_idx)].tolist()
         split = _split_label_cells(column, label_separator)
-        if not all(split.values()):
-            return None
         labels = LabeledCovering(tuple(split[cell] for cell in column))
     return DataMatrix(values=values, labels=labels)
 

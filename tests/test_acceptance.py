@@ -4,15 +4,12 @@ PASS/FAIL line per criterion.
 """
 
 import math
-import os
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
-import okmlib
 from okmlib import (
     Dissimilarity,
     DissimilarityKind,
@@ -238,19 +235,15 @@ def test_criterion_8_synthetic_overlap_recovery():
            f"wins={wins}/10 scores={[f'{s:.3f}' for s in scores]}")
 
 
-def _run_cli(args, cwd):
-    # The CLI runs in `cwd`, where a relative PYTHONPATH entry (such as
-    # `src`) no longer resolves, so put the package root in front.
-    env = os.environ.copy()
-    package_root = str(Path(okmlib.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "okmlib.cli", *args],
+def _run_cli(args, cwd, env):
+    # A numpy RuntimeWarning fails the child, as warnings fail the tests in-process.
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "okmlib.cli", *args],
                           capture_output=True, cwd=cwd, env=env)
     assert proc.returncode == 0, proc.stderr.decode()
     return proc.stdout
 
 
-def test_criterion_9_cli_determinism(tmp_path):
+def test_criterion_9_cli_determinism(tmp_path, child_env):
     data = generate_synthetic(SyntheticSpec(k=2, points_per_cluster=8,
                                             overlap_pairs=((0, 1, 3),),
                                             center_separation=12.0, noise_scale=1.0,
@@ -269,9 +262,9 @@ def test_criterion_9_cli_determinism(tmp_path):
     ]
     identical = True
     for args in invocations:
-        first = _run_cli(args, tmp_path)
+        first = _run_cli(args, tmp_path, child_env)
         file_first = (tmp_path / "covering.csv").read_bytes() if "cluster" == args[0] else None
-        second = _run_cli(args, tmp_path)
+        second = _run_cli(args, tmp_path, child_env)
         file_second = (tmp_path / "covering.csv").read_bytes() if "cluster" == args[0] else None
         identical = identical and first == second and file_first == file_second
     report("9 repeated cli invocations are byte-identical", identical,

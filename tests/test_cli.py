@@ -2,7 +2,6 @@ import argparse
 import contextlib
 import io
 import os
-import pathlib
 import shutil
 import stat
 import subprocess
@@ -12,7 +11,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import okmlib
 from okmlib import SyntheticSpec, generate_synthetic, load_csv, save_csv
 from okmlib import cli
 from okmlib.cli import build_parser, main
@@ -96,11 +94,14 @@ def test_cluster_k_larger_than_n_exits_4(pairs_csv, tmp_path, capsys):
 
 
 def test_cluster_k1_puts_everything_together(pairs_csv, tmp_path):
-    out_path = tmp_path / "one.csv"
-    assert main(["cluster", "--data", str(pairs_csv), "--label-col", "last",
-                 "--k", "1", "--out", str(out_path)]) == 0
-    lines = out_path.read_text().splitlines()[1:]
-    assert all(line.endswith(",1") for line in lines)
+    from conftest import IRIS_PATH
+
+    for path, n in ((pairs_csv, 4), (IRIS_PATH, 150)):
+        out_path = tmp_path / "one.csv"
+        assert main(["cluster", "--data", str(path), "--label-col", "last",
+                     "--k", "1", "--out", str(out_path)]) == 0
+        lines = out_path.read_text().splitlines()[1:]
+        assert len(lines) == n and all(line.endswith(",1") for line in lines)
 
 
 def test_experiment_requires_labels(blobs_csv, capsys):
@@ -201,7 +202,7 @@ def test_experiment_jobs_flag_gives_identical_report(pairs_csv, tmp_path, monkey
     assert serial == parallel and serial.count("\nrun,") == 4
 
 
-def test_a_serial_experiment_never_imports_the_process_pool(pairs_csv):
+def test_a_serial_experiment_never_imports_the_process_pool(pairs_csv, child_env):
     # A fresh interpreter, since this one may have loaded the pool already.  Nor does the
     # load import gzip, as numpy's loadtxt does when it is given a path, not an open file.
     script = (
@@ -212,10 +213,8 @@ def test_a_serial_experiment_never_imports_the_process_pool(pairs_csv):
         "print(code, *sorted(m for m in sys.modules\n"
         "                    if m.partition('.')[0] in ('concurrent', 'multiprocessing', 'gzip')))\n"
     )
-    path = os.pathsep.join(filter(None, [str(pathlib.Path(okmlib.__file__).parent.parent),
-                                         os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
-                          capture_output=True, text=True, timeout=60)
+    done = subprocess.run([sys.executable, "-c", script], env=child_env, capture_output=True,
+                          text=True, timeout=60)
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout.splitlines()[0] == "kind,seed,objective,precision,recall,f_measure"
     assert done.stdout.splitlines()[-1] == "0"
@@ -425,6 +424,7 @@ def bad_inputs(tmp_path):
         "negative.csv": "-2.0,a\n-1.0,a\n2.0,b\n3.0,b\n",
         "unlabeled.csv": "0.0,5.0\n1.0,5.0\n10.0,5.0\n11.0,5.0\n",
         "one.csv": "1.0,2.0,a\n",
+        "empty.csv": "",
         "labels.csv": "a\nb\n",
         "huge.csv": "1e200,a\n-1e200,a\n3e200,b\n0.0,b\n",
         # K(x, x) overflows under the linear and polynomial kernels.
@@ -455,6 +455,9 @@ EXIT_PATHS = [
     pytest.param(["estimate-k", "--data", "{dir}/missing.csv"], None, 2,
                  "error: cannot load {dir}/missing.csv: [Errno 2] No such file or directory: "
                  "'{dir}/missing.csv'", id="load-missing-file"),
+    pytest.param(["experiment", "--data", "{dir}/empty.csv"], None, 2,
+                 "error: cannot load {dir}/empty.csv: no rows in {dir}/empty.csv",
+                 id="load-empty-file"),
     pytest.param(["estimate-k", "--data", "{dir}/ragged.csv"], None, 2,
                  "error: cannot load {dir}/ragged.csv: row 1 has 1 cells, expected 2",
                  id="load-ragged-rows"),
@@ -719,6 +722,37 @@ def test_estimate_k_centers_the_gram_it_built_in_place(tmp_path, monkeypatch, ca
     assert capsys.readouterr().out.startswith("n = 600  kernel = rbf  sigma = 2  policy = eigengap\n")
     n = 600
     assert peak <= 1.25 * 8 * n * n, peak / (8 * n * n)
+
+
+# Each child's own peak RSS comes from wait4: RUSAGE_CHILDREN gives the largest of every child
+# reaped.  Linux also counts in a child's ru_maxrss the high-water mark of the process that
+# started it, so a launcher that imports no numpy starts both, not this test process.
+PEAK_RSS_ABOVE_THE_IMPORT = """\
+import os, subprocess, sys
+def peak_rss(*args):
+    proc = subprocess.Popen([sys.executable, "-W", "error::RuntimeWarning", *args],
+                            stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0, args
+    return usage.ru_maxrss * 1024
+base = peak_rss("-c", "import okmlib.cli")
+print(peak_rss("-m", "okmlib.cli", *sys.argv[1:]) - base)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+def test_estimate_k_without_sigma_peaks_under_2_6_n_squared_doubles(tmp_path, child_env):
+    # The whole process, LAPACK included, at n = 2 000: the median sigma, then the Gram,
+    # centered in place.
+    n, path = 2000, tmp_path / "synthetic-2000.csv"
+    save_csv(generate_synthetic(SyntheticSpec(k=4, points_per_cluster=n // 4, dimension=8, seed=1)), path)
+    done = subprocess.run([sys.executable, "-c", PEAK_RSS_ABOVE_THE_IMPORT, "estimate-k", "--data",
+                           str(path), "--label-col", "last"], env=child_env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    ratio = int(done.stdout) / (8 * n * n)
+    assert ratio < 2.6, ratio
 
 
 # The exact report of `experiment --data pairs.csv --k 2 --restarts 3 --seed 9`.  The data

@@ -420,6 +420,17 @@ def test_load_csv_matches_the_cell_by_cell_parse_on_random_grids(tmp_path, monke
     assert sum(by_numpy) >= 50, sum(by_numpy)  # so is numpy's reader
 
 
+@pytest.mark.parametrize("end", LINE_ENDS, ids=["crlf", "lf", "cr"])
+def test_iris_with_every_label_quoted_loads_the_same(tmp_path, iris, end):
+    from conftest import IRIS_PATH
+
+    rows = [line.rsplit(",", 1) for line in IRIS_PATH.read_text().splitlines() if line]
+    path = write(tmp_path, "".join(f'{head},"{label}"{end}' for head, label in rows))
+    data = load_csv(path, label_column="last")
+    assert data.values.tobytes() == iris.values.tobytes()
+    assert data.labels.label_sets == iris.labels.label_sets
+
+
 def test_a_clean_file_calls_float_on_its_first_row_only(tmp_path, monkeypatch):
     import builtins
 
