@@ -28,14 +28,12 @@ import sys
 from contextlib import contextmanager
 from dataclasses import replace
 
-import numpy as np
-
 from .dataio import _atomic_write, load_csv, save_covering_csv
 from .divergences import Dissimilarity, DissimilarityKind
 from .errors import DomainError, InsufficientData, InvalidSpec, NegativeInput, NoConvergence
 from .evaluation import pair_metrics
-from .kernels import KernelKind, KernelSpec, _block_temporaries, _squared_distances, gram
-from .linalg import row_blocks, sequential_sum, unbuffered
+from .kernels import KernelKind, KernelSpec, gram, median_sigma
+from .linalg import sequential_sum
 from .model_selection import PolicyKind, SignificancePolicy
 # The commands hand over the Gram they built, which is centered in place.  The name stays
 # `estimate_k`, the layer the benchmark times by replacing it here.
@@ -53,31 +51,6 @@ class MissingLabels(Exception):
     """The dataset of an experiment has no ground-truth label column."""
 
 
-@unbuffered()
-@np.errstate(over="ignore")  # an overflowing distance is inf, and an inf median is rejected
-def _median_heuristic_sigma(values):
-    # Median of the nonzero pairwise distances, a serviceable default bandwidth.  A row block
-    # holds the rbf Gram's squared distances, their temporaries and their upper triangle; the
-    # n(n-1)/2 distances are kept in one array, which the median then partitions in place.
-    n, p = values.shape
-    if n < 2:
-        return 1.0
-    dist = np.empty(n * (n - 1) // 2)
-    filled = 0
-    temporaries = _block_temporaries(KernelSpec(KernelKind.RBF), p) + 2
-    for start, stop in row_blocks(n - 1, n * temporaries):
-        d2 = np.empty((stop - start, n - start))
-        _squared_distances(values[start:stop, None, :], values[None, start:, :], d2)
-        upper = d2[np.arange(start, n)[None, :] > np.arange(start, stop)[:, None]]
-        np.sqrt(upper, out=dist[filled:filled + upper.size])
-        filled += upper.size
-    dist = dist[dist > 0]
-    sigma = float(np.median(dist, overwrite_input=True)) if dist.size else 1.0
-    if not np.isfinite(sigma):
-        raise DomainError(f"median sigma is {sigma}: the pairwise distances overflow")
-    return sigma
-
-
 def _parse_label_col(text):
     if text is None or text.upper() == "NONE":
         return None
@@ -89,17 +62,17 @@ def _parse_label_col(text):
         raise InvalidSpec(f"--label-col must be last, NONE or a 0-based index, got {text!r}") from None
 
 
-def _kernel_spec(kind, args, values):
+def _kernel_spec(kind, args, data):
     sigma = args.sigma
     if sigma is None:
-        sigma = _median_heuristic_sigma(values) if kind == KernelKind.RBF else 1.0
+        sigma = median_sigma(data) if kind == KernelKind.RBF else 1.0
     return KernelSpec(kind=kind, sigma=sigma, degree=args.degree)
 
 
-def _dissimilarity(args, values):
+def _dissimilarity(args, data):
     kind = DissimilarityKind(args.measure)
     if kind == DissimilarityKind.KERNEL_INDUCED:
-        return Dissimilarity(kind=kind, kernel=_kernel_spec(KernelKind(args.kernel), args, values))
+        return Dissimilarity(kind=kind, kernel=_kernel_spec(KernelKind(args.kernel), args, data))
     return Dissimilarity(kind=kind)
 
 
@@ -155,7 +128,7 @@ def _spectrum_lines(title, values):
 def cmd_estimate_k(args):
     data = _load(args)
     policy = SignificancePolicy(kind=PolicyKind(args.policy), tau=args.tau)
-    spec = _kernel_spec(KernelKind(args.kernel), args, data.values)
+    spec = _kernel_spec(KernelKind(args.kernel), args, data)
     report = estimate_k(gram(spec, data), policy)
 
     param = _kernel_param(spec)
@@ -173,7 +146,7 @@ def cmd_estimate_k(args):
 
 def cmd_cluster(args):
     data = _load(args)
-    measure = _dissimilarity(args, data.values)
+    measure = _dissimilarity(args, data)
     config = OkmConfig(k=args.k, dissimilarity=measure, max_iter=args.max_iter,
                        rel_tol=args.rel_tol, seed=args.seed)
     covering = run_okm(data, config)
@@ -285,10 +258,10 @@ _RENDERERS = {"csv": _render_csv, "json": _render_json, "table": _render_table}
 def cmd_experiment(args):
     data = _load(args)
     _require_labels(data)
-    measure = _dissimilarity(args, data.values)
+    measure = _dissimilarity(args, data)
     estimation_kernel = measure.kernel  # None unless the measure is kernel-induced
     if args.k is None and estimation_kernel is None:
-        estimation_kernel = _kernel_spec(KernelKind.RBF, args, data.values)
+        estimation_kernel = _kernel_spec(KernelKind.RBF, args, data)
     policy = SignificancePolicy(kind=PolicyKind(args.policy), tau=args.tau)
     _check_counts(args.restarts, args.jobs)
     k, estimate = args.k, None

@@ -8,7 +8,8 @@
 distance; `kernel_eval` and `kernel_distance_sq` are their checked
 one-pair wrappers.  Both reach the rbf kernel through `_rbf_rows`, which
 checks nothing.  Each inner product rounds like `np.dot` on its pair,
-whatever the layout of the inputs.
+whatever the layout of the inputs.  `median_sigma`, the default rbf
+bandwidth, adds its squared distances in `gram`'s row blocks.
 """
 
 import enum
@@ -221,6 +222,35 @@ def gram(spec: KernelSpec, data) -> SymMatrix:
                 raise DomainError("Gram matrix is not finite: the data overflow this kernel")
         k[stop:, start:stop] = rows[:, stop - start:].T
     return SymMatrix._trusted(k)
+
+
+@unbuffered()
+@np.errstate(over="ignore")  # an overflowing distance is inf, and an inf median is rejected
+def median_sigma(data) -> float:
+    """The median nonzero distance between a DataMatrix's or an (n, p) array's rows, else 1.0.
+
+    A row block holds the rbf Gram's squared distances, their temporaries
+    and their upper triangle; the n(n-1)/2 distances are kept in one
+    array, which the median then partitions in place.
+    """
+    values = data_values(data)
+    n, p = values.shape
+    if n < 2:
+        return 1.0
+    dist = np.empty(n * (n - 1) // 2)
+    filled = 0
+    temporaries = _block_temporaries(KernelSpec(KernelKind.RBF), p) + 2
+    for start, stop in row_blocks(n - 1, n * temporaries):
+        d2 = np.empty((stop - start, n - start))
+        _squared_distances(values[start:stop, None, :], values[None, start:, :], d2)
+        upper = d2[np.arange(start, n)[None, :] > np.arange(start, stop)[:, None]]
+        np.sqrt(upper, out=dist[filled:filled + upper.size])
+        filled += upper.size
+    dist = dist[dist > 0]
+    sigma = float(np.median(dist, overwrite_input=True)) if dist.size else 1.0
+    if not np.isfinite(sigma):
+        raise DomainError(f"median sigma is {sigma}: the pairwise distances overflow")
+    return sigma
 
 
 def kernel_distance_sq(spec: KernelSpec, x, y) -> float:

@@ -65,11 +65,11 @@ def unbuffered():
     numpy 2.4 copies a broadcast or strided operand through a buffer of up
     to 8192 elements (64 KB), which float64 operands in memory do not
     need.  Four functions run under it: `kernels.gram`,
-    `model_selection._centered`, `okm.run_okm` and
-    `cli._median_heuristic_sigma`.  Reductions over a contiguous axis
-    round the same, so each gives the bits of its reference expression,
-    or of its undecorated function, run under the default buffers; tests
-    compare them.
+    `kernels.median_sigma`, `model_selection._centered` and
+    `okm.run_okm`.  Reductions over a contiguous axis round the same, so
+    each gives the bits of its reference expression, or of its
+    undecorated function, run under the default buffers; tests compare
+    them.
     """
     old = np.setbufsize(16)
     try:

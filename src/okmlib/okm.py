@@ -34,14 +34,14 @@ point-by-point evaluation.  `run_okm` picks one of three image paths per
 run, and `_distance`, which builds each prototype set's distances, is
 the one place that tells them apart.  A point's cluster set is an
 integer code, bit c set for cluster c, on the subset table's paths, and
-a column of a (k, n) bool matrix otherwise; the update reads the table
-or masked sums to match.  The (n, k) bool matrix is built once, for the
-`Covering`.
+a row of an (n, k) bool matrix, the `Covering`'s layout, otherwise; the
+update reads the table or masked sums to match.  The greedy assignment
+grows both forms alike, by or-ing in the run's singletons.
 
 `run_okm` checks the i-divergence's sign on the data once (prototypes
 start as data rows and the update clamps them at 0) and evaluates the
 data's K(x, x) under a polynomial or linear kernel once.  It builds the
-point ids and singleton codes (`_run_ids`) once, and holds the update's
+point ids and singleton sets (`_run_ids`) once, and holds the update's
 (p + 1, n) stack for the whole run.  Per update, the stack's rows are
 |A_i| x_i over a row of ones; each cluster gathers its members' columns,
 takes the other prototypes off the first p rows, divides by |A_i|^2, and
@@ -188,82 +188,75 @@ def _subset_sizes(k) -> np.ndarray:
     return sizes
 
 
-def _masked_sums(clusters, prototypes) -> np.ndarray:
+def _masked_sums(sets, prototypes) -> np.ndarray:
     """Each point's prototypes added in cluster-id order, from +0.0: (p, n).
 
-    `clusters` is a (k, n) bool matrix, row c marking cluster c's points.
+    `sets` is an (n, k) bool matrix, column c marking cluster c's points.
     """
-    total = np.zeros((prototypes.shape[1], clusters.shape[1]))
-    for cluster, prototype in zip(clusters, prototypes[:, :, None]):
+    total = np.zeros((prototypes.shape[1], len(sets)))
+    for cluster, prototype in zip(sets.T, prototypes[:, :, None]):
         np.add(total, prototype, out=total, where=cluster)
     return total
 
 
-def _images(clusters, prototypes) -> np.ndarray:
-    """Each point's image, its `_masked_sums` over |A|: (p, n) for a (k, n) bool `clusters`.
+def _images(sets, prototypes) -> np.ndarray:
+    """Each point's image, its `_masked_sums` over |A|: (p, n) for an (n, k) bool `sets`.
 
     |A| is added up with the sums, as a column of ones on the prototypes:
     a bool reduction would cast in 16-element buffers (`run_okm`'s).
     """
     counted = np.ones((len(prototypes), prototypes.shape[1] + 1))
     counted[:, :-1] = prototypes
-    total = _masked_sums(clusters, counted)
+    total = _masked_sums(sets, counted)
     return total[:-1] / total[-1]
 
 
 def image(assigned, prototypes) -> np.ndarray:
     """Mean of the prototypes of the clusters in `assigned`."""
     prototypes = np.asarray(prototypes, dtype=float)
-    return _images(_cluster_matrix([assigned], len(prototypes)).T, prototypes)[:, 0]
+    return _images(_cluster_matrix([assigned], len(prototypes)), prototypes)[:, 0]
 
 
 def _run_ids(n, k):
-    """A run's point ids 0..n-1 and singleton codes 1 << c for clusters 0..k-1, read-only."""
-    ids = np.arange(n), 1 << np.arange(k)
+    """A run's point ids 0..n-1 and singletons: codes 1 << c given `_uses_table`, else eye rows."""
+    singletons = 1 << np.arange(k) if _uses_table(n, k) else np.eye(k, dtype=bool)
+    ids = np.arange(n), singletons
     for array in ids:
         array.flags.writeable = False
     return ids
 
 
-def _assign(nearest, dist, table, previous=None, previous_dists=None, ids=None) -> np.ndarray:
-    """Greedy cluster sets of all points at once: codes given a `table`, else a (k, n) bool matrix.
+def _assign(nearest, dist, previous=None, previous_dists=None, ids=None) -> np.ndarray:
+    """Greedy cluster sets of all points at once, in the form of the run's singletons.
 
     `nearest` and `dist` are the prototypes' `_distance`, and `ids` the
-    run's `_run_ids`, made here when not given.  Step t offers every
+    run's `_run_ids`, made here when not given; the sets are codes or
+    (n, k) bool rows as its singletons are.  Step t offers every
     still-growing point its (t+1)-th nearest cluster (ties by id); a
     point keeps growing while its image dissimilarity strictly improves.
     Sets of `previous` that strictly beat the greedy result are kept
     instead, given `previous_dists`, their dissimilarities to the images
     of `previous` at these prototypes.
     """
-    dists = nearest()  # per-point state is (k, n): one row per rank or cluster
+    dists = nearest()  # (k, n): one row per cluster
     k, n = dists.shape
     order = dists.argsort(axis=0, kind="stable")
     growing, singletons = _run_ids(n, k) if ids is None else ids
     best = dists[order[0], growing]  # a 1-set's image is its prototype
-    # A point's set is always the first `size` clusters of its order; with a table, `code` is its
-    # bits, and without, cluster c is in it when its place in the order, `rank[c]`, is below `size`.
-    if table:
-        code = singletons.take(order[0])
-    else:
-        size = np.ones(n, dtype=np.intp)
-        rank = np.empty((k, n), dtype=np.intp)
-        rank[order, growing] = np.arange(k)[:, None]
+    chosen = singletons.take(order[0], axis=0)
     for step in range(1, k):
         if not growing.size:
             break
-        candidate = (code[growing] | singletons.take(order[step].take(growing)) if table
-                     else rank[:, growing] <= step)
+        candidate = chosen[growing] | singletons.take(order[step].take(growing), axis=0)
         tried = dist(growing, candidate)
         improved = tried < best[growing]
         growing = growing[improved]
-        if table:
-            code[growing] = candidate[improved]
-        else:
-            size[growing] = step + 1
+        chosen[growing] = candidate[improved]
         best[growing] = tried[improved]
-    chosen = code if table else rank < size
-    return chosen if previous is None else np.where(previous_dists < best, previous, chosen)
+    if previous is not None:
+        kept = previous_dists < best
+        chosen[kept] = previous[kept]
+    return chosen
 
 
 def assign_point(x, prototypes, d: Dissimilarity, previous=None) -> frozenset:
@@ -279,11 +272,11 @@ def assign_point(x, prototypes, d: Dissimilarity, previous=None) -> frozenset:
     if x.ndim != 1 or prototypes.ndim != 2 or x.shape[0] != prototypes.shape[1]:
         raise DimensionMismatch(f"incompatible shapes: point {x.shape}, prototypes {prototypes.shape}")
     if previous is not None:
-        previous = _cluster_matrix([previous], len(prototypes)).T
+        previous = _cluster_matrix([previous], len(prototypes))
     check_domain(d, x, prototypes)  # the images are means of the prototypes
     nearest, dist = _distance(d, x[None, :], prototypes)
     previous_dists = None if previous is None else _objective(previous, dist)[1]
-    chosen = _assign(nearest, dist, False, previous, previous_dists)[:, 0]
+    chosen = _assign(nearest, dist, previous, previous_dists)[0]
     return frozenset(np.flatnonzero(chosen).tolist())
 
 
@@ -291,7 +284,7 @@ def _update_prototypes(sets, prototypes, values, nonneg=False, sums=None, stack=
     """The prototypes after one pass over the clusters in id order, freshest values first.
 
     `sets` are the points' codes given `sums`, the prototypes'
-    `_subset_sums` table, and otherwise their (k, n) bool matrix; `sums`
+    `_subset_sums` table, and otherwise their (n, k) bool matrix; `sums`
     is updated in place to the returned prototypes' table.  `stack` is a
     (p + 1, n) buffer whose last row is ones, held by a run for all its
     updates; without it one is made.
@@ -300,20 +293,20 @@ def _update_prototypes(sets, prototypes, values, nonneg=False, sums=None, stack=
     if stack is None:
         stack = np.ones((values.shape[1] + 1, len(values)))
     # Counted in floats: a bool reduction would cast in 16-element buffers (`run_okm`'s).
-    sizes = sets.astype(float).sum(axis=0) if sums is None else _subset_sizes(len(new)).take(sets)
+    sizes = sets.astype(float).sum(axis=1) if sums is None else _subset_sizes(len(new)).take(sets)
     np.multiply(sizes, values.T, out=stack[:-1])  # |A_i| x_i over a row of ones
     squares = sizes * sizes
     for c in range(len(new)):
         bit = 1 << c
-        members = (sets[c] if sums is None else sets & bit).nonzero()[0]
+        members = (sets[:, c] if sums is None else sets & bit).nonzero()[0]
         if not members.size:
             continue
         # Each member's other prototypes, freshest values, in cluster-id order: (p, m).
         if sums is not None:
             others = sums.take(sets.take(members) & ~bit, axis=1)
         else:
-            others = sets.take(members, axis=1)
-            others[c] = False
+            others = sets.take(members, axis=0)
+            others[:, c] = False
             others = _masked_sums(others, new)
         # The terms (|A_i| x_i - others) / |A_i|^2 over 1 / |A_i|^2, the members added one after
         # another, in index order, as the reference does: the last column holds num over den.
@@ -341,7 +334,7 @@ def _covering_values(cov: Covering, data) -> np.ndarray:
 def update_prototypes(cov: Covering, data) -> np.ndarray:
     """Recompute all k prototypes for fixed assignments."""
     values = _covering_values(cov, data)
-    return _update_prototypes(cov.memberships.T, cov.prototypes, values)
+    return _update_prototypes(cov.memberships, cov.prototypes, values)
 
 
 def _objective(sets, dist):
@@ -369,7 +362,8 @@ def _distance(d: Dissimilarity, values, prototypes, x_self=None, sums=None, all_
     is a slice or an index array.  Values are `unchecked_dissim_rows`:
     the caller has checked the signs.  `x_self`, the rows' K(x, x)
     (`_self_kernel`), is read at `at` too, and `ids` are the run's
-    `_run_ids`, made here when not given.  There are three image paths:
+    `_run_ids`, made here when not given; the all-subset path reads
+    their singletons as codes.  There are three image paths:
 
       * the subset table (`_uses_table`): `sums` is the prototypes'
         `_subset_sums` and `sets` are codes, read from one image table,
@@ -381,7 +375,7 @@ def _distance(d: Dissimilarity, values, prototypes, x_self=None, sums=None, all_
         fractional polynomial degree a negative base, the subset table's
         path is taken instead, which raises only where a step's sets
         reach such a base.
-      * masked sums: without `sums`, `sets` are a (k, m) bool matrix and
+      * masked sums: without `sums`, `sets` are an (m, k) bool matrix and
         each call builds its `_images` and checks rbf finiteness.
     """
     k = len(prototypes)
@@ -421,7 +415,7 @@ def _distance(d: Dissimilarity, values, prototypes, x_self=None, sums=None, all_
 def objective(cov: Covering, d: Dissimilarity, data) -> float:
     """Recompute J for a covering from scratch."""
     values = _covering_values(cov, data)
-    return sequential_sum(dissim_rows(d, values, _images(cov.memberships.T, cov.prototypes).T))
+    return sequential_sum(dissim_rows(d, values, _images(cov.memberships, cov.prototypes).T))
 
 
 @unbuffered()
@@ -459,7 +453,7 @@ def run_okm(data, config: OkmConfig, on_iteration=None) -> Covering:
     current_j = None
     iterations = 0
     for _ in range(config.max_iter):
-        new_sets = _assign(nearest, dist, table, sets, point_values, ids)
+        new_sets = _assign(nearest, dist, sets, point_values, ids)
         new_prototypes = _update_prototypes(new_sets, prototypes, values, nonneg, sums, stack)
         nearest, dist = _distance(d, values, new_prototypes, x_self, sums, all_subsets, ids)
         new_j, new_point_values = _objective(new_sets, dist)
@@ -477,5 +471,6 @@ def run_okm(data, config: OkmConfig, on_iteration=None) -> Covering:
         if unchanged or (improvement is not None and improvement < config.rel_tol):
             break
 
-    sets = (sets[:, None] & ids[1]) != 0 if table else sets.T
+    if table:
+        sets = (sets[:, None] & ids[1]) != 0
     return Covering(memberships=sets, prototypes=prototypes, objective=current_j, n_iter=iterations)

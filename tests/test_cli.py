@@ -323,65 +323,13 @@ def test_cluster_builds_the_cluster_id_sets_once(tmp_path, monkeypatch, capsys):
     assert calls == [(150, 3)]
 
 
-def test_median_sigma_row_blocks_match_dense_formula(monkeypatch):
-    import okmlib.cli as cli
-    from okmlib import DataMatrix
-
-    def dense(values):
-        n = len(values)
-        d2 = ((values[:, None, :] - values[None, :, :]) ** 2).sum(-1)
-        dist = np.sqrt(d2[np.triu_indices(n, 1)])
-        dist = dist[dist > 0]
-        return float(np.median(dist)) if dist.size else 1.0
-
-    import okmlib.linalg as linalg
-
-    monkeypatch.setattr(linalg, "BLOCK_ELEMENTS", 64)
-    rng = np.random.default_rng(8)
-    for n, p in ((2, 1), (7, 3), (40, 2), (41, 9)):
-        values = rng.standard_normal((n, p))
-        # As the CLI passes them: a DataMatrix's points-innermost values.
-        assert cli._median_heuristic_sigma(DataMatrix(values).values) == dense(values)
-    assert cli._median_heuristic_sigma(DataMatrix(np.zeros((5, 2))).values) == 1.0
-
-
-def test_median_sigma_is_the_same_under_numpys_default_buffers(iris):
-    # `_median_heuristic_sigma` runs under `linalg.unbuffered()`; the undecorated function under
-    # numpy's default 8192-element buffers gives the same bits.
-    import okmlib.cli as cli
-    from okmlib import DataMatrix
-
-    def synthetic(per_cluster, p):
-        return generate_synthetic(SyntheticSpec(
-            k=5, points_per_cluster=per_cluster, overlap_pairs=tuple((c, (c + 1) % 5, 40) for c in range(5)),
-            dimension=p, seed=0)).values
-
-    samples = {
-        "iris": iris.values,
-        "2200x8": synthetic(400, 8),
-        "4200x8": synthetic(800, 8),
-        "1001 tied rows": DataMatrix(np.repeat([[1.0, 2.0], [3.0, 5.0], [4.0, 1.0]], [500, 500, 1],
-                                               axis=0)).values,
-        "n=2": DataMatrix([[0.0, 1.0], [3.0, 5.0]]).values,
-        "p=1": synthetic(40, 1),
-        "p=17": synthetic(40, 17),
-    }
-    for name, values in samples.items():
-        old = np.setbufsize(8192)
-        try:
-            buffered = cli._median_heuristic_sigma.__wrapped__(values)
-        finally:
-            np.setbufsize(old)
-        assert repr(cli._median_heuristic_sigma(values)) == repr(buffered), name
-
-
 def test_experiment_with_k_skips_the_median_sigma(pairs_csv, monkeypatch, capsys):
     import okmlib.cli as cli
 
     def unused(values):
         raise AssertionError("median sigma computed although --k was given")
 
-    monkeypatch.setattr(cli, "_median_heuristic_sigma", unused)
+    monkeypatch.setattr(cli, "median_sigma", unused)
     assert main(["experiment", "--data", str(pairs_csv), "--k", "2", "--restarts", "1"]) == 0
     with pytest.raises(AssertionError):
         main(["experiment", "--data", str(pairs_csv), "--restarts", "1"])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from okmlib import (
+    DataMatrix,
     DimensionMismatch,
     Dissimilarity,
     DissimilarityKind,
@@ -12,14 +13,16 @@ from okmlib import (
     InvalidSpec,
     KernelKind,
     KernelSpec,
+    SyntheticSpec,
     dissim,
+    generate_synthetic,
     gram,
     kernel_distance_sq,
     kernel_eval,
     kernel_rows,
     sorted_eigenvalues,
 )
-from okmlib.kernels import kernel_distance_rows
+from okmlib.kernels import kernel_distance_rows, median_sigma
 
 RBF2 = KernelSpec(KernelKind.RBF, sigma=2.0)
 POLY2 = KernelSpec(KernelKind.POLYNOMIAL, degree=2.0)
@@ -331,3 +334,67 @@ def test_rbf_gram_builds_in_its_result_and_one_block_of_temporaries(iris):
     n = 2000
     data = np.random.default_rng(38).standard_normal((n, 8))
     assert _gram_peak(RBF2, data) <= 1.3 * 8 * n * n
+
+
+# ------------------------------------------------------------- median sigma
+
+
+def test_median_sigma_row_blocks_match_dense_formula(monkeypatch):
+    import okmlib.linalg as linalg
+
+    def dense(values):
+        n = len(values)
+        d2 = ((values[:, None, :] - values[None, :, :]) ** 2).sum(-1)
+        dist = np.sqrt(d2[np.triu_indices(n, 1)])
+        dist = dist[dist > 0]
+        return float(np.median(dist)) if dist.size else 1.0
+
+    monkeypatch.setattr(linalg, "BLOCK_ELEMENTS", 64)
+    rng = np.random.default_rng(8)
+    for n, p in ((2, 1), (7, 3), (40, 2), (41, 9)):
+        values = rng.standard_normal((n, p))
+        # As the CLI passes them: a DataMatrix, whose values are points-innermost; and a raw array.
+        assert median_sigma(DataMatrix(values)) == median_sigma(values) == dense(values)
+    assert median_sigma(DataMatrix(np.zeros((5, 2)))) == 1.0
+
+
+def test_median_sigma_is_the_same_under_numpys_default_buffers(iris):
+    # `median_sigma` runs under `linalg.unbuffered()`; the undecorated function under numpy's
+    # default 8192-element buffers gives the same bits.
+    def synthetic(per_cluster, p):
+        return generate_synthetic(SyntheticSpec(
+            k=5, points_per_cluster=per_cluster, overlap_pairs=tuple((c, (c + 1) % 5, 40) for c in range(5)),
+            dimension=p, seed=0))
+
+    samples = {
+        "iris": iris,
+        "2200x8": synthetic(400, 8),
+        "4200x8": synthetic(800, 8),
+        "1001 tied rows": DataMatrix(np.repeat([[1.0, 2.0], [3.0, 5.0], [4.0, 1.0]], [500, 500, 1],
+                                               axis=0)),
+        "n=2": DataMatrix([[0.0, 1.0], [3.0, 5.0]]),
+        "p=1": synthetic(40, 1),
+        "p=17": synthetic(40, 17),
+    }
+    for name, data in samples.items():
+        old = np.setbufsize(8192)
+        try:
+            buffered = median_sigma.__wrapped__(data)
+        finally:
+            np.setbufsize(old)
+        assert repr(median_sigma(data)) == repr(buffered), name
+
+
+def test_median_sigma_never_holds_an_n_by_n_buffer():
+    # The n(n-1)/2 distances and their nonzero copy, about n^2 doubles, are the peak; row
+    # blocks, not a dense n x n distance or Gram matrix, hold the squared distances.
+    n = 2_000
+    data = DataMatrix(np.random.default_rng(22).standard_normal((n, 8)))
+    tracemalloc.start()
+    try:
+        sigma = median_sigma(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sigma > 0
+    assert peak < 1.1 * 8 * n * n, peak / (8 * n * n)

@@ -42,6 +42,13 @@ def codes_of(memberships):
     return memberships @ (1 << np.arange(memberships.shape[1]))
 
 
+def run_ids(n, k, table):
+    """`okm._run_ids(n, k)` as a run with (codes) or without (bool rows) the subset table has them."""
+    with pytest.MonkeyPatch.context() as forced:
+        forced.setattr(okm, "_uses_table", lambda n, k: table)
+        return okm._run_ids(n, k)
+
+
 def make_covering(assignments, prototypes):
     prototypes = np.asarray(prototypes, dtype=float)
     return Covering(memberships=_cluster_matrix(assignments, len(prototypes)),
@@ -206,7 +213,7 @@ def test_objective_adds_the_points_left_to_right():
     data = np.array([[1e8], [1.0], [1.0]])
     cov = make_covering([{0}, {0}, {0}], [[0.0]])
     assert objective(cov, SQ, data) == 1e16 != math.fsum([1e16, 1.0, 1.0])
-    assert _objective(cov.memberships[:0].T, _distance(SQ, data[:0], cov.prototypes)[1])[0] == 0.0
+    assert _objective(cov.memberships[:0], _distance(SQ, data[:0], cov.prototypes)[1])[0] == 0.0
 
 
 # ---------------------------------------------------------------- assign_point
@@ -315,13 +322,13 @@ def test_batched_assignment_matches_per_point_reference():
                 prev_matrix = prev_codes = masked_dists = table_dists = None
                 if prev is not None:
                     # The objective's per-point values are the previous sets' distances.
-                    prev_matrix = _cluster_matrix(prev, k).T
-                    prev_codes = codes_of(prev_matrix.T)
+                    prev_matrix = _cluster_matrix(prev, k)
+                    prev_codes = codes_of(prev_matrix)
                     masked_dists = _objective(prev_matrix, masked_state[1])[1]
                     table_dists = _objective(prev_codes, table_state[1])[1]
-                masked = _assign(*masked_state, False, prev_matrix, masked_dists)
-                table = _assign(*table_state, True, prev_codes, table_dists)
-                assert np.array_equal(masked.T, expected), (d, trial, prev is None)
+                masked = _assign(*masked_state, prev_matrix, masked_dists, run_ids(n, k, False))
+                table = _assign(*table_state, prev_codes, table_dists, run_ids(n, k, True))
+                assert np.array_equal(masked, expected), (d, trial, prev is None)
                 assert np.array_equal(table, codes_of(expected)), (d, trial, prev is None)
 
 
@@ -329,16 +336,16 @@ def test_assign_point_is_one_row_of_the_batched_assignment():
     rng = np.random.default_rng(62)
     data = rng.uniform(0.0, 3.0, (20, 3))
     protos = rng.uniform(0.0, 3.0, (4, 3))
-    batched = _assign(*_distance(RBF1, data, protos), False)
+    batched = _assign(*_distance(RBF1, data, protos), ids=run_ids(20, 4, False))
     for i in range(20):
-        assert assign_point(data[i], protos, RBF1) == frozenset(np.flatnonzero(batched[:, i]).tolist())
+        assert assign_point(data[i], protos, RBF1) == frozenset(np.flatnonzero(batched[i]).tolist())
 
 
 # ----------------------------------------------------- the three image paths
 #
 # Images and "other prototypes" come from a table of all 2^k subset sums,
 # read at the points' codes, when a step is given one, and from masked
-# adds over a (k, n) bool matrix otherwise; the all-subset distances
+# adds over an (n, k) bool matrix otherwise; the all-subset distances
 # gather from the table's images.  All must give the same bits.
 
 RBF_WIDE = Dissimilarity(DissimilarityKind.KERNEL_INDUCED, kernel=KernelSpec(KernelKind.RBF, sigma=1e3))
@@ -350,9 +357,9 @@ def masked_adds(monkeypatch):
     calls = []
     masked_sums = okm._masked_sums
 
-    def recording(clusters, prototypes):
-        calls.append(len(clusters))
-        return masked_sums(clusters, prototypes)
+    def recording(sets, prototypes):
+        calls.append(len(sets))
+        return masked_sums(sets, prototypes)
 
     monkeypatch.setattr(okm, "_masked_sums", recording)
     return calls
@@ -382,24 +389,25 @@ def test_assign_and_objective_are_the_same_on_every_image_path(masked_adds):
     for d, x, protos, previous in _path_cases():
         case = (d.kind, x.shape, len(protos))
         results = {}
-        for path, sums, all_subsets, sets in (("masked", None, False, previous.T),
+        for path, sums, all_subsets, sets in (("masked", None, False, previous),
                                               ("table", okm._subset_sums(protos), False, codes_of(previous)),
                                               ("all", okm._subset_sums(protos), True, codes_of(previous))):
             masked_adds.clear()
-            nearest, dist = _distance(d, x, protos, sums=sums, all_subsets=all_subsets)
+            ids = run_ids(len(x), len(protos), sums is not None)
+            nearest, dist = _distance(d, x, protos, sums=sums, all_subsets=all_subsets, ids=ids)
             j, point_values = _objective(sets, dist)
             results[path] = (point_values,
-                             _assign(nearest, dist, sums is not None),
-                             _assign(nearest, dist, sums is not None, sets, point_values))
+                             _assign(nearest, dist, ids=ids),
+                             _assign(nearest, dist, sets, point_values, ids))
             assert bool(masked_adds) == (path == "masked"), (case, path)
             assert j == np.cumsum(point_values)[-1]
         masked = results.pop("masked")
         for table in results.values():
             assert np.array_equal(table[0], masked[0]), case
-            # The table paths' codes are the masked path's matrix, bit c for row c.
+            # The table paths' codes are the masked path's rows, bit c for column c.
             for codes, matrix in zip(table[1:], masked[1:]):
-                assert codes.shape == (len(x),) and matrix.shape == (len(protos), len(x)), case
-                assert np.array_equal(codes, codes_of(matrix.T)), case
+                assert codes.shape == (len(x),) and matrix.shape == (len(x), len(protos)), case
+                assert np.array_equal(codes, codes_of(matrix)), case
 
 
 def test_update_is_the_same_on_both_image_paths(masked_adds):
@@ -408,7 +416,7 @@ def test_update_is_the_same_on_both_image_paths(masked_adds):
         masked_adds.clear()
         table = _update_prototypes(codes_of(rows), protos, x, nonneg, okm._subset_sums(protos))
         assert not masked_adds
-        masked = _update_prototypes(rows.T, protos, x, nonneg)
+        masked = _update_prototypes(rows, protos, x, nonneg)
         assert masked_adds
         assert np.array_equal(table, masked), (d.kind, x.shape, len(protos))
 
@@ -441,7 +449,7 @@ def test_update_leaves_the_table_of_the_prototypes_it_returns():
     for d, x, protos, rows in _path_cases():
         sums = okm._subset_sums(protos)
         new = _update_prototypes(codes_of(rows), protos, x, d is IDIV, sums)
-        assert np.array_equal(new, _update_prototypes(rows.T, protos, x, d is IDIV))
+        assert np.array_equal(new, _update_prototypes(rows, protos, x, d is IDIV))
         assert _same_bits(sums, okm._subset_sums(new)), (d.kind, x.shape, len(protos))
 
 
@@ -526,10 +534,12 @@ def test_run_okm_builds_one_table_and_no_per_round_matrix(iris, monkeypatch, mas
     assert len(iterations) >= 4, iterations
 
 
-@pytest.mark.parametrize("k, all_subsets", [(3, True), (3, False), (8, False)], ids=["all", "table", "masked"])
+@pytest.mark.parametrize("k, all_subsets", [(3, True), (3, False), (8, False), (63, False), (64, False)],
+                         ids=["all", "table", "masked", "masked-k63", "masked-k64"])
 def test_run_okm_takes_j_from_one_objective_call_per_round_on_every_path(iris, monkeypatch, k, all_subsets):
     # Each round's J, the one `on_iteration` reports and `Covering.objective` holds, is the one
     # `_objective` returns; a round that J would increase is the one round without a callback.
+    # From k = 63 on, a code 1 << c would not fit an int64: the sets are bool rows there too.
     monkeypatch.setattr(okm, "_uses_subset_dists", lambda n, k, p: all_subsets)
     assign, objective = okm._assign, okm._objective
     sets, objectives = [], []
@@ -561,7 +571,7 @@ def test_run_okm_takes_j_from_one_objective_call_per_round_on_every_path(iris, m
             assert reported == [j for j, _ in objectives[:cov.n_iter]], case
             assert cov.objective == reported[-1], case
             for _, s in sets:
-                assert s.shape == ((150,) if table else (k, 150)), case
+                assert s.shape == ((150,) if table else (150, k)), case
                 assert np.issubdtype(s.dtype, np.integer) if table else s.dtype == bool, case
 
 
@@ -794,7 +804,7 @@ def test_batched_update_and_objective_match_per_point_reference():
             cov = make_covering(assignments, protos)
             nonneg = d is IDIV
             expected = reference_update_prototypes(assignments, protos, data, nonneg)
-            assert np.array_equal(_update_prototypes(_cluster_matrix(assignments, k).T, protos, data,
+            assert np.array_equal(_update_prototypes(_cluster_matrix(assignments, k), protos, data,
                                                      nonneg), expected)
             expected_j = 0.0  # left to right, one point after another
             for i in range(n):
@@ -1003,7 +1013,7 @@ def test_assignment_names_the_negative_base_a_point_by_point_pass_meets_first():
     assert str(cluster_major.value) != str(point_major.value)  # the data tell the orders apart
     for sums in (None, okm._subset_sums(protos)):
         with pytest.raises(DomainError, match=f"^{re.escape(str(point_major.value))}$"):
-            _assign(*_distance(POLY025, values, protos, sums=sums), sums is not None)
+            _assign(*_distance(POLY025, values, protos, sums=sums), ids=run_ids(300, 3, sums is not None))
 
 
 # ------------------------------------------------ numpy's default ufunc buffers
