@@ -30,9 +30,10 @@ clusters; memory is O(n * k * p) per iteration.  `run_okm` runs under
 
 Images and the update's "other prototypes" are subset sums, each added
 in the per-point reference order, so all give the bits of a
-point-by-point evaluation.  `run_okm` picks one of three image paths per
-run, and `_distance`, which builds each prototype set's distances, is
-the one place that tells them apart.  A point's cluster set is an
+point-by-point evaluation.  `run_okm` builds a subset table when
+2^k <= n, and `_distance`, which builds each prototype set's distances,
+picks one of three image paths from that table and the run's shape: it
+is the one place that tells them apart.  A point's cluster set is an
 integer code, bit c set for cluster c, on the subset table's paths, and
 a row of an (n, k) bool matrix, the `Covering`'s layout, otherwise; the
 update reads the table or masked sums to match.  The greedy assignment
@@ -351,8 +352,7 @@ def _self_kernel(d: Dissimilarity, values):
     return kernel_rows(d.kernel, rows, rows)
 
 
-def _distance(d: Dissimilarity, values, prototypes, x_self=None, sums=None, all_subsets=False,
-              ids=None):
+def _distance(d: Dissimilarity, values, prototypes, x_self=None, sums=None):
     """`nearest, dist`: how far the data rows `values` are from the images of `prototypes`.
 
     `nearest()` gives each point's distance to each prototype as the C
@@ -361,20 +361,18 @@ def _distance(d: Dissimilarity, values, prototypes, x_self=None, sums=None, all_
     point `values[at]`'s distance to the image of its set in `sets`; `at`
     is a slice or an index array.  Values are `unchecked_dissim_rows`:
     the caller has checked the signs.  `x_self`, the rows' K(x, x)
-    (`_self_kernel`), is read at `at` too, and `ids` are the run's
-    `_run_ids`, made here when not given; the all-subset path reads
-    their singletons as codes.  There are three image paths:
+    (`_self_kernel`), is read at `at` too.  There are three image paths:
 
       * the subset table (`_uses_table`): `sums` is the prototypes'
         `_subset_sums` and `sets` are codes, read from one image table,
         column s the sum at code s over its size.  For an rbf measure
         `sums` decides finiteness once.
-      * the all-subset distances (`_uses_subset_dists`): with `sums`, each
-        point's distance to the image of every code is one (n, 2^k)
-        array, from which both functions gather.  If some image gives a
-        fractional polynomial degree a negative base, the subset table's
-        path is taken instead, which raises only where a step's sets
-        reach such a base.
+      * the all-subset distances: with `sums`, where `_uses_subset_dists`
+        holds for n, k and p, each point's distance to the image of every
+        code is one (n, 2^k) array, from which both functions gather.  If
+        some image gives a fractional polynomial degree a negative base,
+        the subset table's path is taken instead, which raises only where
+        a step's sets reach such a base.
       * masked sums: without `sums`, `sets` are an (m, k) bool matrix and
         each call builds its `_images` and checks rbf finiteness.
     """
@@ -400,14 +398,14 @@ def _distance(d: Dissimilarity, values, prototypes, x_self=None, sums=None, all_
         images = _images(sets, prototypes) if sums is None else image_table.take(sets, axis=1)
         return against(at, images.T)
 
-    if not all_subsets:
+    if sums is None or not _uses_subset_dists(len(values), k, values.shape[1]):
         return nearest, dist
     try:
         # C rows, so the (n, 2^k, p) temporaries run over contiguous points, as the data do.
         every = against(np.s_[:, None], np.ascontiguousarray(image_table.T)[None])
     except DomainError:
         return nearest, dist
-    point_ids, singletons = _run_ids(len(values), k) if ids is None else ids
+    point_ids, singletons = np.arange(len(values)), 1 << np.arange(k)
     return (lambda: every.take(singletons, axis=1).T,
             lambda at, sets: every[at if isinstance(at, np.ndarray) else point_ids[at], sets])
 
@@ -441,13 +439,11 @@ def run_okm(data, config: OkmConfig, on_iteration=None) -> Covering:
     rng = np.random.default_rng(config.seed)
     idx = rng.choice(n, size=config.k, replace=False)
     prototypes = values[idx]
-    table = _uses_table(n, config.k)
-    sums = _subset_sums(prototypes) if table else None
-    all_subsets = table and _uses_subset_dists(n, config.k, values.shape[1])
+    sums = _subset_sums(prototypes) if _uses_table(n, config.k) else None
     x_self = _self_kernel(d, values)
     ids = _run_ids(n, config.k)
     stack = np.ones((values.shape[1] + 1, n))  # the update's rows, over a row of ones
-    nearest, dist = _distance(d, values, prototypes, x_self, sums, all_subsets, ids)
+    nearest, dist = _distance(d, values, prototypes, x_self, sums)
 
     sets = point_values = None
     current_j = None
@@ -455,7 +451,7 @@ def run_okm(data, config: OkmConfig, on_iteration=None) -> Covering:
     for _ in range(config.max_iter):
         new_sets = _assign(nearest, dist, sets, point_values, ids)
         new_prototypes = _update_prototypes(new_sets, prototypes, values, nonneg, sums, stack)
-        nearest, dist = _distance(d, values, new_prototypes, x_self, sums, all_subsets, ids)
+        nearest, dist = _distance(d, values, new_prototypes, x_self, sums)
         new_j, new_point_values = _objective(new_sets, dist)
         if not math.isfinite(new_j):
             raise DomainError(f"J is {new_j}: the data overflow this measure")
@@ -471,6 +467,6 @@ def run_okm(data, config: OkmConfig, on_iteration=None) -> Covering:
         if unchanged or (improvement is not None and improvement < config.rel_tol):
             break
 
-    if table:
+    if sums is not None:
         sets = (sets[:, None] & ids[1]) != 0
     return Covering(memberships=sets, prototypes=prototypes, objective=current_j, n_iter=iterations)

@@ -8,7 +8,8 @@ of `Covering.memberships`) and iteration counts, and J within 1e-9
 relative; J recomputed by `objective` from that matrix must equal the
 run's J exactly.  `tests/data/make_golden_coverings.py`
 defines the cases and wrote the file.  The CLI fixture,
-`tests/data/make_golden_cli.py`, is described in its own docstring.
+`tests/data/make_golden_cli.py`, and the wide grid of OKM outcomes,
+`tests/data/make_golden_grid.py`, are described in their own docstrings.
 """
 
 import importlib.util
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from okmlib import OkmConfig, objective, run_okm
+from okmlib import OkmConfig, objective, okm, run_okm
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -50,6 +51,43 @@ def test_batched_okm_reproduces_golden_coverings():
     assert not mismatches, mismatches
     assert sum(run["n_iter"] for run in recorded if run["dataset"] == "iris") == 469
     assert sum(run["n_iter"] for run in recorded if run["dataset"] == "synthetic") == 42
+
+
+def _image_path(n, k, p):
+    """The image path a run of n points in p features at k clusters takes."""
+    if not okm._uses_table(n, k):
+        return "masked"
+    return "all" if okm._uses_subset_dists(n, k, p) else "table"
+
+
+def test_okm_reproduces_the_golden_grid():
+    """Every run of `make_golden_grid.py` gives the recorded outcome, J within 1e-9 relative.
+
+    The grid takes each image path, at both sides of each threshold.
+    """
+    recorder = _load("make_golden_grid")
+    recorded = json.loads(recorder.GOLDEN_PATH.read_text())["runs"]
+    cases = list(recorder.cases())
+    assert len(recorded) == len(cases) == 490
+    fields = ("dataset", "measure", "absolute", "k", "seed")
+    paths, mismatches = {}, []
+    for run, (dataset, values, labels, measure, absolute, k, seed) in zip(recorded, cases):
+        key = (dataset, measure, absolute, k, seed)
+        assert key == tuple(run[name] for name in fields)
+        got = recorder.outcome(values, labels, measure, k, seed)
+        want = {name: value for name, value in run.items() if name not in fields}
+        got_j, want_j = got.pop("objective", 0.0), want.pop("objective", 0.0)
+        if got != want or abs(got_j - want_j) > 1e-9 * abs(want_j):
+            mismatches.append(key)
+        n, p = values.shape
+        paths[n, k, p] = _image_path(n, k, p)
+    assert not mismatches, mismatches
+    assert sum("error" in run for run in recorded) == 62
+    assert set(paths.values()) == {"all", "table", "masked"}
+    # One point fewer crosses a threshold: into n * 2^k * p <= 2^13 (table to all), or
+    # from 2^k <= n to 2^k > n (all to masked).
+    crossings = {(paths[n, k, p], paths.get((n - 1, k, p))) for n, k, p in paths}
+    assert {("all", "masked"), ("table", "all")} <= crossings, crossings
 
 
 def test_cli_reproduces_golden_output(tmp_path):

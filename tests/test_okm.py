@@ -295,9 +295,11 @@ def reference_assign_point(x, prototypes, d, previous=None):
     return frozenset(chosen)
 
 
-def test_batched_assignment_matches_per_point_reference():
+def test_batched_assignment_matches_per_point_reference(monkeypatch):
     # Small integer grids make exact ties common: equal prototype
     # distances (ordered by id) and candidates that tie the best image.
+    # The codes run on the subset table and on the all-subset distances,
+    # each forced, whatever n, k and p would pick.
     rng = np.random.default_rng(61)
     for d in (SQ, IDIV, RBF1, POLY025):
         for trial in range(40):
@@ -313,23 +315,27 @@ def test_batched_assignment_matches_per_point_reference():
             previous = [frozenset(rng.choice(k, size=int(rng.integers(1, k + 1)),
                                              replace=False).tolist()) for _ in range(n)]
             masked_state = _distance(d, data, protos)
-            table_state = _distance(d, data, protos, sums=okm._subset_sums(protos))
+            code_states = {}
+            for path in ("table", "all"):
+                monkeypatch.setattr(okm, "_uses_subset_dists", lambda n, k, p: path == "all")
+                code_states[path] = _distance(d, data, protos, sums=okm._subset_sums(protos))
             for prev in (None, previous):
                 expected = [reference_assign_point(data[i], protos, d,
                                                    None if prev is None else prev[i])
                             for i in range(n)]
                 expected = _cluster_matrix(expected, k)
-                prev_matrix = prev_codes = masked_dists = table_dists = None
+                prev_matrix = prev_codes = masked_dists = None
                 if prev is not None:
                     # The objective's per-point values are the previous sets' distances.
                     prev_matrix = _cluster_matrix(prev, k)
                     prev_codes = codes_of(prev_matrix)
                     masked_dists = _objective(prev_matrix, masked_state[1])[1]
-                    table_dists = _objective(prev_codes, table_state[1])[1]
                 masked = _assign(*masked_state, prev_matrix, masked_dists, run_ids(n, k, False))
-                table = _assign(*table_state, prev_codes, table_dists, run_ids(n, k, True))
                 assert np.array_equal(masked, expected), (d, trial, prev is None)
-                assert np.array_equal(table, codes_of(expected)), (d, trial, prev is None)
+                for path, state in code_states.items():
+                    code_dists = None if prev is None else _objective(prev_codes, state[1])[1]
+                    codes = _assign(*state, prev_codes, code_dists, run_ids(n, k, True))
+                    assert np.array_equal(codes, codes_of(expected)), (d, trial, path, prev is None)
 
 
 def test_assign_point_is_one_row_of_the_batched_assignment():
@@ -385,27 +391,31 @@ def _path_cases():
                 yield d, values, protos, memberships
 
 
-def test_assign_and_objective_are_the_same_on_every_image_path(masked_adds):
+def test_assign_and_objective_are_the_same_on_every_image_path(masked_adds, monkeypatch):
+    # Each case has n = 2^k - 1 points, so the "all" path runs where a run would not take it.
     for d, x, protos, previous in _path_cases():
         case = (d.kind, x.shape, len(protos))
         results = {}
-        for path, sums, all_subsets, sets in (("masked", None, False, previous),
-                                              ("table", okm._subset_sums(protos), False, codes_of(previous)),
-                                              ("all", okm._subset_sums(protos), True, codes_of(previous))):
+        for path, sums, sets in (("masked", None, previous),
+                                 ("table", okm._subset_sums(protos), codes_of(previous)),
+                                 ("all", okm._subset_sums(protos), codes_of(previous))):
+            monkeypatch.setattr(okm, "_uses_subset_dists", lambda n, k, p: path == "all")
             masked_adds.clear()
             ids = run_ids(len(x), len(protos), sums is not None)
-            nearest, dist = _distance(d, x, protos, sums=sums, all_subsets=all_subsets, ids=ids)
+            nearest, dist = _distance(d, x, protos, sums=sums)
             j, point_values = _objective(sets, dist)
-            results[path] = (point_values,
+            results[path] = (nearest(),
+                             point_values,
                              _assign(nearest, dist, ids=ids),
                              _assign(nearest, dist, sets, point_values, ids))
+            assert results[path][0].shape == (len(protos), len(x)), (case, path)
             assert bool(masked_adds) == (path == "masked"), (case, path)
             assert j == np.cumsum(point_values)[-1]
         masked = results.pop("masked")
         for table in results.values():
-            assert np.array_equal(table[0], masked[0]), case
+            assert np.array_equal(table[0], masked[0]) and np.array_equal(table[1], masked[1]), case
             # The table paths' codes are the masked path's rows, bit c for column c.
-            for codes, matrix in zip(table[1:], masked[1:]):
+            for codes, matrix in zip(table[2:], masked[2:]):
                 assert codes.shape == (len(x),) and matrix.shape == (len(x), len(protos)), case
                 assert np.array_equal(codes, codes_of(matrix)), case
 
