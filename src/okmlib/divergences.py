@@ -2,7 +2,7 @@
 
     squared euclidean   sum_j (x_j - y_j)^2
     i-divergence        sum_j [x_j ln(x_j / y_j) - x_j + y_j]   (x, y >= 0)
-    kernel-induced      K(x,x) + K(y,y) - 2 K(x,y)
+    kernel-induced      K(x,x) + K(y,y) - 2 K(x,y)   (`kernels.kernel_distance_rows`)
 
 The I-divergence is the generalized (Bregman) form whose centroid is the
 arithmetic mean, so the clustering prototype update stays valid for it.
@@ -58,10 +58,10 @@ def dissim_rows(d: Dissimilarity, X, Y) -> np.ndarray:
     return unchecked_dissim_rows(d, X, Y)
 
 
-def unchecked_dissim_rows(d: Dissimilarity, X, Y, x_self=None, finite=False) -> np.ndarray:
+def unchecked_dissim_rows(d: Dissimilarity, X, Y, x_self=None) -> np.ndarray:
     """`dissim_rows` of float arrays whose sign `check_domain` has passed.
 
-    A kernel measure also takes `x_self` and `finite` (`kernels.kernel_distance_rows`).
+    A kernel measure also takes `x_self` (`kernels.kernel_distance_rows`).
     """
     if d.kind == DissimilarityKind.SQUARED_EUCLIDEAN:
         return row_sum((X - Y) ** 2)
@@ -72,7 +72,7 @@ def unchecked_dissim_rows(d: Dissimilarity, X, Y, x_self=None, finite=False) -> 
         total = row_sum(xt * np.log(xt / yt) - xt + yt)
         return np.maximum(total, 0.0)
 
-    return kernel_distance_rows(d.kernel, X, Y, x_self, finite)
+    return kernel_distance_rows(d.kernel, X, Y, x_self)
 
 
 def dissim(d: Dissimilarity, x, y) -> float:

@@ -6,10 +6,11 @@
 
 `kernel_rows` is the one batched core and `kernel_distance_rows` the one
 distance; `kernel_eval` and `kernel_distance_sq` are their checked
-one-pair wrappers.  Both reach the rbf kernel through `_rbf_rows`, which
-checks nothing.  Each inner product rounds like `np.dot` on its pair,
-whatever the layout of the inputs.  `median_sigma`, the default rbf
-bandwidth, adds its squared distances in `gram`'s row blocks.
+one-pair wrappers.  Both reach the rbf kernel through `_rbf`, and the
+distance alone decides when to skip its K(x, x) and K(y, y).  Each inner
+product rounds like `np.dot` on its pair, whatever the layout of the
+inputs.  `median_sigma`, the default rbf bandwidth, adds its squared
+distances in `gram`'s row blocks.
 """
 
 import enum
@@ -74,7 +75,7 @@ def kernel_rows(spec: KernelSpec, X, Y) -> np.ndarray:
     """
     X, Y = check_rows(X, Y)
     if spec.kind == KernelKind.RBF:
-        return _rbf_rows(spec, X, Y)
+        return _rbf(spec, row_sum((X - Y) ** 2))
     # A matmul over strided (points-innermost) rows rounds differently.
     X = np.ascontiguousarray(X)
     Y = np.ascontiguousarray(Y)
@@ -93,36 +94,42 @@ def kernel_rows(spec: KernelSpec, X, Y) -> np.ndarray:
     return np.power(base, spec.degree)
 
 
-def _rbf_rows(spec: KernelSpec, X, Y) -> np.ndarray:
-    """`kernel_rows` for the rbf kernel on float rows that `check_rows` passes, unchecked.
-
-    d2 / -(sigma^2) has the bits of -d2 / sigma^2.
-    """
-    return np.exp(row_sum((X - Y) ** 2) / -(spec.sigma * spec.sigma))
+def _rbf(spec: KernelSpec, d2) -> np.ndarray:
+    """The rbf kernel of squared distances `d2`: d2 / -(sigma^2) has the bits of -d2 / sigma^2."""
+    return np.exp(d2 / -(spec.sigma * spec.sigma))
 
 
-def kernel_distance_rows(spec: KernelSpec, X, Y, x_self=None, finite=False) -> np.ndarray:
+def self_kernel(spec: KernelSpec, X):
+    """K(x, x) of each row of X, or None for rbf, whose distance never reads it."""
+    if spec.kind == KernelKind.RBF:
+        return None
+    X = np.ascontiguousarray(X)  # C rows, as every inner product (`kernel_rows`)
+    return kernel_rows(spec, X, X)
+
+
+def kernel_distance_rows(spec: KernelSpec, X, Y, x_self=None) -> np.ndarray:
     """Kernel-induced squared distances of X against Y, rows that `check_rows` passes.
 
     Clamped below at 0, since a fractional degree is not a Mercer kernel.
-    `x_self`, if given, is K(x, x) of X's rows, shaped to broadcast as X
-    does.  `finite` says the caller has shown X and Y finite; otherwise
-    the rbf kernel checks them here.  The rbf K(x, x) of a finite x is
-    exactly 1.0, so there (1.0 + 1.0) - 2 K(x, y) gives the full
-    formula's bits; a non-finite operand takes the full formula and reads
-    NaN, so an overflow never reads as distance 0.
+    `x_self`, if given, is K(x, x) of X's rows (`self_kernel`), shaped to
+    broadcast as X does.  rbf squared euclidean distances that are all
+    finite imply finite X and Y, whose K(x, x) = K(y, y) = 1.0 exactly:
+    (1.0 + 1.0) - 2 K(x, y) then has the full formula's bits.  Any other
+    batch takes the full formula: a non-finite operand reads NaN, never
+    distance 0, and a finite pair whose distance overflows reads 2.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    if spec.kind == KernelKind.RBF and (finite or np.isfinite(X).all() and np.isfinite(Y).all()):
-        d2 = (1.0 + 1.0) - 2.0 * _rbf_rows(spec, X, Y)
-    else:
-        # The C rows every inner product needs, copied once here rather than per `kernel_rows`.
-        X = np.ascontiguousarray(X)
-        Y = np.ascontiguousarray(Y)
-        if x_self is None:
-            x_self = kernel_rows(spec, X, X)
-        d2 = x_self + kernel_rows(spec, Y, Y) - 2.0 * kernel_rows(spec, X, Y)
+    if spec.kind == KernelKind.RBF:
+        d2 = row_sum((X - Y) ** 2)
+        if d2.max(initial=0.0) < np.inf:  # one reduction: NaN compares False too
+            return (1.0 + 1.0) - 2.0 * _rbf(spec, d2)
+    # The C rows every inner product needs, copied once here rather than per `kernel_rows`.
+    X = np.ascontiguousarray(X)
+    Y = np.ascontiguousarray(Y)
+    if x_self is None:
+        x_self = kernel_rows(spec, X, X)
+    d2 = x_self + kernel_rows(spec, Y, Y) - 2.0 * kernel_rows(spec, X, Y)
     return np.maximum(d2, 0.0)
 
 
@@ -213,7 +220,7 @@ def gram(spec: KernelSpec, data) -> SymMatrix:
         x, y = values[start:stop, None, :], values[None, start:, :]
         if spec.kind == KernelKind.RBF:
             _squared_distances(x, y, rows)
-            # `_rbf_rows`' d2 / -(sigma^2), in place.
+            # `_rbf`'s d2 / -(sigma^2), in place.
             np.divide(rows, -(spec.sigma * spec.sigma), out=rows)
             np.exp(rows, out=rows)
         else:

@@ -41,12 +41,13 @@ grows both forms alike, by or-ing in the run's singletons.
 
 `run_okm` checks the i-divergence's sign on the data once (prototypes
 start as data rows and the update clamps them at 0) and evaluates the
-data's K(x, x) under a polynomial or linear kernel once.  It builds the
-point ids and singleton sets (`_run_ids`) once, and holds the update's
-(p + 1, n) stack for the whole run.  Per update, the stack's rows are
-|A_i| x_i over a row of ones; each cluster gathers its members' columns,
-takes the other prototypes off the first p rows, divides by |A_i|^2, and
-one `np.add.accumulate` along the members gives the numerator and the
+data's K(x, x) once (`kernels.self_kernel`).  The measures decide their
+own shortcuts, so `okm` names no kernel kind.  It builds the point ids
+and singleton sets (`_run_ids`) once, and holds the update's (p + 1, n)
+stack for the whole run.  Per update, the stack's rows are |A_i| x_i
+over a row of ones; each cluster gathers its members' columns, takes the
+other prototypes off the first p rows, divides by |A_i|^2, and one
+`np.add.accumulate` along the members gives the numerator and the
 denominator together, in member order.  The objective's per-point values
 serve the next assignment as the previous sets' dissimilarities.
 
@@ -64,7 +65,7 @@ from .dataio import data_values
 from .divergences import (Dissimilarity, DissimilarityKind, check_domain, dissim_rows,
                           unchecked_dissim_rows)
 from .errors import DimensionMismatch, DomainError, EmptyAssignment, InsufficientData, InvalidSpec
-from .kernels import KernelKind, kernel_rows
+from .kernels import self_kernel
 from .linalg import membership_matrix, membership_sets, sequential_sum, unbuffered
 
 _REL_TOL_GUARD = 1e-12
@@ -344,14 +345,6 @@ def _objective(sets, dist):
     return sequential_sum(point_values), point_values  # as the reference adds them
 
 
-def _self_kernel(d: Dissimilarity, values):
-    """K(x_i, x_i) of each data row for a polynomial or linear kernel measure, else None."""
-    if d.kind != DissimilarityKind.KERNEL_INDUCED or d.kernel.kind == KernelKind.RBF:
-        return None
-    rows = np.ascontiguousarray(values)  # C rows, as every inner product (`kernel_rows`)
-    return kernel_rows(d.kernel, rows, rows)
-
-
 def _distance(d: Dissimilarity, values, prototypes, x_self=None, sums=None):
     """`nearest, dist`: how far the data rows `values` are from the images of `prototypes`.
 
@@ -361,12 +354,12 @@ def _distance(d: Dissimilarity, values, prototypes, x_self=None, sums=None):
     point `values[at]`'s distance to the image of its set in `sets`; `at`
     is a slice or an index array.  Values are `unchecked_dissim_rows`:
     the caller has checked the signs.  `x_self`, the rows' K(x, x)
-    (`_self_kernel`), is read at `at` too.  There are three image paths:
+    (`kernels.self_kernel`), is read at `at` too.  There are three image
+    paths:
 
       * the subset table (`_uses_table`): `sums` is the prototypes'
         `_subset_sums` and `sets` are codes, read from one image table,
-        column s the sum at code s over its size.  For an rbf measure
-        `sums` decides finiteness once.
+        column s the sum at code s over its size.
       * the all-subset distances: with `sums`, where `_uses_subset_dists`
         holds for n, k and p, each point's distance to the image of every
         code is one (n, 2^k) array, from which both functions gather.  If
@@ -374,17 +367,15 @@ def _distance(d: Dissimilarity, values, prototypes, x_self=None, sums=None):
         the subset table's path is taken instead, which raises only where
         a step's sets reach such a base.
       * masked sums: without `sums`, `sets` are an (m, k) bool matrix and
-        each call builds its `_images` and checks rbf finiteness.
+        each call builds its `_images`.
     """
     k = len(prototypes)
-    finite = (sums is not None and d.kind == DissimilarityKind.KERNEL_INDUCED
-              and d.kernel.kind == KernelKind.RBF and bool(np.isfinite(sums).all()))
     image_table = None if sums is None else sums / _subset_sizes(k)
     points = values.T  # (p, n), gathered along the point axis
 
     def against(at, Y):
         rows = points.take(at, axis=1).T if isinstance(at, np.ndarray) else values[at]
-        return unchecked_dissim_rows(d, rows, Y, None if x_self is None else x_self[at], finite)
+        return unchecked_dissim_rows(d, rows, Y, None if x_self is None else x_self[at])
 
     def nearest():
         try:
@@ -440,7 +431,7 @@ def run_okm(data, config: OkmConfig, on_iteration=None) -> Covering:
     idx = rng.choice(n, size=config.k, replace=False)
     prototypes = values[idx]
     sums = _subset_sums(prototypes) if _uses_table(n, config.k) else None
-    x_self = _self_kernel(d, values)
+    x_self = self_kernel(d.kernel, values) if d.kind == DissimilarityKind.KERNEL_INDUCED else None
     ids = _run_ids(n, config.k)
     stack = np.ones((values.shape[1] + 1, n))  # the update's rows, over a row of ones
     nearest, dist = _distance(d, values, prototypes, x_self, sums)

@@ -8,8 +8,10 @@ of `Covering.memberships`) and iteration counts, and J within 1e-9
 relative; J recomputed by `objective` from that matrix must equal the
 run's J exactly.  `tests/data/make_golden_coverings.py`
 defines the cases and wrote the file.  The CLI fixture,
-`tests/data/make_golden_cli.py`, and the wide grid of OKM outcomes,
-`tests/data/make_golden_grid.py`, are described in their own docstrings.
+`tests/data/make_golden_cli.py`, the wide grid of OKM outcomes,
+`tests/data/make_golden_grid.py`, and the spectra and estimates of k,
+`tests/data/make_golden_spectra.py`, are described in their own
+docstrings.
 """
 
 import importlib.util
@@ -88,6 +90,28 @@ def test_okm_reproduces_the_golden_grid():
     # from 2^k <= n to 2^k > n (all to masked).
     crossings = {(paths[n, k, p], paths.get((n - 1, k, p))) for n, k, p in paths}
     assert {("all", "masked"), ("table", "all")} <= crossings, crossings
+
+
+def test_estimate_k_reproduces_the_golden_spectra():
+    """Every case of `make_golden_spectra.py` gives its sigma, spectra and estimates.
+
+    Spectrum values may differ by SPECTRUM_BOUND times their spectrum's
+    first value; sigma and `estimated_k` must be identical.
+    """
+    recorder = _load("make_golden_spectra")
+    recorded = json.loads(recorder.GOLDEN_PATH.read_text())["cases"]
+    cases = list(recorder.cases())
+    assert [case["name"] for case in recorded] == [name for name, _, _ in cases]
+    assert len(cases) == 39
+    for want, (name, sigma, matrix) in zip(recorded, cases):
+        got = recorder.outcome(matrix)
+        assert sigma == want["sigma"], name
+        assert got["estimated_k"] == want["estimated_k"], name
+        for spectrum in ("eigenvalues", "centered"):
+            got_values, want_values = got[spectrum], want[spectrum]
+            bound = recorder.SPECTRUM_BOUND * abs(want_values[0])
+            assert len(got_values) == len(want_values), (name, spectrum)
+            assert np.all(np.abs(np.subtract(got_values, want_values)) <= bound), (name, spectrum)
 
 
 def test_cli_reproduces_golden_output(tmp_path):

@@ -70,6 +70,9 @@ def test_dimension_mismatch():
             for args in ((x, y), (y, x)):
                 with pytest.raises(DimensionMismatch, match="^row lengths differ: shapes "):
                     kernel_rows(spec, *args)
+        # `DataMatrix` takes zero points; a Gram matrix needs one.
+        with pytest.raises(ValueError, match=r"^expected an \(n, p\) data array, got shape \(0, 2\)$"):
+            gram(spec, np.zeros((0, 2)))
 
 
 def test_fractional_degree_negative_base():
@@ -254,11 +257,19 @@ def test_rbf_distance_without_the_diagonal_terms_is_the_full_formula_bit_for_bit
         full = kernel_rows(spec, x, x) + kernel_rows(spec, y, y) - 2.0 * kernel_rows(spec, x, y)
         got = kernel_distance_rows(spec, x, y)
         assert np.array_equal(got.view(np.int64), np.maximum(full, 0.0).view(np.int64)), sigma
-    x = np.array([[0.5, 1.0], [np.inf, 0.0]])
+    # The shortcut is taken only when every squared distance of the batch is finite.
+    x = np.array([[0.5, 1.0], [np.inf, 0.0], [np.nan, 1.0], [-0.25, 3.0]])
     with np.errstate(invalid="ignore"):
         got = kernel_distance_rows(RBF2, x, np.zeros(2))
-    assert got[0] == kernel_distance_sq(RBF2, x[0], np.zeros(2))
-    assert math.isnan(got[1])
+    for i in (0, 3):
+        alone = kernel_distance_sq(RBF2, x[i], np.zeros(2))
+        assert np.array_equal(got[i].view(np.int64), np.float64(alone).view(np.int64)), i
+    assert math.isnan(got[1]) and math.isnan(got[2])
+    # A finite pair whose squared distance overflows is exactly 2, K(x, y) being 0.
+    with np.errstate(over="ignore"):
+        assert kernel_distance_sq(RBF2, [1e200], [-1e200]) == 2.0
+        assert kernel_distance_rows(RBF2, [[1e200], [-1e200]], [-1e200]).tolist() == [2.0, 0.0]
+    assert kernel_distance_rows(RBF2, np.empty((0, 3)), np.zeros(3)).shape == (0,)
 
 
 def test_gram_that_overflows_is_a_domain_error():

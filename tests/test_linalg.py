@@ -29,6 +29,8 @@ def test_symmatrix_rejects_asymmetry():
 def test_symmatrix_rejects_nonsquare_and_nonfinite():
     with pytest.raises(ValueError):
         SymMatrix(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="^matrix must have at least one row$"):
+        SymMatrix(np.zeros((0, 0)))
     with pytest.raises(DomainError, match="must be finite"):
         SymMatrix(np.array([[np.nan]]))
 

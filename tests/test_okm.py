@@ -691,7 +691,6 @@ def test_run_okm_evaluates_the_self_kernel_of_the_data_once_per_run(iris, monkey
         return kernel_rows(spec, X, Y)
 
     monkeypatch.setattr(kernels, "kernel_rows", counted)
-    monkeypatch.setattr(okm, "kernel_rows", counted)
     iterations = set()
     for d, expected in ((POLY025, [150]), (LINEAR, [150]), (RBF150, [])):
         for max_iter in (1, 3, 100):
@@ -702,17 +701,20 @@ def test_run_okm_evaluates_the_self_kernel_of_the_data_once_per_run(iris, monkey
     assert max(iterations) > 3, iterations
 
 
-@pytest.mark.parametrize("path", ["table", "masked"])
+@pytest.mark.parametrize("path", ["table", "all", "masked"])
 def test_rbf_run_whose_subset_sums_overflow_raises_domain_error(monkeypatch, path):
     # Finite data whose sums overflow: the images and the moved prototypes
     # are inf, where the rbf distance without K(x, x) and K(y, y) would read
     # a finite 2 - 2 exp(-inf) = 2 and hide the overflow.
     data = np.array([[1.5e308, 0.0], [1.7e308, 1.0], [1.6e308, 0.5], [1.4e308, 2.0],
                      [-1.5e308, 0.0], [-1.7e308, 1.0], [-1.6e308, 2.0], [-1.4e308, 0.5]])
+    if path == "table":
+        monkeypatch.setattr(okm, "_uses_subset_dists", lambda n, k, p: False)
     if path == "masked":
         monkeypatch.setattr(okm, "_uses_table", lambda n, k: False)
+    from test_golden import _image_path
     for k in (2, 3):
-        assert okm._uses_table(len(data), k) == (path == "table")
+        assert _image_path(len(data), k, data.shape[1]) == path, k
         with pytest.raises(DomainError, match="^J is nan: the data overflow this measure$"):
             run_okm(data, OkmConfig(k=k, dissimilarity=RBF1, seed=0))
 
