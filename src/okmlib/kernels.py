@@ -94,9 +94,9 @@ def kernel_rows(spec: KernelSpec, X, Y) -> np.ndarray:
     return np.power(base, spec.degree)
 
 
-def _rbf(spec: KernelSpec, d2) -> np.ndarray:
-    """The rbf kernel of squared distances `d2`: d2 / -(sigma^2) has the bits of -d2 / sigma^2."""
-    return np.exp(d2 / -(spec.sigma * spec.sigma))
+def _rbf(spec: KernelSpec, d2, out=None) -> np.ndarray:
+    """exp(-d2 / sigma^2), bit for bit, of squared distances `d2`, into `out` if given."""
+    return np.exp(np.divide(d2, -(spec.sigma * spec.sigma), out=out), out=out)
 
 
 def self_kernel(spec: KernelSpec, X):
@@ -220,9 +220,7 @@ def gram(spec: KernelSpec, data) -> SymMatrix:
         x, y = values[start:stop, None, :], values[None, start:, :]
         if spec.kind == KernelKind.RBF:
             _squared_distances(x, y, rows)
-            # `_rbf`'s d2 / -(sigma^2), in place.
-            np.divide(rows, -(spec.sigma * spec.sigma), out=rows)
-            np.exp(rows, out=rows)
+            _rbf(spec, rows, out=rows)
         else:
             rows[...] = kernel_rows(spec, x, y)
             if not np.all(np.isfinite(rows)):

@@ -1,9 +1,10 @@
 """Dense symmetric matrices and their spectrum, summation orders, and membership matrices.
 
 `sorted_eigenvalues` is the spectrum model selection uses and
-`jacobi_eigen` its pure-Python reference.  `membership_matrix` is the
-one set-to-matrix builder (cluster-id sets, label sets) and
-`membership_sets` the one matrix-to-sets reader.
+`jacobi_eigen`, whole-array Jacobi rotations with eigenvectors, its
+reference.  `membership_matrix` is the one set-to-matrix builder
+(cluster-id sets, label sets) and `membership_sets` the one
+matrix-to-sets reader.
 """
 
 from contextlib import contextmanager
@@ -183,13 +184,16 @@ def _offdiagonal_norm(a):
 
 
 def jacobi_eigen(a: SymMatrix, tol: float = 1e-10, max_sweeps: int = 100) -> EigenDecomposition:
-    """Full eigendecomposition by cyclic Jacobi rotations.
+    """Full eigendecomposition by round-robin Jacobi rotations (Brent and Luk, 1985).
 
-    Sweeps over all (p, q) pairs in row order, zeroing each pivot with a
-    Givens rotation.  Stops once the off-diagonal Frobenius norm is at
-    most `tol`; raises NoConvergence if `max_sweeps` sweeps were not
-    enough.  Ties in the descending eigenvalue sort are broken by the
-    diagonal index, so results are deterministic.
+    A sweep is n - 1 steps for even n, n for odd n, where the index paired
+    with a dummy sits the step out.  A step pairs every index with a
+    different one, so its n/2 Givens rotations, each zeroing its pivot,
+    touch disjoint rows and columns and are applied together; a sweep
+    visits every (p, q) pair once.  Stops once the off-diagonal Frobenius
+    norm is at most `tol`; raises NoConvergence if `max_sweeps` sweeps
+    were not enough.  Ties in the descending eigenvalue sort are broken
+    by the diagonal index, so results are deterministic.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -200,46 +204,37 @@ def jacobi_eigen(a: SymMatrix, tol: float = 1e-10, max_sweeps: int = 100) -> Eig
     m = a.values.copy()
     v = np.eye(n)
     # Pivots below this cannot by themselves keep the off-norm above tol.
-    skip = tol / (n * n) if n > 1 else 0.0
+    skip = tol / (n * n)
+    # The circle method: index order[0] stays, the others move one place a step.
+    order = np.arange(n + n % 2)
+    steps = []
+    for _ in range(len(order) - 1):
+        first, second = np.split(order, 2)
+        p, q = np.sort([first, second[::-1]], axis=0)
+        steps.append((p[q < n], q[q < n]))
+        order[1:] = np.roll(order[1:], 1)
 
-    converged = n == 1
     for _ in range(max_sweeps):
         if _offdiagonal_norm(m) <= tol:
-            converged = True
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = m[p, q]
-                if abs(apq) <= skip:
-                    continue
-                theta = (m[q, q] - m[p, p]) / (2.0 * apq)
-                if theta != 0.0:
-                    t = np.sign(theta) / (abs(theta) + np.sqrt(1.0 + theta * theta))
-                else:
-                    t = 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rp = m[p, :].copy()
-                rq = m[q, :].copy()
-                m[p, :] = c * rp - s * rq
-                m[q, :] = s * rp + c * rq
-                cp = m[:, p].copy()
-                cq = m[:, q].copy()
-                m[:, p] = c * cp - s * cq
-                m[:, q] = s * cp + c * cq
-                m[p, q] = 0.0
-                m[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    if not converged and _offdiagonal_norm(m) > tol:
-        raise NoConvergence(
-            f"off-diagonal norm {_offdiagonal_norm(m):.3e} > {tol:.3e} after {max_sweeps} sweeps"
-        )
+        for p, q in steps:
+            apq = m[p, q]
+            rotate = np.abs(apq) > skip
+            p, q, apq = p[rotate], q[rotate], apq[rotate]
+            theta = ((m[q, q] - m[p, p]) / (2.0 * apq))[:, None]
+            # Either root of t^2 + 2 theta t - 1 zeroes the pivot; at theta = +-0, t = +-1.
+            t = np.copysign(1.0, theta) / (np.abs(theta) + np.sqrt(1.0 + theta * theta))
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = t * c
+            for rows in (m, m.T, v.T):
+                rp, rq = rows[p], rows[q]
+                rows[p], rows[q] = c * rp - s * rq, s * rp + c * rq
+            m[p, q] = m[q, p] = 0.0
+    if (off := _offdiagonal_norm(m)) > tol:
+        raise NoConvergence(f"off-diagonal norm {off:.3e} > {tol:.3e} after {max_sweeps} sweeps")
 
-    lam = np.diag(m).copy()
-    order = sorted(range(n), key=lambda i: (-lam[i], i))
+    lam = np.diag(m)
+    order = np.argsort(-lam, kind="stable")
     return EigenDecomposition(eigenvalues=lam[order], eigenvectors=v[:, order])
 
 

@@ -1,4 +1,5 @@
 from contextlib import contextmanager
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -54,11 +55,30 @@ def test_identity_eigenvalues():
     assert np.allclose(dec.eigenvalues, [1.0, 1.0, 1.0])
     # no rotations happen, so the basis is returned untouched
     assert np.array_equal(dec.eigenvectors, np.eye(3))
+    # nor at n = 1, whose one value comes back as it is
+    dec = jacobi_eigen(SymMatrix(np.array([[2.5]])))
+    assert np.array_equal(dec.eigenvalues, [2.5]) and np.array_equal(dec.eigenvectors, [[1.0]])
 
 
 def test_diagonal_matrix_any_order():
     dec = jacobi_eigen(SymMatrix(np.diag([5.0, 2.0, 9.0])))
     assert np.allclose(dec.eigenvalues, [9.0, 5.0, 2.0])
+
+
+def test_one_sweep_visits_every_pair():
+    # A coupling on its own 2x2 block is zeroed for good by one rotation, so a
+    # single sweep converges only if it visits every coupled pair.
+    cases = [(9, ((0, 8), (1, 5), (2, 7), (3, 4)))]  # disjoint pairs, index 6 alone
+    cases += [(n, (pair,)) for n in (8, 9) for pair in combinations(range(n), 2)]
+    for n, pairs in cases:
+        a = np.diag(np.arange(1.0, n + 1.0))
+        for coupling, (p, q) in zip((0.5, 1.0, 2.0, 3.0), pairs):
+            a[p, q] = a[q, p] = coupling
+        dec = jacobi_eigen(SymMatrix(a), max_sweeps=1)
+        oracle = np.linalg.eigvalsh(a)[::-1]
+        assert np.max(np.abs(dec.eigenvalues - oracle)) <= 1e-12 * oracle[0]
+        q = dec.eigenvectors
+        assert np.max(np.abs(q @ np.diag(dec.eigenvalues) @ q.T - a)) <= 1e-12 * oracle[0]
 
 
 def test_two_by_two_exact():
@@ -152,6 +172,13 @@ def _random_grams():
         yield SymMatrix((a + a.T) / 2.0)
 
 
+def _block_grams():
+    """Criterion 2's four fixed layouts of all-ones blocks: repeated eigenvalues and many zeros."""
+    for sizes in ([10, 2], [10, 2, 2], [2, 10, 10, 2], [10, 9, 2, 2, 2]):
+        labels = np.repeat(np.arange(len(sizes)), sizes)
+        yield SymMatrix((labels[:, None] == labels[None, :]).astype(float))
+
+
 def _jacobi_estimates(monkeypatch, g):
     """estimate_k under both policies with the Jacobi spectrum swapped in."""
     cache = {}
@@ -168,7 +195,7 @@ def _jacobi_estimates(monkeypatch, g):
 
 
 def test_lapack_spectrum_matches_jacobi_reference(monkeypatch, iris):
-    grams = [*_random_grams(), gram(KernelSpec(KernelKind.RBF, sigma=150.0), iris)]
+    grams = [*_random_grams(), *_block_grams(), gram(KernelSpec(KernelKind.RBF, sigma=150.0), iris)]
     for g in grams:
         for policy, reference in _jacobi_estimates(monkeypatch, g):
             got = estimate_k(g, policy)
