@@ -12,12 +12,14 @@ Degenerate denominators: an empty predicted pair set scores precision 1
 against an empty true pair set (perfect agreement) and 0 otherwise, and
 symmetrically for recall, so the metrics are total.
 
-`pair_metrics` counts pairs between the G distinct (predicted, true)
-membership patterns, each weighted by its number of points: O(n + G^2)
-time and, in row blocks, O(n + block * G) memory, with exact int64
-counts.  `linked_pairs` enumerates the pairs themselves and is the
-reference for those counts.  Each side of either is a Covering, a
-LabeledCovering, an (n, k) bool membership matrix or a sequence of sets.
+`pair_metrics` keys each point by one integer, its true memberships in
+the low bits and its predicted ones above them, and counts pairs between
+the G distinct keys, each weighted by its number of points: a sort of
+the n keys plus O(G^2) time and, in row blocks, O(n + block * G) memory,
+with exact int64 counts.  `linked_pairs` enumerates the pairs themselves
+and is the reference for those counts.  Each side of either is a
+Covering, a LabeledCovering, an (n, k) bool membership matrix or a
+sequence of sets.
 """
 
 from dataclasses import dataclass
@@ -25,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import distinct_rows, membership_matrix, membership_sets, row_blocks
+from .linalg import membership_matrix, membership_sets, row_blocks
 
 
 @dataclass(frozen=True)
@@ -87,11 +89,13 @@ def linked_pairs(c) -> set:
 
 def _linked_pair_counts(pred, true):
     """(NCILP, NILP, NTLP) for two bool membership matrices over the same n points."""
-    first, _, weights = distinct_rows(np.concatenate([pred, true], axis=1))
-    pred = pred[first].astype(float)
-    true = true[first].astype(float)
-    weights = weights.astype(np.int64)
-    g = len(first)
+    # The key bits' weights: int64 below 63 bits, Python ints from there on.
+    bits = 1 << np.arange(true.shape[1] + pred.shape[1], dtype=object)
+    if len(bits) < 63:
+        bits = bits.astype(np.int64)
+    keys, weights = np.unique(np.concatenate([true, pred], axis=1) @ bits, return_counts=True)
+    true_bits = (1 << true.shape[1]) - 1
+    g = len(keys)
     ncilp = nilp = ntlp = 0
     for start, stop in row_blocks(g, g):
         # Point pairs between pattern rows start..stop and columns start..g:
@@ -99,8 +103,9 @@ def _linked_pair_counts(pred, true):
         pairs = np.triu(np.multiply.outer(weights[start:stop], weights[start:]), 1)
         diagonal = np.arange(stop - start)
         pairs[diagonal, diagonal] = weights[start:stop] * (weights[start:stop] - 1) // 2
-        linked_pred = pred[start:stop] @ pred[start:].T > 0.0
-        linked_true = true[start:stop] @ true[start:].T > 0.0
+        shared = keys[start:stop, None] & keys[start:]
+        linked_pred = shared > true_bits  # a shared bit above the true ones
+        linked_true = (shared & true_bits) != 0
         nilp += int(pairs.sum(where=linked_pred))
         ntlp += int(pairs.sum(where=linked_true))
         ncilp += int(pairs.sum(where=linked_pred & linked_true))

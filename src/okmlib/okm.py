@@ -36,7 +36,8 @@ picks one of three image paths from that table and the run's shape: it
 is the one place that tells them apart.  A point's cluster set is an
 integer code, bit c set for cluster c, on the subset table's paths, and
 a row of an (n, k) bool matrix, the `Covering`'s layout, otherwise; the
-update reads the table or masked sums to match.  The greedy assignment
+update reads the table or masked sums to match, refreshing the table's
+blocks c and c + 2 up after cluster c.  The greedy assignment
 grows both forms alike, by or-ing in the run's singletons.
 
 `run_okm` checks the i-divergence's sign on the data once (prototypes
@@ -155,18 +156,19 @@ def _uses_table(n, k) -> bool:
     return 1 << k <= n
 
 
-def _subset_sums(prototypes, sums=None, first=0) -> np.ndarray:
+def _subset_sums(prototypes, sums=None, blocks=None) -> np.ndarray:
     """The sums of all 2^k subsets of the prototypes, column s for code s: (p, 2^k).
 
     Column s adds the prototypes whose bit is set in s in cluster-id
-    order, from +0.0, as `_masked_sums` does.  Given `sums`, the table of
-    prototypes that differ from these only in clusters `first` and up,
-    it recomputes the columns from bit `first` up in place and returns it.
+    order, from +0.0, as `_masked_sums` does.  Block c holds the codes
+    whose highest bit is c, columns 2^c to 2^(c+1) - 1, each the column
+    2^c lower plus prototype c.  Given `sums`, it recomputes only
+    `blocks`, in the order given, in place, and returns it.
     """
     k, p = prototypes.shape
     if sums is None:
         sums = np.zeros((p, 1 << k))
-    for c in range(first, k):
+    for c in range(k) if blocks is None else blocks:
         np.add(sums[:, :1 << c], prototypes[c, :, None], out=sums[:, 1 << c:2 << c])
     return sums
 
@@ -243,18 +245,19 @@ def _assign(nearest, dist, previous=None, previous_dists=None, ids=None) -> np.n
     dists = nearest()  # (k, n): one row per cluster
     k, n = dists.shape
     order = dists.argsort(axis=0, kind="stable")
-    growing, singletons = _run_ids(n, k) if ids is None else ids
-    best = dists[order[0], growing]  # a 1-set's image is its prototype
+    point_ids, singletons = _run_ids(n, k) if ids is None else ids
+    best = dists[order[0], point_ids]  # a 1-set's image is its prototype
     chosen = singletons.take(order[0], axis=0)
+    growing = np.s_[:]  # every point tries a second cluster
     for step in range(1, k):
-        if not growing.size:
-            break
-        candidate = chosen[growing] | singletons.take(order[step].take(growing), axis=0)
+        candidate = chosen[growing] | singletons.take(order[step][growing], axis=0)
         tried = dist(growing, candidate)
         improved = tried < best[growing]
-        growing = growing[improved]
+        growing = improved.nonzero()[0] if step == 1 else growing[improved]
         chosen[growing] = candidate[improved]
         best[growing] = tried[improved]
+        if not growing.size:
+            break
     if previous is not None:
         kept = previous_dists < best
         chosen[kept] = previous[kept]
@@ -287,7 +290,8 @@ def _update_prototypes(sets, prototypes, values, nonneg=False, sums=None, stack=
 
     `sets` are the points' codes given `sums`, the prototypes'
     `_subset_sums` table, and otherwise their (n, k) bool matrix; `sums`
-    is updated in place to the returned prototypes' table.  `stack` is a
+    is updated in place to the returned prototypes' table, blocks c and
+    c + 2 up after each cluster c, moved or empty.  `stack` is a
     (p + 1, n) buffer whose last row is ones, held by a run for all its
     updates; without it one is made.
     """
@@ -301,26 +305,26 @@ def _update_prototypes(sets, prototypes, values, nonneg=False, sums=None, stack=
     for c in range(len(new)):
         bit = 1 << c
         members = (sets[:, c] if sums is None else sets & bit).nonzero()[0]
-        if not members.size:
-            continue
-        # Each member's other prototypes, freshest values, in cluster-id order: (p, m).
+        if members.size:
+            # Each member's other prototypes, freshest values, in cluster-id order: (p, m).
+            if sums is not None:
+                others = sums.take(sets.take(members) & ~bit, axis=1)
+            else:
+                others = sets.take(members, axis=0)
+                others[:, c] = False
+                others = _masked_sums(others, new)
+            # The terms (|A_i| x_i - others) / |A_i|^2 over 1 / |A_i|^2, the members added one after
+            # another, in index order, as the reference does: the last column holds num over den.
+            terms = stack.take(members, axis=1)
+            terms[:-1] -= others
+            terms /= squares.take(members)
+            total = np.add.accumulate(terms, axis=1)[:, -1]
+            moved = np.divide(total[:-1], total[-1], out=new[c])
+            if nonneg:
+                np.maximum(moved, 0.0, out=moved)
         if sums is not None:
-            others = sums.take(sets.take(members) & ~bit, axis=1)
-        else:
-            others = sets.take(members, axis=0)
-            others[:, c] = False
-            others = _masked_sums(others, new)
-        # The terms (|A_i| x_i - others) / |A_i|^2 over 1 / |A_i|^2, the members added one after
-        # another, in index order, as the reference does: the last column holds num over den.
-        terms = stack.take(members, axis=1)
-        terms[:-1] -= others
-        terms /= squares.take(members)
-        total = np.add.accumulate(terms, axis=1)[:, -1]
-        moved = np.divide(total[:-1], total[-1], out=new[c])
-        if nonneg:
-            np.maximum(moved, 0.0, out=moved)
-        if sums is not None:
-            _subset_sums(new, sums, first=c)
+            # Cluster c + 1 reads no code with bit c + 1, so block c + 1 waits for its refresh.
+            _subset_sums(new, sums, (c, *range(c + 2, len(new))))
     return new
 
 
@@ -345,7 +349,7 @@ def _objective(sets, dist):
     return sequential_sum(point_values), point_values  # as the reference adds them
 
 
-def _distance(d: Dissimilarity, values, prototypes, x_self=None, sums=None):
+def _distance(d: Dissimilarity, values, prototypes, x_self=None, sums=None, ids=None):
     """`nearest, dist`: how far the data rows `values` are from the images of `prototypes`.
 
     `nearest()` gives each point's distance to each prototype as the C
@@ -354,8 +358,8 @@ def _distance(d: Dissimilarity, values, prototypes, x_self=None, sums=None):
     point `values[at]`'s distance to the image of its set in `sets`; `at`
     is a slice or an index array.  Values are `unchecked_dissim_rows`:
     the caller has checked the signs.  `x_self`, the rows' K(x, x)
-    (`kernels.self_kernel`), is read at `at` too.  There are three image
-    paths:
+    (`kernels.self_kernel`), is read at `at` too, and `ids`, the run's
+    `_run_ids`, by the all-subset path.  There are three image paths:
 
       * the subset table (`_uses_table`): `sums` is the prototypes'
         `_subset_sums` and `sets` are codes, read from one image table,
@@ -396,7 +400,7 @@ def _distance(d: Dissimilarity, values, prototypes, x_self=None, sums=None):
         every = against(np.s_[:, None], np.ascontiguousarray(image_table.T)[None])
     except DomainError:
         return nearest, dist
-    point_ids, singletons = np.arange(len(values)), 1 << np.arange(k)
+    point_ids, singletons = (np.arange(len(values)), 1 << np.arange(k)) if ids is None else ids
     return (lambda: every.take(singletons, axis=1).T,
             lambda at, sets: every[at if isinstance(at, np.ndarray) else point_ids[at], sets])
 
@@ -434,7 +438,7 @@ def run_okm(data, config: OkmConfig, on_iteration=None) -> Covering:
     x_self = self_kernel(d.kernel, values) if d.kind == DissimilarityKind.KERNEL_INDUCED else None
     ids = _run_ids(n, config.k)
     stack = np.ones((values.shape[1] + 1, n))  # the update's rows, over a row of ones
-    nearest, dist = _distance(d, values, prototypes, x_self, sums)
+    nearest, dist = _distance(d, values, prototypes, x_self, sums, ids)
 
     sets = point_values = None
     current_j = None
@@ -442,7 +446,7 @@ def run_okm(data, config: OkmConfig, on_iteration=None) -> Covering:
     for _ in range(config.max_iter):
         new_sets = _assign(nearest, dist, sets, point_values, ids)
         new_prototypes = _update_prototypes(new_sets, prototypes, values, nonneg, sums, stack)
-        nearest, dist = _distance(d, values, new_prototypes, x_self, sums)
+        nearest, dist = _distance(d, values, new_prototypes, x_self, sums, ids)
         new_j, new_point_values = _objective(new_sets, dist)
         if not math.isfinite(new_j):
             raise DomainError(f"J is {new_j}: the data overflow this measure")

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import pathlib
 
@@ -13,6 +14,21 @@ IRIS_PATH = REPO_ROOT / "data" / "iris.csv"
 @pytest.fixture(scope="session")
 def iris():
     return load_csv(IRIS_PATH, label_column="last")
+
+
+@pytest.fixture(scope="session")
+def spectra_recorder():
+    """`tests/data/make_golden_spectra.py`: its `block_layouts()` and `ones_blocks(sizes)` build criterion 2's matrices."""
+    path = REPO_ROOT / "tests" / "data" / "make_golden_spectra.py"
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="session")
+def ones_blocks(spectra_recorder):
+    return spectra_recorder.ones_blocks
 
 
 @pytest.fixture(scope="session")

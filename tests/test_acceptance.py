@@ -51,16 +51,6 @@ def report(name, ok, detail=""):
     assert ok, f"{name}: {detail}"
 
 
-def ones_blocks(sizes):
-    n = sum(sizes)
-    m = np.zeros((n, n))
-    offset = 0
-    for s in sizes:
-        m[offset:offset + s, offset:offset + s] = 1.0
-        offset += s
-    return SymMatrix(m)
-
-
 def iris_measures():
     return {
         "euclidean": Dissimilarity(DissimilarityKind.SQUARED_EUCLIDEAN),
@@ -93,15 +83,12 @@ def test_criterion_1_iris_spectrum_and_estimate(iris):
            f"elapsed={elapsed:.2f}s")
 
 
-def test_criterion_2_block_diagonal_oracle():
-    rng = np.random.default_rng(12345)
-    cases = [[10, 2], [10, 2, 2], [2, 10, 10, 2], [10, 9, 2, 2, 2]]
-    for b in (2, 3, 4, 5):
-        for _ in range(3):
-            cases.append(rng.integers(2, 11, size=b).tolist())
+def test_criterion_2_block_diagonal_oracle(spectra_recorder):
+    # Four fixed size layouts, then three drawn with seed 12345 for each of 2-5 blocks.
+    cases = spectra_recorder.block_layouts()
     failures = []
     for sizes in cases:
-        g = ones_blocks(sizes)
+        g = spectra_recorder.ones_blocks(sizes)
         for kind in (PolicyKind.LARGEST_EIGENGAP, PolicyKind.RATIO_THRESHOLD):
             got = estimate_k(g, SignificancePolicy(kind=kind)).estimated_k
             if got != len(sizes):

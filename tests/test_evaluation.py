@@ -175,6 +175,23 @@ def test_pattern_counts_match_linked_pairs():
             assert (m.ncilp, m.nilp, m.ntlp) == expected, (k, len(pred))
 
 
+def test_pattern_keys_at_the_int64_boundary():
+    # A point's key holds its m true bits below its k predicted ones: int64 keys up to
+    # 62 bits, Python ints from 63.  The top predicted bits are linked on purpose.
+    rng = np.random.default_rng(502)
+    for width in (61, 62, 63, 64):
+        k = width - 3
+        pred = random_sets(rng, 60, k, 4)
+        pred[:3] = [frozenset({k - 1}), frozenset({k - 2, k - 1}), frozenset({0, k - 2})]
+        true = random_sets(rng, 60, 3, 2)
+        shared = ([frozenset({0, k - 1})] * 60, [frozenset({0, 1, 2})] * 60)  # one pattern for all
+        for pred, true in ((pred, true), shared):
+            truth = LabeledCovering(tuple(true))
+            assert truth.memberships.shape[1] + k == width
+            m = pair_metrics(covering(pred, k), truth)
+            assert (m.ncilp, m.nilp, m.ntlp) == linked_pair_counts(pred, true), width
+
+
 def test_pattern_counts_when_every_point_has_its_own_pattern(monkeypatch):
     # G = n: no two points share a (predicted, true) pattern, and small
     # blocks make the count run over many pattern blocks.

@@ -172,13 +172,6 @@ def _random_grams():
         yield SymMatrix((a + a.T) / 2.0)
 
 
-def _block_grams():
-    """Criterion 2's four fixed layouts of all-ones blocks: repeated eigenvalues and many zeros."""
-    for sizes in ([10, 2], [10, 2, 2], [2, 10, 10, 2], [10, 9, 2, 2, 2]):
-        labels = np.repeat(np.arange(len(sizes)), sizes)
-        yield SymMatrix((labels[:, None] == labels[None, :]).astype(float))
-
-
 def _jacobi_estimates(monkeypatch, g):
     """estimate_k under both policies with the Jacobi spectrum swapped in."""
     cache = {}
@@ -194,8 +187,10 @@ def _jacobi_estimates(monkeypatch, g):
         return [(policy, estimate_k(g, policy)) for policy in map(SignificancePolicy, PolicyKind)]
 
 
-def test_lapack_spectrum_matches_jacobi_reference(monkeypatch, iris):
-    grams = [*_random_grams(), *_block_grams(), gram(KernelSpec(KernelKind.RBF, sigma=150.0), iris)]
+def test_lapack_spectrum_matches_jacobi_reference(monkeypatch, iris, spectra_recorder):
+    # Criterion 2's four fixed layouts of all-ones blocks: repeated eigenvalues and many zeros.
+    blocks = map(spectra_recorder.ones_blocks, spectra_recorder.block_layouts()[:4])
+    grams = [*_random_grams(), *blocks, gram(KernelSpec(KernelKind.RBF, sigma=150.0), iris)]
     for g in grams:
         for policy, reference in _jacobi_estimates(monkeypatch, g):
             got = estimate_k(g, policy)

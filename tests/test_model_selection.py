@@ -22,16 +22,6 @@ RATIO = SignificancePolicy(kind=PolicyKind.RATIO_THRESHOLD)
 GAP = SignificancePolicy(kind=PolicyKind.LARGEST_EIGENGAP)
 
 
-def ones_blocks(sizes):
-    n = sum(sizes)
-    m = np.zeros((n, n))
-    offset = 0
-    for s in sizes:
-        m[offset:offset + s, offset:offset + s] = 1.0
-        offset += s
-    return SymMatrix(m)
-
-
 def test_ratio_count_example():
     policy = SignificancePolicy(kind=PolicyKind.RATIO_THRESHOLD, tau=0.1)
     # cutoff is 0.1 * 5 = 0.5
@@ -50,7 +40,7 @@ def test_eigengap_count_on_block_spectrum():
     assert significant_count([4.0], GAP) == 1  # no gap to take
 
 
-def test_block_diagonal_spec_example():
+def test_block_diagonal_spec_example(ones_blocks):
     g = ones_blocks([3, 3, 4])
     for policy in (RATIO, GAP):
         assert estimate_k(g, policy).estimated_k == 3
@@ -58,13 +48,13 @@ def test_block_diagonal_spec_example():
 
 @pytest.mark.parametrize("sizes", [[10, 2], [10, 2, 2], [2, 10, 10, 2],
                                    [10, 9, 2, 2, 2], [5, 5, 5], [2, 2]])
-def test_block_diagonal_exact_recovery(sizes):
+def test_block_diagonal_exact_recovery(sizes, ones_blocks):
     g = ones_blocks(sizes)
     for policy in (RATIO, GAP):
         assert estimate_k(g, policy).estimated_k == len(sizes)
 
 
-def test_permutation_invariance():
+def test_permutation_invariance(ones_blocks):
     rng = np.random.default_rng(1)
     g = ones_blocks([4, 3, 2])
     perm = rng.permutation(g.n)
@@ -73,7 +63,7 @@ def test_permutation_invariance():
         assert estimate_k(permuted, policy).estimated_k == estimate_k(g, policy).estimated_k
 
 
-def test_ratio_policy_scale_invariant():
+def test_ratio_policy_scale_invariant(ones_blocks):
     g = ones_blocks([4, 4, 3])
     base = estimate_k(g, RATIO).estimated_k
     for c in (0.25, 3.0, 100.0):
@@ -81,7 +71,7 @@ def test_ratio_policy_scale_invariant():
         assert estimate_k(scaled, RATIO).estimated_k == base
 
 
-def test_single_block_gives_one():
+def test_single_block_gives_one(ones_blocks):
     g = ones_blocks([6])
     for policy in (RATIO, GAP):
         assert estimate_k(g, policy).estimated_k == 1
@@ -98,7 +88,7 @@ def test_policy_validation():
         SignificancePolicy(kind=PolicyKind.RATIO_THRESHOLD, tau=1.5)
 
 
-def test_report_carries_full_descending_spectra():
+def test_report_carries_full_descending_spectra(ones_blocks):
     g = ones_blocks([3, 2])
     report = estimate_k(g, GAP)
     assert len(report.eigenvalues) == g.n

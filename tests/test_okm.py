@@ -451,7 +451,7 @@ def test_subset_table_refreshed_in_place_is_the_table_built_from_scratch():
                 sums = okm._subset_sums(new)
                 for c in range(k):
                     new[c] = spread(p)
-                    okm._subset_sums(new, sums, first=c)
+                    okm._subset_sums(new, sums, range(c, k))
                     assert _same_bits(sums, okm._subset_sums(new)), (sign, p, k, c)
 
 
@@ -461,6 +461,35 @@ def test_update_leaves_the_table_of_the_prototypes_it_returns():
         new = _update_prototypes(codes_of(rows), protos, x, d is IDIV, sums)
         assert np.array_equal(new, _update_prototypes(rows, protos, x, d is IDIV))
         assert _same_bits(sums, okm._subset_sums(new)), (d.kind, x.shape, len(protos))
+
+
+def test_update_refreshes_the_table_it_reads_whichever_clusters_are_empty(monkeypatch):
+    # After cluster c, moved or empty, the update refreshes blocks c and c + 2 up and leaves
+    # block c + 1 to cluster c + 1, which reads no code with bit c + 1.  Every set of empty
+    # clusters, the first and the last among them, must give the prototypes of the eager
+    # refresh (blocks c and up after each cluster c) and leave the full table.
+    subset_sums = okm._subset_sums
+
+    def eager(prototypes, sums=None, blocks=None):
+        return subset_sums(prototypes, sums, None if blocks is None else range(blocks[0], len(prototypes)))
+
+    for seed in range(3):
+        rng = np.random.default_rng(90 + seed)
+        for k in range(1, 7):
+            for empty in range((1 << k) - 1):  # bit c set: cluster c has no member
+                filled = [c for c in range(k) if not empty >> c & 1]
+                draws = rng.integers(1, 1 << len(filled), 70)
+                codes = ((draws[:, None] >> np.arange(len(filled))) & 1) @ (1 << np.array(filled))
+                x = rng.standard_normal((70, 3)) * 10.0 ** rng.uniform(-3, 3, (70, 3))
+                protos = rng.standard_normal((k, 3)) * 10.0 ** rng.uniform(-3, 3, (k, 3))
+                nonneg = bool(seed % 2)
+                sums = subset_sums(protos)
+                new = _update_prototypes(codes, protos, x, nonneg, sums)
+                case = (seed, k, empty)
+                assert _same_bits(sums, subset_sums(new)), case
+                with monkeypatch.context() as patch:
+                    patch.setattr(okm, "_subset_sums", eager)
+                    assert _same_bits(new, _update_prototypes(codes, protos, x, nonneg, subset_sums(protos))), case
 
 
 @pytest.fixture()
@@ -495,9 +524,9 @@ def test_run_okm_builds_one_table_and_no_per_round_matrix(iris, monkeypatch, mas
     sets = []
     subset_sums, assign, covering = okm._subset_sums, okm._assign, okm.Covering
 
-    def counted_subset_sums(prototypes, sums=None, first=0):
+    def counted_subset_sums(prototypes, sums=None, blocks=None):
         counts["from scratch"] += sums is None
-        return subset_sums(prototypes, sums, first)
+        return subset_sums(prototypes, sums, blocks)
 
     def counted_assign(*args):
         counts["rounds"] += 1
