@@ -20,7 +20,7 @@ import numpy as np
 
 from .dataio import data_values
 from .errors import DimensionMismatch, DomainError, InvalidSpec
-from .linalg import SymMatrix, row_blocks, row_sum, unbuffered
+from .linalg import SymMatrix, numpys_halves, row_blocks, row_sum, unbuffered
 
 
 class KernelKind(enum.Enum):
@@ -140,20 +140,20 @@ def kernel_eval(spec: KernelSpec, x, y) -> float:
 
 
 def _squared_distances(x, y, out):
-    """`row_sum((x - y) ** 2)` into `out`, bit for bit, for x (rows, 1, p) and y (1, cols, p).
+    """`row_sum((x - y) ** 2)` into `out`, bit for bit, for x (rows, 1, p) and y (1, cols, p); returns `out`.
 
-    Up to 128 features the squared differences are added one feature
-    column at a time in `row_sum`'s order: left to right below 8; from 8
-    on, eight lanes of every eighth column, combined pairwise, then the
-    tail columns.  Temporaries: one (rows, cols) column below 8 features,
-    four from 8 to 128, and above 128 the (rows, cols, p) batch that
-    `row_sum` sums whole.
+    The squared differences are added one feature column at a time in
+    `row_sum`'s order: left to right below 8 features; from 8 to 128,
+    eight lanes of every eighth column, combined pairwise, then the tail
+    columns; above 128, `numpys_halves` each so, the second into a plane
+    of its own.  Temporaries: one (rows, cols) column below 8 features,
+    four from 8 on, and one plane per halving level above 128.
     """
     p = x.shape[-1]
     if p > 128:
-        diff = np.subtract(x, y, out=np.empty(out.shape + (p,)))
-        np.sum(np.square(diff, out=diff), axis=-1, out=out)
-        return
+        (x1, x2), (y1, y2) = numpys_halves(x), numpys_halves(y)
+        _squared_distances(x1, y1, out)
+        return np.add(out, _squared_distances(x2, y2, np.empty(out.shape)), out=out)
     scratch = np.empty(out.shape)
 
     def square(column, into):
@@ -170,30 +170,22 @@ def _squared_distances(x, y, out):
 
     lane(0, out)
     if p < 8:
-        return
+        return out
     # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the tail columns.
     t1, t2, t3 = np.empty((3,) + out.shape)
     out += lane(1, t1)
-    lane(2, t1)
-    t1 += lane(3, t2)
-    out += t1
-    lane(4, t1)
-    t1 += lane(5, t2)
-    lane(6, t2)
-    t2 += lane(7, t3)
-    t1 += t2
+    out += np.add(lane(2, t1), lane(3, t2), out=t1)
+    np.add(lane(4, t1), lane(5, t2), out=t1)
+    t1 += np.add(lane(6, t2), lane(7, t3), out=t2)
     out += t1
     for column in range(body, p):
         out += square(column, scratch)
+    return out
 
 
 def _block_temporaries(spec: KernelSpec, p):
-    """(rows, cols) temporaries that one Gram row block holds, counted as in `_squared_distances`."""
-    if spec.kind != KernelKind.RBF:
-        return 4  # kernel_rows' inner products, base and power, and the finiteness mask
-    if p < 8:
-        return 1
-    return 4 if p <= 128 else p
+    """(rows, cols) temporaries of a Gram row block: rbf's column or lanes, or `kernel_rows`'."""
+    return 1 if spec.kind == KernelKind.RBF and p < 8 else 4
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is a non-finite entry, or an rbf 0
@@ -206,9 +198,9 @@ def gram(spec: KernelSpec, data) -> SymMatrix:
     result is symmetric by construction and its entries are the bits of
     `kernel_eval` on each pair.  Memory: the dense result, 8 n^2 bytes,
     plus one row block's temporaries, about BLOCK_ELEMENTS doubles, or
-    one row's when a row needs more.  Raises DomainError when an entry
-    overflows; an rbf entry of finite data lies in [0, 1] and is not
-    checked.
+    one row's when a row needs more; above 128 features a quarter of that
+    more for each halving level.  Raises DomainError when an entry
+    overflows; an rbf entry of finite data lies in [0, 1] and is not checked.
     """
     values = data_values(data)
     if values.shape[0] < 1:

@@ -28,6 +28,12 @@ def sequential_sum(values) -> float:
     return float(np.add.accumulate(values)[-1]) if values.size else 0.0
 
 
+def numpys_halves(a):
+    """The two halves that numpy sums a C row of p > 128 values in: the first a multiple of 8 wide."""
+    half = a.shape[-1] // 2 - a.shape[-1] // 2 % 8
+    return a[..., :half], a[..., half:]
+
+
 def row_sum(a) -> np.ndarray:
     """`np.ascontiguousarray(a).sum(axis=-1)` bit for bit, for a float array `a` that it may overwrite.
 
@@ -37,14 +43,16 @@ def row_sum(a) -> np.ndarray:
     tail columns left to right and adds the result to +0.0.  Here these
     are column adds over all rows at once, in place, so the result does
     not depend on the layout of `a`.  Below 8 numpy adds left to right in
-    every layout, so `a.sum` is used as it is; above 128 numpy halves a C
-    row first, so a contiguous copy is summed.
+    every layout, so `a.sum` is used as it is.  Above 128 numpy adds the
+    sums of its two halves (`numpys_halves`), and so does this; the +0.0
+    added to each changes only a -0.0 half, and two give +0.0 as numpy does.
     """
     p = a.shape[-1]
     if p < 8:
         return a.sum(axis=-1)
     if p > 128:
-        return np.ascontiguousarray(a).sum(axis=-1)
+        first, second = numpys_halves(a)
+        return row_sum(first) + row_sum(second)
     lanes = a[..., :8]
     body = p - p % 8
     for start in range(8, body, 8):

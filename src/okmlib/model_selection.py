@@ -53,9 +53,8 @@ class SpectrumReport:
 def significant_count(eigenvalues, policy: SignificancePolicy) -> int:
     """How many leading values of a descending spectrum are significant.
 
-    On a nearly flat centered spectrum the largest gap is the one down to
-    the centering's null value, so `estimate_k` returns n: 65 for the golden
-    65-point samples at p = 128 and 129 under rbf at the median sigma and poly 2.
+    `estimate_k` passes the centered spectrum without the centering's null
+    value, so the eigengap cuts a nearly flat one inside, not down at it.
     """
     lam = np.asarray(eigenvalues, dtype=float)
     if lam.size == 0 or lam[0] <= 0:
@@ -105,8 +104,9 @@ def _estimate_k_in_place(matrix: SymMatrix, policy: SignificancePolicy) -> Spect
 
     raw = sorted_eigenvalues(matrix)
     centered = sorted_eigenvalues(_centered(matrix))
+    null = np.argmin(np.abs(centered))  # the centering's (see `estimate_k`)
 
-    estimated = max(1, min(1 + significant_count(centered, policy), n))
+    estimated = 1 + significant_count(np.delete(centered, null), policy)
     return SpectrumReport(eigenvalues=raw, centered_eigenvalues=centered, estimated_k=estimated)
 
 
@@ -114,9 +114,15 @@ def estimate_k(matrix: SymMatrix, policy: SignificancePolicy) -> SpectrumReport:
     """Estimate the cluster count for the dataset behind a Gram matrix.
 
     Returns the full descending spectrum (raw and centered) so a human
-    can second-guess the mechanical estimate.  Raises DomainError for
-    fewer than two points.  `matrix` is left as it is.  Memory: n^2
-    doubles on top of `matrix` (the copy that is centered in place) and a
-    row block, plus LAPACK's working copies.
+    can second-guess the mechanical estimate.  The policy reads the
+    centered spectrum without its value nearest 0.  Exactly one value is
+    the centering's: with J = I - 11'/n, (J K J)1 = 0 for every K, while
+    J I J = J has the value 0 only once.  Other zeros are K's (g blocks of
+    ones leave n - g); they equal the null value but for rounding, below
+    either policy's cut unless all values are, so which one goes does not
+    change the count.  Raises DomainError for fewer than two points.
+    `matrix` is left as it is.  Memory: n^2 doubles on top of `matrix`
+    (the copy that is centered in place) and a row block, plus LAPACK's
+    working copies.
     """
     return _estimate_k_in_place(SymMatrix._trusted(matrix.values.copy(order="K")), policy)

@@ -301,8 +301,9 @@ def test_gram_memory_stays_near_one_matrix(monkeypatch):
 @pytest.mark.parametrize("block_elements", [None, 50], ids=["default-blocks", "50-element-blocks"])
 def test_gram_entries_are_the_pairwise_kernel_eval_bits(monkeypatch, block_elements):
     # Below 8 features the rbf squared distances are added left to right,
-    # from 8 to 128 in row_sum's eight lanes, above 128 in one batch; every
-    # entry, below the diagonal too, must be kernel_eval's bits on its pair.
+    # from 8 to 128 in row_sum's eight lanes, above 128 in numpy's halves,
+    # each in those lanes (three levels deep at p = 1 000); every entry,
+    # below the diagonal too, must be kernel_eval's bits on its pair.
     import okmlib.linalg as linalg
 
     if block_elements is not None:
@@ -310,8 +311,8 @@ def test_gram_entries_are_the_pairwise_kernel_eval_bits(monkeypatch, block_eleme
     specs = [KernelSpec(KernelKind.RBF, sigma=sigma) for sigma in (0.5, 2.0, 150.0)]
     specs += [POLY2, KernelSpec(KernelKind.POLYNOMIAL, degree=0.25), LIN]
     rng = np.random.default_rng(37)
-    n = 15
-    for p in (1, 2, 4, 7, 8, 9, 15, 16, 17, 128, 129):
+    for p in (1, 2, 4, 7, 8, 9, 15, 16, 17, 128, 129, 256, 1000):
+        n = 15 if p < 256 else 6  # fewer pairs where each takes a thousand column adds
         points = rng.uniform(0.0, 3.0, (n, p)) * 10.0 ** rng.uniform(-2.0, 1.0, (n, 1))
         for data in (points, np.asfortranarray(points)):
             for spec in specs:
@@ -362,7 +363,7 @@ def test_median_sigma_row_blocks_match_dense_formula(monkeypatch):
 
     monkeypatch.setattr(linalg, "BLOCK_ELEMENTS", 64)
     rng = np.random.default_rng(8)
-    for n, p in ((2, 1), (7, 3), (40, 2), (41, 9)):
+    for n, p in ((2, 1), (7, 3), (40, 2), (41, 9), (23, 300)):
         values = rng.standard_normal((n, p))
         # As the CLI passes them: a DataMatrix, whose values are points-innermost; and a raw array.
         assert median_sigma(DataMatrix(values)) == median_sigma(values) == dense(values)

@@ -330,7 +330,7 @@ def test_row_sum_is_numpys_row_sum_bit_for_bit():
     # row_sum replays numpy's order for sum(axis=-1) of a C-ordered array,
     # in every layout; if a numpy release changes that order, this fails.
     rng = np.random.default_rng(40)
-    for p in range(1, 301):
+    for p in [*range(1, 301), 513, 1000, 1024, 2049]:
         for shape in ((p,), (6, p), (4, 3, p)):
             a = _spread(rng, shape)
             expected = _bits(a.sum(axis=-1))
@@ -342,3 +342,21 @@ def test_row_sum_is_numpys_row_sum_bit_for_bit():
         zeros = np.full((2, p), -0.0)
         for laid_out in _layouts(zeros):
             assert np.array_equal(_bits(row_sum(laid_out.copy(order="K"))), _bits(zeros.sum(axis=-1)))
+    # Above 128 each of numpy's halves is summed on its own: a -0.0 row, and infinities and NaNs
+    # in either half or in both, keep numpy's bits (the sign of the NaN of inf - inf too).
+    for p in (129, 300, 513, 1000, 1024, 2049):
+        a = _spread(rng, (4, 2, p))
+        a[0, 0] = -0.0
+        a[0, 1, [p // 4]] = np.inf
+        a[1, 0, [-1]] = -np.inf
+        a[1, 1, [0, -1]] = np.inf, -np.inf
+        a[2, 0, [p // 2]] = np.nan
+        a[2, 1, [1, -2]] = -np.inf, np.nan
+        a[3, 0, [3, p // 2 + 3]] = np.inf, np.inf
+        a[3, 1] = -0.0
+        a[3, 1, [p - 5]] = -1.5
+        with np.errstate(invalid="ignore"):
+            expected = _bits(a.sum(axis=-1))
+            for laid_out in _layouts(a):
+                assert np.array_equal(_bits(row_sum(laid_out.copy(order="K"))), expected), \
+                    (p, laid_out.strides)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import okmlib.linalg as linalg
+import okmlib.model_selection as model_selection
 from okmlib import (
     DomainError,
     InvalidSpec,
@@ -38,6 +39,39 @@ def test_count_ignores_nonpositive_eigenvalues():
 def test_eigengap_count_on_block_spectrum():
     assert significant_count([4.0, 3.0, 3.0, 0.0, 0.0], GAP) == 3
     assert significant_count([4.0], GAP) == 1  # no gap to take
+
+
+def test_the_eigengap_noise_floor_decides_this_spectrum(monkeypatch):
+    # Its last gaps lie near the floor: at 0.01 the cut falls after the fifth value; a doubled
+    # floor flattens that gap and the cut moves up one, a halved one opens the gap below 0.014.
+    spectrum = [1.0, 0.43, 0.185, 0.08, 0.034, 0.014, 0.001]
+    assert significant_count(spectrum, GAP) == 5
+    for floor, count in ((0.02, 4), (0.005, 6)):
+        monkeypatch.setattr(model_selection, "GAP_NOISE_FLOOR", floor)
+        assert significant_count(spectrum, GAP) == count
+
+
+def test_the_centerings_null_value_is_left_out_and_block_estimates_keep(spectra_recorder):
+    # (J K J)1 = 0 for every K: a centered matrix's rows sum to 0 but for rounding.
+    rng = np.random.default_rng(25)
+    a = rng.standard_normal((30, 30))
+    centered = _centered(SymMatrix(a + a.T)).values
+    assert np.max(np.abs(centered.sum(axis=1))) < 1e-12 * np.max(np.abs(a))
+    # g blocks of ones leave n - g centered values at 0 besides the null value, and one
+    # block leaves every value at 0; criterion 2's matrices keep their estimates.
+    for sizes in [[6]] + spectra_recorder.block_layouts():
+        g = spectra_recorder.ones_blocks(sizes)
+        for policy in (RATIO, GAP):
+            report = estimate_k(g, policy)
+            assert report.estimated_k == len(sizes), (sizes, policy)
+            centered = report.centered_eigenvalues
+            assert len(centered) == g.n  # the report keeps the null value
+            assert np.sum(np.abs(centered) < 1e-12) == g.n - len(sizes) + 1
+    # The identity's centered spectrum is 1 (n - 1 times) and the null value: flat once it is
+    # left out, so the eigengap takes the first gap and the ratio policy counts every value.
+    identity = SymMatrix(np.eye(9))
+    assert estimate_k(identity, GAP).estimated_k == 2
+    assert estimate_k(identity, RATIO).estimated_k == 9
 
 
 def test_block_diagonal_spec_example(ones_blocks):

@@ -1011,6 +1011,28 @@ def test_run_okm_memory_stays_within_two_distance_temporaries_at_n20800():
     assert peak < 2 * n * k * p * 8, peak
 
 
+def test_run_okm_memory_stays_within_one_and_a_half_distance_temporaries_at_p256():
+    # A deterministic guard, no wall clock: at n = 2 000, k = 5, p = 256
+    # the (k, n, p) distance batch is summed in place, half by half,
+    # with no copy of it: 1.22 n·k·p doubles under euclidean and rbf,
+    # where a contiguous copy of the batch made 2.21.
+    n, k, p = 2000, 5, 256
+    data = generate_synthetic(SyntheticSpec(
+        k=k, points_per_cluster=360, overlap_pairs=tuple((c, (c + 1) % k, 40) for c in range(k)),
+        dimension=p, seed=0))
+    assert data.values.shape == (n, p)
+    rbf = Dissimilarity(DissimilarityKind.KERNEL_INDUCED, kernel=KernelSpec(KernelKind.RBF, sigma=20.0))
+    for d in (SQ, rbf):
+        tracemalloc.start()
+        try:
+            cov = run_okm(data, OkmConfig(k=k, dissimilarity=d, max_iter=2, seed=650))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cov.n_iter == 2
+        assert peak < 1.5 * n * k * p * 8, (d.kind, peak / (n * k * p * 8))
+
+
 def test_row_sum_is_numpys_row_sum_on_every_array_okm_sums(monkeypatch):
     # The (k, n, p) distances, the growing points' (g, p) image distances
     # and the objective's (n, p) rows, as a run builds them.  The oracle is
@@ -1040,6 +1062,16 @@ def test_row_sum_is_numpys_row_sum_on_every_array_okm_sums(monkeypatch):
     assert {(k, n, p), (n, p)} <= shapes
     assert innermost[k, n, p] and innermost[n, p]
     assert any(len(shape) == 2 and 0 < shape[0] < n for shape in shapes), shapes
+    # Above 128 features row_sum sums numpy's two halves, here two levels deep.
+    n, p = 220, 300
+    values = np.abs(generate_synthetic(SyntheticSpec(
+        k=k, points_per_cluster=40, overlap_pairs=tuple((c, (c + 1) % k, 4) for c in range(k)),
+        dimension=p, seed=0)).values)
+    shapes.clear()
+    for d in (SQ, IDIV, rbf):
+        run_okm(values, OkmConfig(k=k, dissimilarity=d, max_iter=3, seed=650))
+    assert {(k, n, p), (n, p)} <= shapes
+    assert innermost[k, n, p] and innermost[n, p]
 
 
 def test_assignment_names_the_negative_base_a_point_by_point_pass_meets_first():
