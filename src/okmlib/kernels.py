@@ -7,10 +7,11 @@
 `kernel_rows` is the one batched core and `kernel_distance_rows` the one
 distance; `kernel_eval` and `kernel_distance_sq` are their checked
 one-pair wrappers.  Both reach the rbf kernel through `_rbf`, and the
-distance alone decides when to skip its K(x, x) and K(y, y).  Each inner
-product rounds like `np.dot` on its pair, whatever the layout of the
-inputs.  `median_sigma`, the default rbf bandwidth, adds its squared
-distances in `gram`'s row blocks.
+distance alone decides when to skip its K(x, x) and K(y, y).  Squared
+distances and inner products are added in `row_sum`'s order from
+multiplies and adds alone, in any layout, so no value depends on the
+BLAS kernel a CPU picks.  `gram` and `median_sigma`, the default rbf
+bandwidth, add them a feature column at a time (`_column_sums`).
 """
 
 import enum
@@ -69,20 +70,27 @@ def check_rows(X, Y):
 def kernel_rows(spec: KernelSpec, X, Y) -> np.ndarray:
     """Kernel values of X (..., p) against Y (..., p), broadcast row by row.
 
-    Returns one value per broadcast row, shape `broadcast(X, Y).shape[:-1]`.
+    Returns one value per broadcast row, shape `broadcast(X, Y).shape[:-1]`:
+    of `row_sum((X - Y) ** 2)` for rbf and of `row_sum(X * Y)` otherwise.
     Raises DimensionMismatch unless `check_rows` passes, and DomainError
     if a fractional polynomial degree meets a negative base on any row.
     """
     X, Y = check_rows(X, Y)
     if spec.kind == KernelKind.RBF:
         return _rbf(spec, row_sum((X - Y) ** 2))
-    # A matmul over strided (points-innermost) rows rounds differently.
-    X = np.ascontiguousarray(X)
-    Y = np.ascontiguousarray(Y)
-    inner = (X[..., None, :] @ Y[..., :, None])[..., 0, 0]
+    return _of_inner_products(spec, row_sum(X * Y))
+
+
+def _rbf(spec: KernelSpec, d2, out=None) -> np.ndarray:
+    """exp(-d2 / sigma^2), bit for bit, of squared distances `d2`, into `out` if given."""
+    return np.exp(np.divide(d2, -(spec.sigma * spec.sigma), out=out), out=out)
+
+
+def _of_inner_products(spec: KernelSpec, inner, out=None):
+    """The linear or polynomial kernel of inner products `inner`, into `out` if given."""
     if spec.kind == KernelKind.LINEAR:
         return inner
-    base = inner + 1.0
+    base = np.add(inner, 1.0, out=out)
     if not float(spec.degree).is_integer():
         negative = base[base < 0.0]
         if negative.size:
@@ -91,20 +99,12 @@ def kernel_rows(spec: KernelSpec, X, Y) -> np.ndarray:
             )
     # np.power, not **: on a one-row (0-d) base ** would take the scalar
     # pow, which can round differently from the ufunc the batches use.
-    return np.power(base, spec.degree)
-
-
-def _rbf(spec: KernelSpec, d2, out=None) -> np.ndarray:
-    """exp(-d2 / sigma^2), bit for bit, of squared distances `d2`, into `out` if given."""
-    return np.exp(np.divide(d2, -(spec.sigma * spec.sigma), out=out), out=out)
+    return np.power(base, spec.degree, out=out)
 
 
 def self_kernel(spec: KernelSpec, X):
     """K(x, x) of each row of X, or None for rbf, whose distance never reads it."""
-    if spec.kind == KernelKind.RBF:
-        return None
-    X = np.ascontiguousarray(X)  # C rows, as every inner product (`kernel_rows`)
-    return kernel_rows(spec, X, X)
+    return None if spec.kind == KernelKind.RBF else kernel_rows(spec, X, X)
 
 
 def kernel_distance_rows(spec: KernelSpec, X, Y, x_self=None) -> np.ndarray:
@@ -124,9 +124,6 @@ def kernel_distance_rows(spec: KernelSpec, X, Y, x_self=None) -> np.ndarray:
         d2 = row_sum((X - Y) ** 2)
         if d2.max(initial=0.0) < np.inf:  # one reduction: NaN compares False too
             return (1.0 + 1.0) - 2.0 * _rbf(spec, d2)
-    # The C rows every inner product needs, copied once here rather than per `kernel_rows`.
-    X = np.ascontiguousarray(X)
-    Y = np.ascontiguousarray(Y)
     if x_self is None:
         x_self = kernel_rows(spec, X, X)
     d2 = x_self + kernel_rows(spec, Y, Y) - 2.0 * kernel_rows(spec, X, Y)
@@ -139,53 +136,55 @@ def kernel_eval(spec: KernelSpec, x, y) -> float:
     return float(kernel_rows(spec, x, y))
 
 
-def _squared_distances(x, y, out):
-    """`row_sum((x - y) ** 2)` into `out`, bit for bit, for x (rows, 1, p) and y (1, cols, p); returns `out`.
+def _column_sums(x, y, out, product=False):
+    """`row_sum((x - y) ** 2)`, or `row_sum(x * y)` if `product`, into `out`, bit for bit; returns `out`.
 
-    The squared differences are added one feature column at a time in
-    `row_sum`'s order: left to right below 8 features; from 8 to 128,
-    eight lanes of every eighth column, combined pairwise, then the tail
-    columns; above 128, `numpys_halves` each so, the second into a plane
-    of its own.  Temporaries: one (rows, cols) column below 8 features,
-    four from 8 on, and one plane per halving level above 128.
+    x is (rows, 1, p) and y (1, cols, p).  The terms are added one
+    feature column at a time in `row_sum`'s order: left to right below 8
+    features; from 8 to 128, eight lanes of every eighth column, combined
+    pairwise, then the tail columns; above 128, `numpys_halves` each so,
+    the second into a plane of its own.  A sum of products then gets
+    `row_sum`'s + 0.0, which turns -0.0 into +0.0; a sum of squares is
+    never -0.0.  Temporaries: `_block_temporaries(p)` (rows, cols) planes.
     """
     p = x.shape[-1]
     if p > 128:
         (x1, x2), (y1, y2) = numpys_halves(x), numpys_halves(y)
-        _squared_distances(x1, y1, out)
-        return np.add(out, _squared_distances(x2, y2, np.empty(out.shape)), out=out)
+        _column_sums(x1, y1, out, product)
+        return np.add(out, _column_sums(x2, y2, np.empty(out.shape), product), out=out)
     scratch = np.empty(out.shape)
 
-    def square(column, into):
+    def term(column, into):
+        if product:
+            return np.multiply(x[..., column], y[..., column], out=into)
         np.subtract(x[..., column], y[..., column], out=into)
         return np.square(into, out=into)
 
     step, body = (1, p) if p < 8 else (8, p - p % 8)
 
     def lane(first, into):
-        square(first, into)
+        term(first, into)
         for column in range(first + step, body, step):
-            into += square(column, scratch)
+            into += term(column, scratch)
         return into
 
     lane(0, out)
-    if p < 8:
-        return out
-    # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the tail columns.
-    t1, t2, t3 = np.empty((3,) + out.shape)
-    out += lane(1, t1)
-    out += np.add(lane(2, t1), lane(3, t2), out=t1)
-    np.add(lane(4, t1), lane(5, t2), out=t1)
-    t1 += np.add(lane(6, t2), lane(7, t3), out=t2)
-    out += t1
-    for column in range(body, p):
-        out += square(column, scratch)
-    return out
+    if p >= 8:
+        # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the tail columns.
+        t1, t2, t3 = np.empty((3,) + out.shape)
+        out += lane(1, t1)
+        out += np.add(lane(2, t1), lane(3, t2), out=t1)
+        np.add(lane(4, t1), lane(5, t2), out=t1)
+        t1 += np.add(lane(6, t2), lane(7, t3), out=t2)
+        out += t1
+        for column in range(body, p):
+            out += term(column, scratch)
+    return np.add(out, 0.0, out=out) if product else out
 
 
-def _block_temporaries(spec: KernelSpec, p):
-    """(rows, cols) temporaries of a Gram row block: rbf's column or lanes, or `kernel_rows`'."""
-    return 1 if spec.kind == KernelKind.RBF and p < 8 else 4
+def _block_temporaries(p):
+    """(rows, cols) planes that `_column_sums` holds at p features: its column, or lanes and halves."""
+    return 1 if p < 8 else 4 + ((p - 1) // 128).bit_length()
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is a non-finite entry, or an rbf 0
@@ -195,11 +194,11 @@ def gram(spec: KernelSpec, data) -> SymMatrix:
 
     Built in one n x n buffer, a row block at a time: rows i against
     columns j >= start, with the block's columns below it mirrored, so the
-    result is symmetric by construction and its entries are the bits of
+    result is symmetric by construction.  Each block's squared distances
+    or inner products are `_column_sums`, so its entries are the bits of
     `kernel_eval` on each pair.  Memory: the dense result, 8 n^2 bytes,
     plus one row block's temporaries, about BLOCK_ELEMENTS doubles, or
-    one row's when a row needs more; above 128 features a quarter of that
-    more for each halving level.  Raises DomainError when an entry
+    one row's when a row needs more.  Raises DomainError when an entry
     overflows; an rbf entry of finite data lies in [0, 1] and is not checked.
     """
     values = data_values(data)
@@ -207,14 +206,13 @@ def gram(spec: KernelSpec, data) -> SymMatrix:
         raise ValueError(f"expected an (n, p) data array, got shape {values.shape}")
     n, p = values.shape
     k = np.empty((n, n))
-    for start, stop in row_blocks(n, n * _block_temporaries(spec, p)):
+    for start, stop in row_blocks(n, n * _block_temporaries(p)):
         rows = k[start:stop, start:]
         x, y = values[start:stop, None, :], values[None, start:, :]
         if spec.kind == KernelKind.RBF:
-            _squared_distances(x, y, rows)
-            _rbf(spec, rows, out=rows)
+            _rbf(spec, _column_sums(x, y, rows), out=rows)
         else:
-            rows[...] = kernel_rows(spec, x, y)
+            _of_inner_products(spec, _column_sums(x, y, rows, product=True), out=rows)
             if not np.all(np.isfinite(rows)):
                 raise DomainError("Gram matrix is not finite: the data overflow this kernel")
         k[stop:, start:stop] = rows[:, stop - start:].T
@@ -236,10 +234,10 @@ def median_sigma(data) -> float:
         return 1.0
     dist = np.empty(n * (n - 1) // 2)
     filled = 0
-    temporaries = _block_temporaries(KernelSpec(KernelKind.RBF), p) + 2
+    temporaries = _block_temporaries(p) + 2
     for start, stop in row_blocks(n - 1, n * temporaries):
         d2 = np.empty((stop - start, n - start))
-        _squared_distances(values[start:stop, None, :], values[None, start:, :], d2)
+        _column_sums(values[start:stop, None, :], values[None, start:, :], d2)
         upper = d2[np.arange(start, n)[None, :] > np.arange(start, stop)[:, None]]
         np.sqrt(upper, out=dist[filled:filled + upper.size])
         filled += upper.size

@@ -7,9 +7,8 @@ this file, one line.  A finished run stores one membership bitmask per
 point (bit c set when the point belongs to cluster c), its `n_iter`, its
 objective J and its pair counts (NCILP, NILP, NTLP) against the sample's
 labels; a run that raises stores the exception's class and message.
-Prototypes are not stored: a polynomial inner product's BLAS rounding
-may differ across machines, and the outcomes above show any change that
-matters.
+Prototypes are not stored: the outcomes above show any change in them
+that matters.
 
 Cases, each under seven measure variants and seeds 0 and 650:
   * Iris (data/iris.csv) at k = 1, 3, 4 and 8: with 2^k <= n the run

@@ -15,8 +15,8 @@ Cases:
   * Iris (data/iris.csv) under rbf at sigma = 150 and at the median sigma;
   * the 65-point samples of `make_golden_grid.py` at p = 1, 7, 8, 9, 17,
     128 and 129 under rbf at the median sigma, poly degree 2 and linear.
-At p = 128 and 129 the polynomial and linear Gram entries are `matmul`
-inner products, whose rounding depends on the BLAS build.
+At p = 128 and 129, as at every width, the polynomial and linear Gram
+entries are inner products added in `row_sum`'s order, from no BLAS call.
 """
 
 import importlib.util

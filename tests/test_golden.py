@@ -16,9 +16,12 @@ docstrings.
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from okmlib import OkmConfig, objective, okm, run_okm
 
@@ -140,3 +143,38 @@ def test_cli_reproduces_golden_output(tmp_path):
                 bound = recorder.SPECTRUM_BOUND * abs(want_values[0])
                 assert np.all(np.abs(np.subtract(got_values, want_values)) <= bound), name
         assert got["code"] == want["code"], name
+
+
+def _openblas_dynamic_arch():
+    """Whether numpy's BLAS is an OpenBLAS built DYNAMIC_ARCH, whose kernels OPENBLAS_CORETYPE picks."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+# Runs the named cases of make_golden_cli.py (argv[1]) with "{dir}" at argv[2]; prints their json.
+_RUN_CASES = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("make_golden_cli", sys.argv[1])
+recorder = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(recorder)
+cases = {name: (argv, written) for name, argv, written in recorder.cases()}
+print(json.dumps({name: recorder.run_case(*cases[name], sys.argv[2]) for name in sys.argv[3:]}))
+"""
+
+
+@pytest.mark.skipif(not _openblas_dynamic_arch(), reason="numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS")
+def test_inner_product_cli_cases_print_the_same_bytes_under_other_openblas_kernels(tmp_path, child_env):
+    # The golden CLI's poly and linear cases take no value from BLAS, so a
+    # child interpreter running OpenBLAS's Haswell or Prescott kernels
+    # prints this process's bytes.  The synthetic sample's LAPACK QR still
+    # depends on the kernels, and so do the spectra: those cases are not run.
+    recorder = _load("make_golden_cli")
+    cases = {name: (argv, written) for name, argv, written in recorder.cases()
+             if "-poly" in name or "-linear" in name}
+    assert len(cases) == 6
+    here = {name: recorder.run_case(argv, written, tmp_path) for name, (argv, written) in cases.items()}
+    for core_type in ("Haswell", "Prescott"):
+        done = subprocess.run([sys.executable, "-c", _RUN_CASES, str(DATA / "make_golden_cli.py"),
+                               str(tmp_path), *cases], env=dict(child_env, OPENBLAS_CORETYPE=core_type),
+                              capture_output=True, text=True, check=True)
+        assert json.loads(done.stdout) == here, core_type

@@ -22,7 +22,8 @@ from okmlib import (
     kernel_rows,
     sorted_eigenvalues,
 )
-from okmlib.kernels import kernel_distance_rows, median_sigma
+from okmlib.kernels import _column_sums, kernel_distance_rows, median_sigma
+from okmlib.linalg import row_sum
 
 RBF2 = KernelSpec(KernelKind.RBF, sigma=2.0)
 POLY2 = KernelSpec(KernelKind.POLYNOMIAL, degree=2.0)
@@ -176,7 +177,7 @@ def test_gram_row_blocks_match_pairwise_kernel_eval(monkeypatch):
 
     monkeypatch.setattr(linalg, "BLOCK_ELEMENTS", 50)
     rng = np.random.default_rng(19)
-    # p = 9 takes the rbf row sum's column adds.
+    # p = 9 takes the column sums' eight lanes.
     for data in (rng.uniform(0.0, 3.0, (23, 3)), rng.uniform(0.0, 3.0, (23, 9))):
         for spec in (RBF2, POLY2, LIN, KernelSpec(KernelKind.POLYNOMIAL, degree=0.25)):
             expected = np.empty((23, 23))
@@ -187,8 +188,9 @@ def test_gram_row_blocks_match_pairwise_kernel_eval(monkeypatch):
 
 
 def test_inner_product_kernels_round_alike_on_points_innermost_rows():
-    # A stacked matmul over strided rows rounds differently, so the rows of
-    # a points-innermost input are made C-contiguous first.
+    # OKM's data is points-innermost and the per-pair references are C
+    # rows: the inner products, `row_sum(X * Y)`, add in numpy's C order
+    # in either layout, with no C copy of the rows.
     rng = np.random.default_rng(23)
     for p in (4, 8, 9):
         x, y = rng.uniform(0.0, 3.0, (2, 600, p))
@@ -300,10 +302,11 @@ def test_gram_memory_stays_near_one_matrix(monkeypatch):
 
 @pytest.mark.parametrize("block_elements", [None, 50], ids=["default-blocks", "50-element-blocks"])
 def test_gram_entries_are_the_pairwise_kernel_eval_bits(monkeypatch, block_elements):
-    # Below 8 features the rbf squared distances are added left to right,
-    # from 8 to 128 in row_sum's eight lanes, above 128 in numpy's halves,
-    # each in those lanes (three levels deep at p = 1 000); every entry,
-    # below the diagonal too, must be kernel_eval's bits on its pair.
+    # Below 8 features the squared distances and inner products are added
+    # left to right, from 8 to 128 in row_sum's eight lanes, above 128 in
+    # numpy's halves, each in those lanes (three levels deep at p = 1 000);
+    # every entry, below the diagonal too, must be kernel_eval's bits on
+    # its pair.
     import okmlib.linalg as linalg
 
     if block_elements is not None:
@@ -346,6 +349,44 @@ def test_rbf_gram_builds_in_its_result_and_one_block_of_temporaries(iris):
     n = 2000
     data = np.random.default_rng(38).standard_normal((n, 8))
     assert _gram_peak(RBF2, data) <= 1.3 * 8 * n * n
+
+
+def test_gram_block_temporaries_stay_within_the_block_budget_above_128_features(monkeypatch):
+    # A deterministic guard, no wall clock.  Above 128 features the column
+    # sums hold one more (rows, cols) plane per halving of numpy's halves
+    # (three at p = 1 024), and the row blocks are sized to count them:
+    # the Gram's temporaries stay within BLOCK_ELEMENTS doubles.
+    import okmlib.linalg as linalg
+
+    monkeypatch.setattr(linalg, "BLOCK_ELEMENTS", 1 << 15)
+    n = 128
+    for p in (256, 1024):
+        data = DataMatrix(np.random.default_rng(39).standard_normal((n, p)))
+        for spec in (KernelSpec(KernelKind.RBF, sigma=float(p)), POLY2):
+            temporaries = _gram_peak(spec, data) - 8 * n * n
+            assert temporaries <= 1.1 * 8 * linalg.BLOCK_ELEMENTS, \
+                (p, spec.kind, temporaries / (8 * linalg.BLOCK_ELEMENTS))
+
+
+@pytest.mark.parametrize("p", [1, 4, 7, 8, 9, 17, 128, 129, 300, 1000])
+def test_column_sums_are_row_sums_bit_for_bit(p):
+    # Both terms of the one column-add core that every Gram block and the
+    # median sigma use: the squared differences and the products, each
+    # against `row_sum` of the (rows, cols, p) batch, for C and
+    # points-innermost inputs.  The rows include -0.0 ones, whose products
+    # sum to -0.0 before row_sum's + 0.0, and rows of mixed scales, where
+    # an order other than numpy's halves and lanes changes low bits.
+    rng = np.random.default_rng(41)
+    points = rng.standard_normal((12, p)) * 10.0 ** rng.uniform(-3.0, 3.0, (12, 1))
+    points[0] = -0.0
+    points[1, ::2] = -0.0
+    points[2] = 0.0
+    for data in (points, np.asfortranarray(points)):
+        x, y = data[:, None, :], data[None, :, :]
+        for product, reference in ((False, row_sum((x - y) ** 2)), (True, row_sum(x * y))):
+            got = _column_sums(x, y, np.empty((12, 12)), product)
+            assert np.array_equal(got.view(np.int64), reference.view(np.int64)), \
+                (product, data.flags.f_contiguous)
 
 
 # ------------------------------------------------------------- median sigma

@@ -1013,16 +1013,18 @@ def test_run_okm_memory_stays_within_two_distance_temporaries_at_n20800():
 
 def test_run_okm_memory_stays_within_one_and_a_half_distance_temporaries_at_p256():
     # A deterministic guard, no wall clock: at n = 2 000, k = 5, p = 256
-    # the (k, n, p) distance batch is summed in place, half by half,
-    # with no copy of it: 1.22 n·k·p doubles under euclidean and rbf,
-    # where a contiguous copy of the batch made 2.21.
+    # the (k, n, p) distance batch, squared differences or products, is
+    # summed in place, half by half, with no copy of it: 1.22 n·k·p
+    # doubles under euclidean, rbf, poly 2 and linear, where a contiguous
+    # copy of the batch made 2.21.
     n, k, p = 2000, 5, 256
     data = generate_synthetic(SyntheticSpec(
         k=k, points_per_cluster=360, overlap_pairs=tuple((c, (c + 1) % k, 40) for c in range(k)),
         dimension=p, seed=0))
     assert data.values.shape == (n, p)
-    rbf = Dissimilarity(DissimilarityKind.KERNEL_INDUCED, kernel=KernelSpec(KernelKind.RBF, sigma=20.0))
-    for d in (SQ, rbf):
+    kernels = (KernelSpec(KernelKind.RBF, sigma=20.0), KernelSpec(KernelKind.POLYNOMIAL, degree=2.0),
+               KernelSpec(KernelKind.LINEAR))
+    for d in (SQ, *(Dissimilarity(DissimilarityKind.KERNEL_INDUCED, kernel=kernel) for kernel in kernels)):
         tracemalloc.start()
         try:
             cov = run_okm(data, OkmConfig(k=k, dissimilarity=d, max_iter=2, seed=650))
@@ -1030,7 +1032,7 @@ def test_run_okm_memory_stays_within_one_and_a_half_distance_temporaries_at_p256
         finally:
             tracemalloc.stop()
         assert cov.n_iter == 2
-        assert peak < 1.5 * n * k * p * 8, (d.kind, peak / (n * k * p * 8))
+        assert peak < 1.5 * n * k * p * 8, (d.kind, d.kernel, peak / (n * k * p * 8))
 
 
 def test_row_sum_is_numpys_row_sum_on_every_array_okm_sums(monkeypatch):
